@@ -61,55 +61,78 @@ class RhoParametrization:
             raise ValueError(f"populations a + e + h = {total:.6g} exceed 1")
 
 
+# (position, field) of the free populations, and (row, column, index of the
+# real part) of the upper-triangle coherences; gg is 1 - a - e - h
+_DIAGONAL = ((0, _IDX["a"]), (1, _IDX["e"]), (2, _IDX["h"]))
+_UPPER = ((0, 1, _IDX["b1"]), (0, 2, _IDX["c1"]), (0, 3, _IDX["d1"]),
+          (1, 2, _IDX["f1"]), (1, 3, _IDX["g1"]), (2, 3, _IDX["i1"]))
+
+
+def _matrices(v) -> np.ndarray:
+    """(..., 15) parameter vectors in _FIELDS order to (..., 4, 4) Hermitian matrices."""
+    v = np.asarray(v, dtype=float)
+    m = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
+    for k, i in _DIAGONAL:
+        m[..., k, k] = v[..., i]
+    m[..., 3, 3] = 1.0 - v[..., _IDX["a"]] - v[..., _IDX["e"]] - v[..., _IDX["h"]]
+    for r, c, i in _UPPER:
+        m[..., r, c] = v[..., i] + 1j * v[..., i + 1]
+        m[..., c, r] = v[..., i] - 1j * v[..., i + 1]
+    return m
+
+
+def _vectors(m: np.ndarray) -> np.ndarray:
+    """Inverse of _matrices; drops the redundant gg entry."""
+    v = np.empty(m.shape[:-2] + (15,))
+    for k, i in _DIAGONAL:
+        v[..., i] = m[..., k, k].real
+    for r, c, i in _UPPER:
+        v[..., i] = m[..., r, c].real
+        v[..., i + 1] = m[..., r, c].imag
+    return v
+
+
 def to_density_matrix(p: RhoParametrization) -> DensityMatrix:
     """Assemble the Hermitian 4x4 matrix; raises InvalidStateError if not PSD."""
-    m = np.array(
-        [
-            [p.a, p.b1 + 1j * p.b2, p.c1 + 1j * p.c2, p.d1 + 1j * p.d2],
-            [p.b1 - 1j * p.b2, p.e, p.f1 + 1j * p.f2, p.g1 + 1j * p.g2],
-            [p.c1 - 1j * p.c2, p.f1 - 1j * p.f2, p.h, p.i1 + 1j * p.i2],
-            [p.d1 - 1j * p.d2, p.g1 - 1j * p.g2, p.i1 - 1j * p.i2, 1.0 - p.a - p.e - p.h],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(TWO_QUBITS, m)
+    return DensityMatrix(TWO_QUBITS, _matrices(astuple(p)))
 
 
 def _from_matrix(m: np.ndarray) -> RhoParametrization:
-    # inverse of to_density_matrix's layout; drops the redundant gg entry
-    return RhoParametrization(
-        a=m[0, 0].real,
-        b1=m[0, 1].real, b2=m[0, 1].imag,
-        c1=m[0, 2].real, c2=m[0, 2].imag,
-        d1=m[0, 3].real, d2=m[0, 3].imag,
-        e=m[1, 1].real,
-        f1=m[1, 2].real, f2=m[1, 2].imag,
-        g1=m[1, 3].real, g2=m[1, 3].imag,
-        h=m[2, 2].real,
-        i1=m[2, 3].real, i2=m[2, 3].imag,
-    )
+    return RhoParametrization(*map(float, _vectors(m)))
+
+
+def _closed_form_vectors(zeta, xi1) -> np.ndarray:
+    z = np.atleast_1d(np.asarray(zeta, dtype=float))
+    x = np.atleast_1d(np.asarray(xi1, dtype=float))
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x2 * x2
+    d = z * z + (1.0 + 2.0 * x2) * (1.0 + 2.0 * x2)
+    zero = np.zeros_like(d)
+    return np.stack([
+        x4 / d,  # a
+        zero, -x3 / d,  # b1, b2
+        zero, -x3 / d,  # c1, c2
+        -x2 / d, z * x2 / d,  # d1, d2
+        (x2 + x4) / d,  # e
+        x2 / d, zero,  # f1, f2
+        -z * x / d, -(x + x3) / d,  # g1, g2
+        (x2 + x4) / d,  # h
+        -z * x / d, -(x + x3) / d,  # i1, i2
+    ], axis=-1)
 
 
 def closed_form(zeta: float, xi1: float) -> RhoParametrization:
     """Closed-form steady-state parameters on the xi2 = 0 branch."""
-    d = zeta**2 + (1.0 + 2.0 * xi1**2) ** 2
-    return RhoParametrization(
-        a=xi1**4 / d,
-        b1=0.0,
-        b2=-(xi1**3) / d,
-        c1=0.0,
-        c2=-(xi1**3) / d,
-        d1=-(xi1**2) / d,
-        d2=zeta * xi1**2 / d,
-        e=(xi1**2 + xi1**4) / d,
-        f1=xi1**2 / d,
-        f2=0.0,
-        g1=-zeta * xi1 / d,
-        g2=-(xi1 + xi1**3) / d,
-        h=(xi1**2 + xi1**4) / d,
-        i1=-zeta * xi1 / d,
-        i2=-(xi1 + xi1**3) / d,
-    )
+    return RhoParametrization(*map(float, _closed_form_vectors(zeta, xi1)[0]))
+
+
+def closed_form_states(zeta, xi1) -> np.ndarray:
+    """Closed-form steady states at arrays of (zeta, xi1), xi2 = 0, as an (N, 4, 4) stack.
+
+    The same formulas as closed_form; the stack is not validated here.
+    """
+    return _matrices(_closed_form_vectors(zeta, xi1))
 
 
 def _system(zeta: float, xi1: float, xi2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +141,9 @@ def _system(zeta: float, xi1: float, xi2: float) -> tuple[np.ndarray, np.ndarray
     Row order follows the matrix entries whose time derivatives vanish:
     (11, Re 12, Im 12, Re 13, Im 13, Re 14, Im 14, 22, Re 23, Im 23,
     Re 24, Im 24, 33, Re 34, Im 34, 44). Shared verbatim by
-    solve_linear_system and residual so a transcription slip cannot
-    self-confirm against the independent closed form.
+    solve_linear_system and (split into its constant parts) the residuals,
+    so a transcription slip cannot self-confirm against the independent
+    closed form.
     """
     m = np.zeros((16, 15))
     b = np.zeros(16)
@@ -170,7 +194,32 @@ def solve_linear_system(zeta: float, xi1: float, xi2: float) -> RhoParametrizati
     return RhoParametrization(*sol)
 
 
+def _split_system() -> tuple[np.ndarray, ...]:
+    # _system is affine in the parameters and each entry holds at most one of
+    # them, so these constants reproduce it bit for bit (see _system_stack)
+    m0, _ = _system(0.0, 0.0, 0.0)
+    (mz, _), (mx1, bx1), (mx2, bx2) = (_system(*u) for u in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)))
+    return m0, mz - m0, mx1 - m0, mx2 - m0, bx1, bx2
+
+
+_SPLIT = _split_system()
+
+
+def _system_stack(zeta, xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
+    """_system at arrays of points: M0 + zeta Mz + xi1 Mx1 + xi2 Mx2 and b = xi1 bx1 + xi2 bx2."""
+    m0, mz, mx1, mx2, bx1, bx2 = _SPLIT
+    z, x1, x2 = (np.asarray(v, dtype=float)[:, None] for v in (zeta, xi1, xi2))
+    m = m0 + z[..., None] * mz + x1[..., None] * mx1 + x2[..., None] * mx2
+    return m, x1 * bx1 + x2 * bx2
+
+
+def stationarity_residuals(zeta, xi1, xi2, states: np.ndarray) -> np.ndarray:
+    """Euclidean norm of all 16 stationarity equations for each state of an (N, 4, 4) stack."""
+    m, b = _system_stack(zeta, xi1, xi2)
+    r = (m @ _vectors(states)[..., None])[..., 0] - b
+    return np.sqrt((r * r).sum(axis=-1))
+
+
 def residual(zeta: float, xi1: float, xi2: float, p: RhoParametrization) -> float:
     """Euclidean norm of all 16 stationarity equations at the given parameters."""
-    m, b = _system(zeta, xi1, xi2)
-    return float(np.linalg.norm(m @ np.array(astuple(p)) - b))
+    return float(stationarity_residuals([zeta], [xi1], [xi2], _matrices(astuple(p))[None])[0])

@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import multiprocessing
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
-from . import analytic
-from .analytic import DegenerateSystemError, closed_form, solve_linear_system, to_density_matrix
+from .analytic import (
+    DegenerateSystemError,
+    closed_form_states,
+    solve_linear_system,
+    stationarity_residuals,
+    to_density_matrix,
+)
 from .entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -37,6 +43,8 @@ from .lindblad import (
     DegenerateSteadyStateError,
     IntegrationError,
     build_liouvillian,
+    effective_basis,
+    effective_liouvillians,
     evolve,
     steady_state,
 )
@@ -60,6 +68,10 @@ from .qops import (
 )
 
 DEFAULT_GRID = "0:10:81,0:4:81"
+SOLVERS = ("analytic", "numeric", "both")
+# points per stacked evaluation: memory follows the block, not the grid, and
+# the output does not depend on where the blocks start
+BLOCK_SIZE = 256
 DOMINANT_THRESHOLD = 0.05
 TRUNCATION_TOL = 1e-6
 N_PURE_SAMPLES = 10000
@@ -89,36 +101,10 @@ class SweepConfig:
             lo, hi, steps = rng
             if steps < 1:
                 raise ValueError(f"grid steps must be >= 1, got {steps}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid bounds must be finite, got {lo:g}:{hi:g}")
             if lo > hi:
                 raise ValueError(f"grid minimum {lo:g} exceeds maximum {hi:g}")
-        if self.solver not in ("analytic", "numeric", "both"):
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.solver in ("analytic", "both") and self.xi2 != 0.0:
-            raise ValueError(f"solver {self.solver!r} requires xi2 = 0")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep; validated before serialization."""
-
-    zeta: float
-    xi1: float
-    xi2: float
-    concurrence: float
-    negativity: float
-    purity: float
-    pop_ee: float
-    pop_ge: float
-    pop_eg: float
-    pop_gg: float
-    residual: float
-
-    def __post_init__(self):
-        total = self.pop_ee + self.pop_ge + self.pop_eg + self.pop_gg
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"populations sum to {total:.12g}, not 1")
-        if not 0.25 - 1e-12 <= self.purity <= 1.0 + 1e-12:
-            raise ValueError(f"purity {self.purity:.12g} outside [1/4, 1]")
 
 
 _CSV_HEADER = (
@@ -156,17 +142,6 @@ def _format_matrix(m: np.ndarray) -> list[str]:
     return rows
 
 
-def _analytic_params(zeta: float, xi1: float, xi2: float):
-    # the closed form covers the xi2 = 0 branch; the mirrored branch goes
-    # through the linear system; both drive components together have no
-    # analytic route
-    if xi2 == 0.0:
-        return closed_form(zeta, xi1)
-    if xi1 == 0.0:
-        return solve_linear_system(zeta, 0.0, xi2)
-    raise _UsageError("analytic solver supports xi2 != 0 only when xi1 = 0")
-
-
 def _numeric_steady(zeta: float, xi1: float, xi2: float):
     model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
     return steady_state(build_liouvillian(model))
@@ -178,73 +153,127 @@ def _ground_state() -> DensityMatrix:
     return DensityMatrix(TWO_QUBITS, m)
 
 
-def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
-    lines = [f"steady state at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g} (solver: {solver})"]
-    rho_analytic = rho_numeric = None
-    if solver in ("analytic", "both"):
-        params = _analytic_params(zeta, xi1, xi2)
-        rho_analytic = to_density_matrix(params)
-        lines.append(f"equation residual = {analytic.residual(zeta, xi1, xi2, params):.17g}")
-    if solver in ("numeric", "both"):
-        result = _numeric_steady(zeta, xi1, xi2)
-        rho_numeric = result.rho
-        lines.append(f"superoperator residual = {result.residual:.17g} (gap {result.gap:.6g})")
-    rho = rho_analytic if rho_analytic is not None else rho_numeric
-    if rho_analytic is not None and rho_numeric is not None:
-        gap = float(np.linalg.norm(rho_analytic.matrix - rho_numeric.matrix))
-        lines.append(f"analytic-numeric discrepancy (Frobenius) = {gap:.17g}")
+# ---------------------------------------------------------------------------
+# stacked evaluation: steady and sweep both run points through _evaluate
+
+# failures of one point; numpy's LinAlgError is a ValueError
+_POINT_FAILURES = (InvalidStateError, DegenerateSteadyStateError, DegenerateSystemError, ValueError)
+# the sweep's residual column for each solver
+_RESIDUAL_COLUMN = {
+    "analytic": "equation_residual",
+    "numeric": "superoperator_residual",
+    "both": "discrepancy",
+}
+
+
+def _exact_states(zeta, xi1, xi2) -> np.ndarray:
+    # the closed form covers the xi2 = 0 branch; the mirrored branch xi1 = 0
+    # (the only other one _check_solver lets through) takes the linear system
+    if not np.any(xi2):
+        return closed_form_states(zeta, xi1)
+    return np.stack([
+        to_density_matrix(solve_linear_system(z, x, y)).matrix for z, x, y in zip(zeta, xi1, xi2)
+    ])
+
+
+def _evaluate_stack(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
+    out = {}
+    if solver != "numeric":
+        rho = exact = DensityMatrix(TWO_QUBITS, _exact_states(zeta, xi1, xi2))
+        out["equation_residual"] = stationarity_residuals(zeta, xi1, xi2, exact.matrix)
+    if solver != "analytic":
+        result = steady_state(effective_liouvillians(basis, zeta, xi1, xi2))
+        rho = result.rho
+        out["superoperator_residual"], out["gap"] = result.residual, result.gap
+        if solver == "both":
+            diff = exact.matrix - rho.matrix
+            out["discrepancy"] = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(-2, -1)))
     m = rho.matrix
+    pops = m.diagonal(axis1=-2, axis2=-1).real
+    purity = (m.real**2 + m.imag**2).sum(axis=(-2, -1))  # Tr rho^2 of a Hermitian rho
+    # a row's population sum and purity are checked before it is written
+    total = pops[:, 0] + pops[:, 1] + pops[:, 2] + pops[:, 3]
+    bad_total = ~(abs(total - 1.0) <= 1e-9)
+    bad = bad_total | ~((0.25 - 1e-12 <= purity) & (purity <= 1.0 + 1e-12))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"populations sum to {total[k]:.12g}, not 1" if bad_total[k]
+                         else f"purity {purity[k]:.12g} outside [1/4, 1]")
+    out.update(rho=m, pops=pops, purity=purity,
+               concurrence=concurrence(rho), negativity=negativity(rho))
+    return out
+
+
+def _evaluate(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
+    """States and diagnostics at one block of points, with every per-point check.
+
+    ``basis`` is effective_basis(), or None for the analytic solver. A
+    failure names the first failing point, as it would in blocks of one.
+    """
+    try:
+        return _evaluate_stack(zeta, xi1, xi2, solver, basis)
+    except _POINT_FAILURES as exc:
+        if len(zeta) > 1:
+            for k in range(len(zeta)):
+                _evaluate(zeta[k:k + 1], xi1[k:k + 1], xi2[k:k + 1], solver, basis)
+            raise
+        point = f"({zeta[0]:.17g}, {xi1[0]:.17g}, {xi2[0]:.17g})"
+        raise type(exc)(f"at (zeta, xi1, xi2) = {point}: {exc}") from exc
+
+
+def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
+    """CSV rows of a contiguous run of grid points, BLOCK_SIZE points at a time."""
+    basis = None if solver == "analytic" else effective_basis()
+    blocks = []
+    for start in range(0, len(zeta), BLOCK_SIZE):
+        z, x1, x2 = (v[start:start + BLOCK_SIZE] for v in (zeta, xi1, xi2))
+        ev = _evaluate(z, x1, x2, solver, basis)
+        blocks.append(np.column_stack([
+            z, x1, x2, ev["concurrence"], ev["negativity"], ev["purity"], ev["pops"],
+            ev[_RESIDUAL_COLUMN[solver]],
+        ]))
+    return np.concatenate(blocks)
+
+
+def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
+    basis = None if solver == "analytic" else effective_basis()
+    ev = _evaluate(np.array([zeta]), np.array([xi1]), np.array([xi2]), solver, basis)
+    lines = [f"steady state at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g} (solver: {solver})"]
+    if "equation_residual" in ev:
+        lines.append(f"equation residual = {ev['equation_residual'][0]:.17g}")
+    if "gap" in ev:
+        lines.append(f"superoperator residual = {ev['superoperator_residual'][0]:.17g} "
+                     f"(gap {ev['gap'][0]:.6g})")
+    if "discrepancy" in ev:
+        lines.append(f"analytic-numeric discrepancy (Frobenius) = {ev['discrepancy'][0]:.17g}")
     lines.append("rho =")
-    lines.extend(_format_matrix(m))
-    pops = m.diagonal().real
+    lines.extend(_format_matrix(ev["rho"][0]))
+    pops = ev["pops"][0]
     lines.append(f"populations (ee, ge, eg, gg) = "
                  f"({pops[0]:.17g}, {pops[1]:.17g}, {pops[2]:.17g}, {pops[3]:.17g})")
-    lines.append(f"concurrence = {concurrence(rho):.17g}")
-    lines.append(f"negativity = {negativity(rho):.17g}")
-    lines.append(f"purity = {float(np.trace(m @ m).real):.17g}")
+    lines.append(f"concurrence = {ev['concurrence'][0]:.17g}")
+    lines.append(f"negativity = {ev['negativity'][0]:.17g}")
+    lines.append(f"purity = {ev['purity'][0]:.17g}")
     _emit(lines, out)
     return 0
-
-
-def _sweep_point(task: tuple[float, float, float, str]) -> tuple[float, ...]:
-    zeta, xi1, xi2, solver = task
-    if solver == "analytic":
-        params = closed_form(zeta, xi1)
-        rho = to_density_matrix(params)
-        res = analytic.residual(zeta, xi1, xi2, params)
-    elif solver == "numeric":
-        result = _numeric_steady(zeta, xi1, xi2)
-        rho = result.rho
-        res = result.residual
-    else:  # both: report the numeric state, residual column = route discrepancy
-        rho_a = to_density_matrix(closed_form(zeta, xi1))
-        result = _numeric_steady(zeta, xi1, xi2)
-        rho = result.rho
-        res = float(np.linalg.norm(rho_a.matrix - rho.matrix))
-    m = rho.matrix
-    pops = m.diagonal().real
-    return (
-        zeta, xi1, xi2,
-        concurrence(rho), negativity(rho), float(np.trace(m @ m).real),
-        pops[0], pops[1], pops[2], pops[3], res,
-    )
 
 
 def cmd_sweep(cfg: SweepConfig, workers: int = 1) -> int:
     zs = np.linspace(*cfg.zeta_range[:2], cfg.zeta_range[2])
     xs = np.linspace(*cfg.xi1_range[:2], cfg.xi1_range[2])
-    tasks = [(float(z), float(x), cfg.xi2, cfg.solver) for z in zs for x in xs]
-    if workers > 1:
-        with Pool(workers) as pool:
-            raw = pool.map(_sweep_point, tasks)
+    grid = (np.repeat(zs, len(xs)), np.tile(xs, len(zs)), np.full(len(zs) * len(xs), cfg.xi2))
+    # one contiguous run of the grid per worker, through the same blocks
+    parts = min(workers, len(grid[0]))
+    runs = [(*run, cfg.solver) for run in zip(*(np.array_split(v, parts) for v in grid))]
+    if len(runs) > 1:
+        with multiprocessing.get_context("spawn").Pool(len(runs)) as pool:
+            rows = np.concatenate(pool.starmap(_sweep_rows, runs))
     else:
-        raw = [_sweep_point(t) for t in tasks]
-    records = [SweepRecord(*row) for row in raw]
-    _write_csv(cfg.output_path, _CSV_HEADER, raw)
-    best = max(records, key=lambda r: r.concurrence)  # first maximum in grid order
-    print(f"wrote {len(records)} rows to {cfg.output_path}")
-    print(f"argmax concurrence = {best.concurrence:.17g} "
-          f"at zeta = {best.zeta:.17g}, xi1 = {best.xi1:.17g}")
+        rows = _sweep_rows(*runs[0])
+    _write_csv(cfg.output_path, _CSV_HEADER, rows.tolist())
+    best = rows[np.argmax(rows[:, 3])]  # first maximum in grid order
+    print(f"wrote {len(rows)} rows to {cfg.output_path}")
+    print(f"argmax concurrence = {best[3]:.17g} at zeta = {best[0]:.17g}, xi1 = {best[1]:.17g}")
     return 0
 
 
@@ -379,7 +408,7 @@ _OPTIONS = {
         "xi2": (float, 0.0, "fixed imaginary drive component"),
         "solver": (str, "analytic", "analytic, numeric, or both"),
         "out": (str, None, "output CSV path (required)"),
-        "workers": (_positive_int, 1, "parallel worker processes"),
+        "workers": (_positive_int, 1, "worker processes, one contiguous part of the grid each"),
     },
     "witness": {
         "zeta": (float, 0.0, "hopping strength"),
@@ -463,6 +492,10 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
                 raise _UsageError(f"config key {dest!r}: {exc}") from exc
         else:
             setattr(args, dest, default)
+    for dest, (conv, _default, _help) in table.items():
+        value = getattr(args, dest)
+        if conv is float and not math.isfinite(value):
+            raise _UsageError(f"--{dest.replace('_', '-')} must be finite, got {value!r}")
     return args
 
 
@@ -482,22 +515,29 @@ def _parse_grid(text: str) -> tuple[tuple[float, float, int], tuple[float, float
     return ranges[0], ranges[1]
 
 
-def _check_solver(name: str) -> str:
-    if name not in ("analytic", "numeric", "both"):
-        raise _UsageError(f"solver must be analytic, numeric, or both, got {name!r}")
-    return name
+def _check_solver(solver: str, xi1_max: float, xi2: float) -> str:
+    """The solver check of steady and sweep: a known route that covers the drive."""
+    if solver not in SOLVERS:
+        raise _UsageError(f"solver must be analytic, numeric, or both, got {solver!r}")
+    # the closed form covers xi2 = 0 and the 16-equation system the mirrored
+    # branch xi1 = 0; no exact route takes both drive components at once
+    if solver != "numeric" and xi2 != 0.0 and xi1_max != 0.0:
+        raise _UsageError(f"solver {solver!r} supports xi2 != 0 only when xi1 = 0")
+    return solver
 
 
 def _run_steady(args: argparse.Namespace) -> int:
-    return cmd_steady(args.zeta, args.xi1, args.xi2, _check_solver(args.solver), args.out)
+    solver = _check_solver(args.solver, abs(args.xi1), args.xi2)
+    return cmd_steady(args.zeta, args.xi1, args.xi2, solver, args.out)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     if args.out is None:
         raise _UsageError("sweep requires --out")
     zeta_range, xi1_range = _parse_grid(args.grid)
+    solver = _check_solver(args.solver, max(abs(xi1_range[0]), abs(xi1_range[1])), args.xi2)
     try:
-        cfg = SweepConfig(zeta_range, xi1_range, args.xi2, _check_solver(args.solver), args.out)
+        cfg = SweepConfig(zeta_range, xi1_range, args.xi2, solver, args.out)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return cmd_sweep(cfg, args.workers)

@@ -17,7 +17,6 @@ from .qops import (
     SIGMA_Z,
     DensityMatrix,
     Operator,
-    eig_general,
     eig_hermitian,
     kron,
     partial_transpose,
@@ -33,10 +32,6 @@ _FLIP = kron(SIGMA_Y, SIGMA_Y).real
 _PT_SIDE = 1
 
 SAMPLING_SEED = 20260817
-SPECTRUM_IMAG_TOL = 1e-8
-# eigenvalues of rho rho~ below this fraction of the largest are rounding
-# residue of exact zeros; square-rooting them would inject ~1e-8 noise
-SPECTRUM_FLOOR = 1e-12
 # a partial-transpose eigenvalue this close to zero is rounding residue, not
 # detectable entanglement; witness construction treats it as separable
 DETECTION_FLOOR = 1e-12
@@ -88,24 +83,42 @@ def spin_flip(rho: DensityMatrix) -> Operator:
     return Operator(rho.space, _FLIP @ rho.matrix.conj() @ _FLIP)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """max(0, l1 - l2 - l3 - l4) over the descending square-root spectrum of rho rho~."""
-    lam = eig_general(rho.matrix @ spin_flip(rho).matrix)
-    # the product's spectrum is real-nonnegative on valid states
-    assert np.abs(lam.imag).max() <= SPECTRUM_IMAG_TOL, "spectrum imaginary residue too large"
-    lam = np.abs(lam)
-    lam[lam < SPECTRUM_FLOOR * lam.max()] = 0.0
-    roots = np.sort(np.sqrt(lam))[::-1]
-    c = roots[0] - roots[1] - roots[2] - roots[3]
-    return float(min(1.0, max(0.0, c)))
-
-
-def negativity(rho: DensityMatrix) -> float:
-    """Total weight of the negative partial-transpose spectrum; 0 iff separable here."""
+def _check_two_qubits(rho: DensityMatrix, what: str) -> None:
     if rho.space.dims != (2, 2):
-        raise ValueError(f"negativity is defined for two qubits, got dims {rho.space.dims}")
-    w, _ = eig_hermitian(partial_transpose(rho, _PT_SIDE))
-    return float(-w[w < 0].sum()) + 0.0  # + 0.0 normalizes -0.0 when PPT
+        raise ValueError(f"{what} is defined for two qubits, got dims {rho.space.dims}")
+
+
+def _per_state(values: np.ndarray):
+    # a float for one state, an array for a stack
+    return float(values) if values.ndim == 0 else values
+
+
+def concurrence(rho: DensityMatrix):
+    """Wootters concurrence of a two-qubit state, or of each state in a stack.
+
+    Uses the Hermitian route: rho = W W^dagger from the spectrum of rho
+    (eigenvalues clipped at 0), tau = W^T (sigma_y sigma_y) W, and
+    C = max(0, s1 - s2 - s3 - s4) over the descending singular values of
+    tau, which are the square roots of the spectrum of rho rho~. Returns a
+    float for one state and an array for a stack.
+    """
+    _check_two_qubits(rho, "concurrence")
+    w, v = np.linalg.eigh(rho.matrix)
+    roots = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    tau = roots.swapaxes(-1, -2) @ (_FLIP @ roots)
+    s = np.linalg.svd(tau, compute_uv=False)
+    c = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
+    return _per_state(np.clip(c, 0.0, 1.0) + 0.0)  # + 0.0 normalizes -0.0
+
+
+def negativity(rho: DensityMatrix):
+    """Total weight of the negative partial-transpose spectrum; 0 iff separable here.
+
+    Returns a float for one state and an array for a stack.
+    """
+    _check_two_qubits(rho, "negativity")
+    w = np.linalg.eigvalsh(partial_transpose(rho, _PT_SIDE).matrix)
+    return _per_state(-np.minimum(w, 0.0).sum(axis=-1) + 0.0)  # + 0.0 normalizes -0.0 when PPT
 
 
 def construct_witness(rho: DensityMatrix) -> Witness:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LindbladModel
-from .qops import DensityMatrix, HilbertSpace
+from .model import DimensionlessParams, LindbladModel, build_effective_model
+from .qops import TWO_QUBITS, DensityMatrix, HilbertSpace
 
 GAP_FLOOR = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -29,7 +29,10 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Superoperator matrix acting on column-stacked density matrices."""
+    """Superoperator matrix acting on column-stacked density matrices.
+
+    ``matrix`` is one (d^2, d^2) matrix or a stack of them along a leading axis.
+    """
 
     space: HilbertSpace
     matrix: np.ndarray
@@ -37,7 +40,7 @@ class Liouvillian:
     def __post_init__(self):
         d = self.space.dim
         m = np.array(self.matrix, dtype=complex)
-        if m.shape != (d * d, d * d):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (d * d, d * d):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {d}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -48,12 +51,13 @@ class SteadyStateResult:
     """Steady state with its defect norm and the uniqueness gap.
 
     residual is ||L vec(rho)||_2; gap is the second-smallest singular value
-    of L, which bounds the distance to a second stationary solution.
+    of L, which bounds the distance to a second stationary solution. For a
+    stacked Liouvillian, rho is a stack and residual and gap are arrays.
     """
 
     rho: DensityMatrix
-    residual: float
-    gap: float
+    residual: float | np.ndarray
+    gap: float | np.ndarray
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -64,12 +68,18 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
+def _commutator(h: np.ndarray) -> np.ndarray:
+    # -i[H, .] as a superoperator
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
 def build_liouvillian(m: LindbladModel) -> Liouvillian:
     """Assemble -i[H, .] plus the jump dissipators as one superoperator matrix."""
     h = m.hamiltonian
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    mat = _commutator(h)
     for jump in m.jumps:
         if jump.shape != h.shape:
             raise ValueError(f"jump shape {jump.shape} does not match Hamiltonian {h.shape}")
@@ -79,32 +89,75 @@ def build_liouvillian(m: LindbladModel) -> Liouvillian:
     return Liouvillian(m.space, mat)
 
 
-def steady_state(liouv: Liouvillian) -> SteadyStateResult:
-    """Solve L vec(rho) = 0 with Tr rho = 1 appended, in the least-squares sense.
+def effective_basis() -> np.ndarray:
+    """(L0, Lz, Lx1, Lx2): the reduced model's Liouvillian is L0 + zeta Lz + xi1 Lx1 + xi2 Lx2.
 
-    Raises DegenerateSteadyStateError when the singular-value probe finds a
-    second near-null direction, rather than returning an arbitrary mixture.
+    L0 is build_liouvillian of the undriven, uncoupled model; each other
+    term is the commutator with the model's Hamiltonian at one unit
+    parameter, so build_effective_model stays the only source of the model.
+    Each entry of L depends on at most one parameter, so the affine sum
+    equals build_liouvillian at every point bit for bit.
+    """
+    base = build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0))).matrix
+    units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return np.stack([base] + [
+        _commutator(build_effective_model(DimensionlessParams(*u)).hamiltonian) for u in units
+    ])
+
+
+def effective_liouvillians(basis: np.ndarray, zeta, xi1, xi2) -> Liouvillian:
+    """Stacked reduced-model Liouvillians at arrays of (zeta, xi1, xi2), from effective_basis()."""
+    l0, lz, lx1, lx2 = basis
+
+    def column(v):
+        return np.asarray(v, dtype=float)[:, None, None]
+
+    return Liouvillian(TWO_QUBITS, l0 + column(zeta) * lz + column(xi1) * lx1 + column(xi2) * lx2)
+
+
+def steady_state(liouv: Liouvillian) -> SteadyStateResult:
+    """Solve L vec(rho) = 0 with Tr rho = 1, for one Liouvillian or a stack.
+
+    The trace condition replaces the row of L for the first population, and
+    the square system is solved directly (the direct method of QuTiP;
+    Johansson, Nation and Nori, CPC 183, 1760 (2012)). That row is
+    redundant: the population rows of L sum to zero. Raises
+    DegenerateSteadyStateError when the singular-value probe finds a second
+    near-null direction, rather than returning an arbitrary mixture, and
+    when the residual exceeds RESIDUAL_TOL; for a stack, the message names
+    the first failing Liouvillian.
     """
     d = liouv.space.dim
-    lm = liouv.matrix
-    singulars = np.linalg.svd(lm, compute_uv=False)
-    gap = float(singulars[-2])
-    if gap <= GAP_FLOOR:
+    lm = liouv.matrix.reshape(-1, d * d, d * d)
+    n = len(lm)
+    gaps = np.linalg.svd(lm, compute_uv=False)[:, -2]
+    degenerate = ~(gaps > GAP_FLOOR)  # "not >" so that NaN fails
+    if degenerate.any():
+        k = int(np.argmax(degenerate))
         raise DegenerateSteadyStateError(
-            f"stationary space is degenerate (gap {gap:.3e} <= {GAP_FLOOR:g})"
+            f"stationary space is degenerate (gap {gaps[k]:.3e} <= {GAP_FLOOR:g})" + _which(k, n)
         )
-    stacked = np.vstack([lm, _vec(np.eye(d, dtype=complex))[None, :]])
-    rhs = np.zeros(d * d + 1, dtype=complex)
-    rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    mat = _unvec(sol, d)
-    mat = 0.5 * (mat + mat.conj().T)
-    residual = float(np.linalg.norm(lm @ _vec(mat)))
-    if residual > RESIDUAL_TOL:
+    bordered = lm.copy()
+    bordered[:, 0, :] = _vec(np.eye(d, dtype=complex))
+    rhs = np.zeros((n, d * d, 1), dtype=complex)
+    rhs[:, 0] = 1.0
+    mats = np.linalg.solve(bordered, rhs).reshape(n, d, d).swapaxes(-1, -2)  # unvec
+    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    defect = (lm @ mats.swapaxes(-1, -2).reshape(n, d * d, 1))[..., 0]
+    residuals = np.sqrt((defect.real**2 + defect.imag**2).sum(axis=-1))
+    failed = ~(residuals <= RESIDUAL_TOL)
+    if failed.any():
+        k = int(np.argmax(failed))
         raise DegenerateSteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
+            f"steady-state residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:g}" + _which(k, n)
         )
-    return SteadyStateResult(DensityMatrix(liouv.space, mat), residual, gap)
+    if liouv.matrix.ndim == 2:
+        mats, residuals, gaps = mats[0], float(residuals[0]), float(gaps[0])
+    return SteadyStateResult(DensityMatrix(liouv.space, mats), residuals, gaps)
+
+
+def _which(k: int, n: int) -> str:
+    return f" (Liouvillian {k} of a stack of {n})" if n > 1 else ""
 
 
 def evolve(

@@ -62,42 +62,70 @@ def _as_matrix(op) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A square matrix tied to a HilbertSpace; not required to be Hermitian."""
+    """A square matrix tied to a HilbertSpace, or a stack of them; not required to be Hermitian."""
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match space dimension {d}")
+        m = _stack_of(self.matrix, self.space.dim, ValueError)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, positive within PSD_FLOOR."""
+    """Validated quantum state, or stack of states along the leading axis.
+
+    Each state is Hermitian, has unit trace, and is positive within
+    PSD_FLOOR. A stack is checked in one batched pass; the error names the
+    first failing state and its first failing check.
+    """
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise InvalidStateError(f"matrix shape {m.shape} does not match space dimension {d}")
-        if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL:
-            raise InvalidStateError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace {tr:.6g} differs from 1 beyond tolerance")
-        lo = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
-        if lo < PSD_FLOOR:
-            raise InvalidStateError(f"negative eigenvalue {lo:.3e} below the PSD floor")
+        m = _stack_of(self.matrix, self.space.dim, InvalidStateError)
+        states = m.reshape((-1,) + m.shape[-2:])
+        herm = _frobenius(states - _dagger(states))
+        tr = np.trace(states, axis1=-2, axis2=-1)
+        # "not <=" so that NaN fails; a failed (maybe non-finite) state skips the spectrum
+        herm_bad = ~(herm <= HERMITICITY_TOL)
+        trace_bad = ~(abs(tr - 1.0) <= TRACE_TOL)
+        sym = np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + _dagger(states)))
+        lo = np.linalg.eigvalsh(sym)[:, 0]
+        bad = herm_bad | trace_bad | (lo < PSD_FLOOR)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if herm_bad[k]:
+                message = "density matrix is not Hermitian within tolerance"
+            elif trace_bad[k]:
+                message = f"trace {tr[k]:.6g} differs from 1 beyond tolerance"
+            else:
+                message = f"negative eigenvalue {lo[k]:.3e} below the PSD floor"
+            if len(states) > 1:
+                message += f" (state {k} of a stack of {len(states)})"
+            raise InvalidStateError(message)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def _stack_of(matrix, d: int, error: type[Exception]) -> np.ndarray:
+    m = np.array(matrix, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
+        raise error(f"matrix shape {m.shape} does not match space dimension {d}")
+    return m
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    # elementwise squares and a sum over each matrix only, so that a state's
+    # value does not depend on its position in the stack
+    return np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1)))
 
 
 def kron(a, b) -> np.ndarray:
@@ -106,7 +134,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def partial_transpose(rho, subsystem: int) -> Operator:
-    """Transpose the indices of one subsystem.
+    """Transpose the indices of one subsystem, of one operator or of a stack.
 
     Preserves trace and Hermiticity exactly (index moves plus conjugation);
     the result need not be positive, which is the point of the map.
@@ -116,12 +144,13 @@ def partial_transpose(rho, subsystem: int) -> Operator:
     n = len(dims)
     if not 0 <= subsystem < n:
         raise ValueError(f"subsystem index {subsystem} outside 0..{n - 1}")
+    m = _as_matrix(rho)
+    lead = m.shape[:-2]  # stack axes, if any
     rev = dims[::-1]
-    t = _as_matrix(rho).reshape(rev + rev)
-    # axis of subsystem k: row block n-1-k, column block 2n-1-k
-    t = np.swapaxes(t, n - 1 - subsystem, 2 * n - 1 - subsystem)
-    d = space.dim
-    return Operator(space, t.reshape(d, d))
+    t = m.reshape(lead + rev + rev)
+    # axis of subsystem k: row block n-1-k, column block 2n-1-k, after the stack axes
+    t = np.swapaxes(t, len(lead) + n - 1 - subsystem, len(lead) + 2 * n - 1 - subsystem)
+    return Operator(space, t.reshape(m.shape))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

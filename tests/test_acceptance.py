@@ -96,9 +96,9 @@ def test_peak_concurrence_location(capsys):
     xs = np.linspace(0.0, 4.0, 81)
     best, best_z, best_x = -1.0, 0.0, 0.0
     exact_best = -1.0
-    # concurrence takes the non-Hermitian spectrum of rho rho~, and the double
-    # eigenvalue loses about half its digits there: near xi1 = 0.1 the gap to the
-    # exact value reaches ~4e-9, so the grid-wide bound is 1e-8, not 1e-12
+    # concurrence takes the singular values of tau = W^T (sigma_y sigma_y) W with
+    # rho = W W^dagger, a Hermitian route that keeps rounding level across the
+    # grid, the double eigenvalue of rho rho~ near xi1 = 0 included
     grid_err = 0.0
     for z in zs:
         for x in xs:
@@ -111,7 +111,7 @@ def test_peak_concurrence_location(capsys):
     xi_star = _exact_argmax_xi1(10.0)
     c_star = _exact_concurrence(10.0, xi_star)
     point_ok = point_err <= 1e-12
-    grid_ok = grid_err <= 1e-8
+    grid_ok = grid_err <= 1e-12
     cell_ok = abs(best_z - 10.0) <= 0.125 + 1e-12 and abs(best_x - xi_star) <= 0.05 + 1e-12
     max_ok = abs(best - exact_best) <= 1e-12 and best <= c_star + 1e-12 and best < supremum
     ok = point_ok and grid_ok and cell_ok and max_ok
@@ -119,7 +119,7 @@ def test_peak_concurrence_location(capsys):
         capsys, 2, ok,
         f"C(10, 2.135) = {point:.5f} (exact formula, gap {point_err:.1e}, tol 1e-12); grid "
         f"argmax C = {best:.7f} at ({best_z:g}, {best_x:g}) (exact max {c_star:.6f} at "
-        f"(10, {xi_star:.5f}), sup {supremum:.5f}); max grid gap {grid_err:.1e} (tol 1e-8)",
+        f"(10, {xi_star:.5f}), sup {supremum:.5f}); max grid gap {grid_err:.1e} (tol 1e-12)",
     )
     assert ok, (
         f"C(10, 2.135) off the exact formula by {point_err:.2e} and/or the grid by "

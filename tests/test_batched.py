@@ -1,0 +1,98 @@
+"""Tests for the stacked evaluation path that sweep and steady share."""
+
+import re
+
+import numpy as np
+import pytest
+
+from polent import analytic, cli, lindblad
+from polent.analytic import solve_linear_system, to_density_matrix
+from polent.cli import main
+from polent.entangle import negativity
+from polent.lindblad import build_liouvillian, effective_basis, effective_liouvillians
+from polent.model import DimensionlessParams, build_effective_model
+
+
+def random_points(n, seed):
+    # signed parameters at scales from 1 to 1e3
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(0.0, 3.0, size=(n, 1))
+    return rng.uniform(-1.0, 1.0, size=(n, 3)) * scale
+
+
+def grid_points(xi2=0.0):
+    # 9x9, zeta-major, with the zeta = 0 and xi1 = 0 edges
+    zs, xs = np.linspace(0.0, 10.0, 9), np.linspace(0.0, 4.0, 9)
+    return np.repeat(zs, 9), np.tile(xs, 9), np.full(81, xi2)
+
+
+def exact_concurrence(zeta, xi1):
+    return np.maximum(0.0, 2.0 * xi1**2 * (zeta - xi1**2) / (zeta**2 + (1.0 + 2.0 * xi1**2) ** 2))
+
+
+def test_stacked_liouvillian_equals_per_point_build():
+    pts = random_points(200, 1)
+    stack = effective_liouvillians(effective_basis(), *pts.T).matrix
+    for (zeta, xi1, xi2), lm in zip(pts, stack):
+        single = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
+        assert np.array_equal(lm, single.matrix)
+
+
+def test_split_equation_system_equals_per_point_system():
+    pts = random_points(200, 2)
+    m, b = analytic._system_stack(*pts.T)
+    for (zeta, xi1, xi2), mk, bk in zip(pts, m, b):
+        m_ref, b_ref = analytic._system(zeta, xi1, xi2)
+        assert np.array_equal(mk, m_ref)
+        assert np.array_equal(bk, b_ref)
+
+
+@pytest.mark.parametrize(
+    "solver, xi2", [("analytic", 0.0), ("numeric", 0.0), ("both", 0.0), ("numeric", 0.7)]
+)
+def test_rows_do_not_depend_on_block_boundaries(monkeypatch, solver, xi2):
+    points = grid_points(xi2)
+    whole = cli._sweep_rows(*points, solver)
+    assert whole.shape == (81, 11)
+    for size in (1, 7):
+        monkeypatch.setattr(cli, "BLOCK_SIZE", size)
+        assert cli._sweep_rows(*points, solver).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("solver", ["analytic", "numeric", "both"])
+def test_rows_match_independent_references(solver):
+    points = grid_points()
+    rows = cli._sweep_rows(*points, solver)
+    worst = 0.0
+    for zeta, xi1, xi2, c, neg, purity, *rest in rows:
+        pops, res = rest[:4], rest[4]
+        ref = to_density_matrix(solve_linear_system(zeta, xi1, xi2)).matrix
+        worst = max(
+            worst,
+            abs(c - exact_concurrence(zeta, xi1)),
+            abs(neg - negativity(to_density_matrix(solve_linear_system(zeta, xi1, xi2)))),
+            abs(purity - np.trace(ref @ ref).real),
+            np.abs(np.array(pops) - ref.diagonal().real).max(),
+        )
+        assert 0.0 <= res <= 1e-12
+    assert worst <= 1e-12
+
+
+def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):
+    zs, xs = np.linspace(2.5, 10.0, 7), np.linspace(0.0, 4.0, 9)
+    zeta, xi1 = np.repeat(zs, 9), np.tile(xs, 7)
+    stack = effective_liouvillians(effective_basis(), zeta, xi1, np.zeros_like(zeta))
+    gaps = np.linalg.svd(stack.matrix, compute_uv=False)[:, -2]
+    floor = 1.1  # gaps along zeta = 2.5 are 2, 1.57, 1.24, 1.09, ...
+    first = int(np.argmax(gaps <= floor))
+    assert first % 4 != 0  # inside a block of 4, not at its start
+    monkeypatch.setattr(lindblad, "GAP_FLOOR", floor)
+    monkeypatch.setattr(cli, "BLOCK_SIZE", 4)
+    code = main(["sweep", "--grid", "2.5:10:7,0:4:9", "--solver", "numeric",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "stationary space is degenerate" in err
+    named = re.search(r"at \(zeta, xi1, xi2\) = \((\S+), (\S+), (\S+)\)", err)
+    assert tuple(map(float, named.groups())) == (zeta[first], xi1[first], 0.0)
+    assert not (tmp_path / "x.csv").exists()

@@ -49,6 +49,20 @@ def test_steady_usage_errors(capsys):
     assert "error:" in err
 
 
+def test_steady_rejects_non_finite_parameters(capsys, recwarn):
+    for argv in (["--zeta", "nan"], ["--xi1", "inf"], ["--xi2=-inf", "--solver", "numeric"]):
+        assert main(["steady", *argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
+    assert not recwarn.list
+
+
+def test_steady_mirrored_branch_uses_the_linear_system(capsys):
+    assert main(["steady", "--zeta", "5", "--xi2", "1", "--solver", "both"]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"equation residual = (\S+)", out).group(1)) <= 1e-13
+    assert float(re.search(r"discrepancy \(Frobenius\) = (\S+)", out).group(1)) <= 1e-12
+
+
 def test_steady_writes_report_file(tmp_path, capsys):
     report = tmp_path / "steady.txt"
     assert main(["steady", "--zeta", "10", "--xi1", "2.135", "--out", str(report)]) == 0
@@ -100,14 +114,20 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
     assert first == paths[2].read_bytes()
 
 
-def test_sweep_usage_errors(tmp_path, capsys):
+def test_sweep_usage_errors(tmp_path, capsys, recwarn):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--grid", "0:10:3,0:4:3"]) == 2  # missing --out
     assert main(["sweep", "--grid", "0:10", "--out", out]) == 2
     assert main(["sweep", "--grid", "0:10:0,0:4:3", "--out", out]) == 2
     assert main(["sweep", "--grid", "10:0:3,0:4:3", "--out", out]) == 2
     assert main(["sweep", "--grid", "0:10:3,0:4:3", "--xi2", "1", "--out", out]) == 2
-    capsys.readouterr()
+    assert main(["sweep", "--grid", "0:10:3,0:4:3", "--solver", "bogus", "--out", out]) == 2
+    for grid in ("0:nan:3,0:4:3", "0:inf:3,0:4:3", "nan:1:3,0:4:3", "0:10:3,-inf:4:3"):
+        assert main(["sweep", "--grid", grid, "--out", out]) == 2
+    assert main(["sweep", "--grid", "0:10:3,0:4:3", "--xi2", "nan", "--solver", "numeric",
+                 "--out", out]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not recwarn.list
 
 
 def test_sweep_csv_uses_lf_line_endings(tmp_path):
