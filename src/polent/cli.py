@@ -369,16 +369,13 @@ def cmd_dynamics(
 ) -> int:
     model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
     rho0 = _ground_state()
-    nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     rows = [(0.0, concurrence(rho0), 0.0, 0.0, 0.0, 1.0, 0.0)]
 
     def observer(step, t, mat, drift):
-        if step % sample_every == 0 or step == nsteps:
-            rho = DensityMatrix(TWO_QUBITS, mat)
-            pops = mat.diagonal().real
-            rows.append((t, concurrence(rho), pops[0], pops[1], pops[2], pops[3], drift))
+        pops = mat.diagonal().real
+        rows.append((t, concurrence(DensityMatrix(TWO_QUBITS, mat)), *pops, drift))
 
-    evolve(model, rho0, t_final, dt, _observer=observer)
+    evolve(model, rho0, t_final, dt, _observer=observer, _every=sample_every)
     _write_csv(out, ("t", "concurrence", "pop_ee", "pop_ge", "pop_eg", "pop_gg", "trace_drift"), rows)
     print(f"wrote {len(rows)} samples to {out}")
     return 0
@@ -526,6 +523,12 @@ def _check_solver(solver: str, xi1_max: float, xi2: float) -> str:
     return solver
 
 
+def _check_horizon(t_final: float) -> None:
+    # a non-positive horizon takes no step, so there would be nothing to report
+    if t_final <= 0:
+        raise _UsageError(f"t-final must be positive, got {t_final:g}")
+
+
 def _run_steady(args: argparse.Namespace) -> int:
     solver = _check_solver(args.solver, abs(args.xi1), args.xi2)
     return cmd_steady(args.zeta, args.xi1, args.xi2, solver, args.out)
@@ -555,6 +558,7 @@ def _run_validate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    _check_horizon(args.t_final)
     return cmd_validate(params, args.t_final, args.out)
 
 
@@ -563,6 +567,7 @@ def _run_dynamics(args: argparse.Namespace) -> int:
         raise _UsageError("dynamics requires --out")
     if args.dt <= 0:
         raise _UsageError(f"dt must be positive, got {args.dt:g}")
+    _check_horizon(args.t_final)
     return cmd_dynamics(
         args.zeta, args.xi1, args.xi2, args.t_final, args.dt, args.sample_every, args.out
     )

@@ -37,6 +37,8 @@ SAMPLING_SEED = 20260817
 DETECTION_FLOOR = 1e-12
 WITNESS_TOL = 1e-10
 _TIE_TOL = 1e-12
+# separable samples drawn and evaluated at a time: temporaries stay near 100 kB
+FLOOR_BLOCK = 1024
 
 
 class NotEntangledError(Exception):
@@ -46,6 +48,16 @@ class NotEntangledError(Exception):
 def pair_operator(label1: str, label2: str) -> np.ndarray:
     """Matrix of (sigma^label1 on qubit 1) tensor (sigma^label2 on qubit 2)."""
     return kron(_PAULI[label2], _PAULI[label1])  # qubit 1 is the fast index
+
+
+# the 16 Pauli pairs as one (4, 4, 4, 4) tensor: _PAIRS[j, k] = pair_operator(j, k)
+_PAIRS = np.array([[pair_operator(a, b) for b in PAULI_LABELS] for a in PAULI_LABELS])
+_PAIRS.setflags(write=False)
+
+
+def _pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    # Re Tr[m P_jk] / 4, the coefficients of the Hermitian part of m
+    return np.einsum("jkab,ba->jk", _PAIRS, m).real / 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +74,7 @@ class Witness:
         m = self.op.matrix
         if np.linalg.norm(m - m.conj().T) > WITNESS_TOL:
             raise ValueError("witness operator is not Hermitian within tolerance")
-        rebuilt = sum(
-            c[j, k] * pair_operator(PAULI_LABELS[j], PAULI_LABELS[k])
-            for j in range(4)
-            for k in range(4)
-        )
+        rebuilt = np.einsum("jk,jkab->ab", c, _PAIRS)
         if np.linalg.norm(rebuilt - m) > WITNESS_TOL:
             raise ValueError("coefficients do not reconstruct the operator")
         c.setflags(write=False)
@@ -152,23 +160,25 @@ def pauli_decompose(w) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
     if np.linalg.norm(m - m.conj().T) > WITNESS_TOL:
         raise ValueError("Pauli decomposition requires a Hermitian matrix")
-    out = np.empty((4, 4))
-    for j, lj in enumerate(PAULI_LABELS):
-        for k, lk in enumerate(PAULI_LABELS):
-            out[j, k] = np.trace(m @ pair_operator(lj, lk)).real / 4.0
-    return out
+    return _pauli_coefficients(m)
 
 
-def _bloch_pure(rng: np.random.Generator) -> np.ndarray:
-    # uniform on the sphere: cos(theta) uniform in [-1, 1], phase uniform
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return np.array([np.sqrt((1.0 + z) / 2.0), np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)])
+def _product_expectations(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tr[W (a x b)] for the product states that the uniforms u (n, 4) pick.
+
+    Each qubit takes cos(theta) = 2 u - 1 and phase 2 pi u' from its pair
+    of uniforms, which is Bloch-uniform on the sphere. For Bloch vectors
+    s = (1, s_x, s_y, s_z) of qubit 1 and t of qubit 2 the expectation is
+    the real bilinear form s^T c t, with c the Pauli coefficients of W.
+    """
+    return np.einsum("nj,jk,nk->n", _bloch_vectors(u[:, :2]), c, _bloch_vectors(u[:, 2:]))
 
 
-def _product_expectation(m: np.ndarray, rng: np.random.Generator) -> float:
-    psi = np.kron(_bloch_pure(rng), _bloch_pure(rng))
-    return float((psi.conj() @ (m @ psi)).real)
+def _bloch_vectors(u: np.ndarray) -> np.ndarray:
+    z = 2.0 * u[:, 0] - 1.0
+    phi = 2.0 * np.pi * u[:, 1]
+    radius = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.column_stack([np.ones_like(z), radius * np.cos(phi), radius * np.sin(phi), z])
 
 
 def separable_floor(
@@ -177,18 +187,25 @@ def separable_floor(
     """Minimum witness expectation over sampled separable states.
 
     Samples n_pure pure product states (Bloch-uniform on each qubit) plus
-    n_mixed random convex pairs of fresh product states. Each sample draws
-    from its own index-derived generator, so the result is independent of
-    evaluation order.
+    n_mixed random convex pairs of fresh product states, all drawn in order
+    from one default_rng(seed), the pure samples first, so the result is
+    deterministic. A product state's expectation is the real bilinear form
+    of its two Bloch vectors with the Pauli coefficients of W
+    (_product_expectations). Samples are drawn and evaluated FLOOR_BLOCK at
+    a time, which bounds the temporaries and does not change the draws. For
+    a matrix that is not Hermitian this is the floor of its Hermitian part.
     """
     m = w.op.matrix if isinstance(w, Witness) else (w if isinstance(w, np.ndarray) else w.matrix)
+    c = _pauli_coefficients(m)
+    rng = np.random.default_rng(seed)
     floor = np.inf
-    for i in range(n_pure):
-        rng = np.random.default_rng([seed, i])
-        floor = min(floor, _product_expectation(m, rng))
-    for i in range(n_mixed):
-        rng = np.random.default_rng([seed, n_pure + i])
-        p = rng.uniform()
-        val = p * _product_expectation(m, rng) + (1.0 - p) * _product_expectation(m, rng)
-        floor = min(floor, val)
+    for start in range(0, n_pure, FLOOR_BLOCK):
+        u = rng.random((min(FLOOR_BLOCK, n_pure - start), 4))
+        floor = min(floor, _product_expectations(c, u).min())
+    for start in range(0, n_mixed, FLOOR_BLOCK):
+        u = rng.random((min(FLOOR_BLOCK, n_mixed - start), 9))
+        p = u[:, 0]
+        mixed = p * _product_expectations(c, u[:, 1:5]) + (1.0 - p) * _product_expectations(
+            c, u[:, 5:])
+        floor = min(floor, mixed.min())
     return float(floor)

@@ -170,6 +170,14 @@ def test_validate_flags_mapping_convention(capsys):
     assert "would quote zeta = 10" in out
 
 
+def test_validate_usage_errors(capsys):
+    for horizon in ("-1", "0"):
+        assert main(["validate", "--nmax", "2", "--t-final", horizon]) == 2
+        captured = capsys.readouterr()
+        assert "error: t-final must be positive" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_validate_rejects_tight_photon_cutoff(capsys):
     assert main(["validate", "--nmax", "1", "--t-final", "2"]) == 3
     assert "nmax" in capsys.readouterr().err
@@ -238,6 +246,10 @@ def test_dynamics_usage_and_failure_exits(tmp_path, capsys):
     assert main(["dynamics", "--zeta", "1"]) == 2  # missing --out
     out = str(tmp_path / "x.csv")
     assert main(["dynamics", "--zeta", "1", "--dt", "-0.1", "--out", out]) == 2
+    for horizon in ("-1", "0"):
+        assert main(["dynamics", "--zeta", "1", "--t-final", horizon, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: t-final must be positive" in err and "Traceback" not in err
     code = main([
         "dynamics", "--zeta", "10", "--xi1", "2.135",
         "--t-final", "20", "--dt", "0.5", "--out", out,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polent import entangle
 from polent.entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -221,6 +222,44 @@ def test_pauli_decompose_validation():
         pauli_decompose(np.triu(np.ones((4, 4))))
 
 
+def random_hermitian(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return g + g.conj().T
+
+
+def test_pauli_decompose_matches_the_trace_loop():
+    rng = np.random.default_rng(78)
+    for _ in range(20):
+        m = random_hermitian(rng)
+        loop = np.array([[np.trace(m @ pair_operator(lj, lk)).real / 4.0 for lk in PAULI_LABELS]
+                         for lj in PAULI_LABELS])
+        assert np.abs(pauli_decompose(m) - loop).max() <= 1e-15
+
+
+def constructed_witnesses():
+    rng = np.random.default_rng(88)
+    states = [BELL_RHO, werner(0.6), steady_state(build_liouvillian(
+        build_effective_model(DimensionlessParams(10.0, 2.135)))).rho]
+    states += [pure(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
+    return [construct_witness(rho) for rho in states]
+
+
+def test_product_expectations_follow_the_state_vectors():
+    # the uniforms (u0, u1) give cos(theta) = 2 u0 - 1 and phase 2 pi u1 on
+    # qubit 1, (u2, u3) the same on qubit 2; qubit 1 is the fast index
+    rng = np.random.default_rng(91)
+    m = random_hermitian(rng)
+    u = rng.random((50, 4))
+
+    def qubit(u_z, u_phi):
+        z = 2.0 * u_z - 1.0
+        return np.array([np.sqrt((1 + z) / 2), np.exp(2j * np.pi * u_phi) * np.sqrt((1 - z) / 2)])
+
+    psi = [np.kron(qubit(*row[2:]), qubit(*row[:2])) for row in u]
+    expected = [(v.conj() @ m @ v).real for v in psi]
+    assert_allclose(entangle._product_expectations(pauli_decompose(m), u), expected, atol=1e-13)
+
+
 def test_separable_floor_nonnegative_and_reproducible():
     w = construct_witness(BELL_RHO)
     floor = separable_floor(w, n_pure=300, n_mixed=60)
@@ -228,3 +267,34 @@ def test_separable_floor_nonnegative_and_reproducible():
     assert floor == separable_floor(w, n_pure=300, n_mixed=60)
     # entangled expectation sits strictly below the separable floor
     assert w.expectation(BELL_RHO) < floor
+    for w in constructed_witnesses():
+        floor = separable_floor(w)
+        assert -1e-8 <= floor < 1e-2
+        assert floor == separable_floor(w)
+
+
+def test_separable_floor_finds_a_negative_product_expectation():
+    # -|ee><ee| is not block-positive: a product state with Bloch z components
+    # z1, z2 gives -(1 + z1)(1 + z2)/4, which reaches -1 at |ee>
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = -1.0
+    assert -1.0 <= separable_floor(m) < -0.9
+    assert -1.0 <= separable_floor(m, n_pure=0) < -0.5
+
+
+def test_separable_floor_takes_empty_blocks():
+    w = construct_witness(BELL_RHO)
+    pure_only = separable_floor(w, n_pure=500, n_mixed=0)
+    mixed_only = separable_floor(w, n_pure=0, n_mixed=500)
+    assert pure_only >= -1e-8 and mixed_only >= -1e-8
+    # the pure samples come first in the stream, so adding mixtures only lowers the floor
+    assert separable_floor(w, n_pure=500, n_mixed=100) <= pure_only
+    assert separable_floor(w, n_pure=0, n_mixed=0) == np.inf
+
+
+def test_separable_floor_does_not_depend_on_the_block_size(monkeypatch):
+    w = constructed_witnesses()[2]
+    reference = separable_floor(w, n_pure=2000, n_mixed=300)
+    for block in (1, 7, 300, 10**6):
+        monkeypatch.setattr(entangle, "FLOOR_BLOCK", block)
+        assert separable_floor(w, n_pure=2000, n_mixed=300) == reference

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from polent.analytic import closed_form, to_density_matrix
 from polent.lindblad import (
+    DRIFT_ABORT,
     DegenerateSteadyStateError,
     IntegrationError,
     build_liouvillian,
@@ -36,6 +37,29 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return m / np.trace(m)
+
+
+def random_model(rng, space):
+    d = space.dim
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jumps = tuple(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+    return LindbladModel(space, g + g.conj().T, jumps)
+
+
+def rk4_reference(m, rho0, nsteps, dt):
+    # the explicit four-stage step on vec(rho), re-symmetrized every step
+    lm = build_liouvillian(m).matrix
+    d = m.space.dim
+    v = rho0.matrix.astype(complex).ravel(order="F")
+    for _ in range(nsteps):
+        k1 = lm @ v
+        k2 = lm @ (v + (0.5 * dt) * k1)
+        k3 = lm @ (v + (0.5 * dt) * k2)
+        k4 = lm @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mat = v.reshape(d, d, order="F")
+        v = (0.5 * (mat + mat.conj().T)).ravel(order="F")
+    return v.reshape(d, d, order="F")
 
 
 def test_liouvillian_zero_model():
@@ -169,6 +193,63 @@ def test_evolve_reports_drift_to_observer():
     assert len(drifts) == 1000
     assert max(drifts) <= 1e-8
     assert_allclose(times[-1], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [ONE_QUBIT, TWO_QUBITS], ids=["d2", "d4"])
+def test_evolve_matches_the_four_stage_step(space):
+    rng = np.random.default_rng(31 + space.dim)
+    for _ in range(3):
+        m = random_model(rng, space)
+        rho0 = DensityMatrix(space, random_density(rng, space.dim))
+        out = evolve(m, rho0, t_final=1.0, dt=1e-3)
+        assert np.abs(out.matrix - rk4_reference(m, rho0, 1000, 1e-3)).max() <= 1e-12
+        assert np.array_equal(out.matrix, out.matrix.conj().T)
+
+
+def test_evolve_keeps_the_stationary_state():
+    # P - I is stored apart from I: rounding P itself would move its fixed
+    # point by ~1e-16 / (dt * gap), up to 2.6e-12 here after 20,000 steps
+    for zeta, xi1 in ((10.0, 2.135), (5.0, 1.0), (2.0, 0.5)):
+        rho = to_density_matrix(closed_form(zeta, xi1))
+        out = evolve(build_effective_model(DimensionlessParams(zeta, xi1)), rho, 20.0, 1e-3)
+        assert np.abs(out.matrix - rho.matrix).max() <= 1e-14
+
+
+def test_evolve_observer_cadence():
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    final = evolve(m, ground_pair(), t_final=1.0, dt=1e-2).matrix
+    for every in (1, 7, 100, 250):
+        seen = []
+        evolve(m, ground_pair(), t_final=1.0, dt=1e-2,
+               _observer=lambda step, t, mat, drift: seen.append((step, t, mat)), _every=every)
+        expected = sorted(set(range(every, 101, every)) | {100})
+        assert [step for step, _, _ in seen] == expected
+        assert [t for _, t, _ in seen] == [step * 1e-2 for step in expected]
+        assert np.array_equal(seen[-1][2], final)
+
+
+def test_evolve_aborts_at_the_first_bad_step_even_when_unobserved():
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    drifts = []
+    with pytest.raises(IntegrationError) as every_step:
+        evolve(m, ground_pair(), t_final=20.0, dt=0.5,
+               _observer=lambda step, t, mat, drift: drifts.append(drift))
+    assert drifts and max(drifts) <= DRIFT_ABORT
+    # the run stopped at the step after the last observed one
+    assert f"at t = {(len(drifts) + 1) * 0.5:.6g} " in str(every_step.value)
+    seen = []
+    with pytest.raises(IntegrationError) as unobserved:
+        evolve(m, ground_pair(), t_final=20.0, dt=0.5,
+               _observer=lambda *args: seen.append(args), _every=1000)
+    assert seen == []
+    assert str(unobserved.value) == str(every_step.value)
+
+
+def test_evolve_aborts_on_a_nan_trace():
+    m = LindbladModel(ONE_QUBIT, np.nan * SIGMA_MINUS, ())
+    rho0 = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
+    with pytest.raises(IntegrationError, match=r"trace drift nan at t = 0\.1 "):
+        evolve(m, rho0, t_final=1.0, dt=0.1)
 
 
 def test_evolve_aborts_on_unstable_step():
