@@ -8,13 +8,9 @@ negativity, and measurable witness operators.
 
 from .analytic import (
     DegenerateSystemError,
-    RhoParametrization,
     closed_form,
-    closed_form_states,
-    residual,
     solve_linear_system,
     stationarity_residuals,
-    to_density_matrix,
 )
 from .entangle import (
     PAULI_LABELS,
@@ -61,9 +57,6 @@ from .qops import (
     HilbertSpace,
     InvalidStateError,
     Operator,
-    eig_general,
-    eig_hermitian,
-    kron,
     partial_trace,
     partial_transpose,
     trace_distance,
@@ -86,7 +79,6 @@ __all__ = [
     "Operator",
     "PAULI_LABELS",
     "PhysicalParams",
-    "RhoParametrization",
     "SIGMA_MINUS",
     "SIGMA_PLUS",
     "SIGMA_X",
@@ -100,28 +92,22 @@ __all__ = [
     "build_full_model",
     "build_liouvillian",
     "closed_form",
-    "closed_form_states",
     "concurrence",
     "construct_witness",
     "dressed_energies",
     "effective_basis",
     "effective_liouvillians",
-    "eig_general",
-    "eig_hermitian",
     "evolve",
-    "kron",
     "map_physical",
     "negativity",
     "pair_operator",
     "partial_trace",
     "partial_transpose",
     "pauli_decompose",
-    "residual",
     "separable_floor",
     "solve_linear_system",
     "spin_flip",
     "stationarity_residuals",
     "steady_state",
-    "to_density_matrix",
     "trace_distance",
 ]

@@ -3,20 +3,17 @@
 The density matrix is parametrized by 15 real numbers (populations A, E, H
 and seven complex coherences split into real/imaginary parts); stationarity
 turns into 16 real linear equations in those 15 unknowns, one of which is
-redundant. The zero-xi2 branch has a closed-form solution, implemented here
-from its printed formulas so it can cross-check the assembled linear system,
-which is in turn independent of the superoperator route in lindblad.
+redundant. closed_form solves them at every complex drive xi = xi1 + i xi2,
+from one formula in xi: the drive phase is a local gauge. The assembled
+linear system (solve_linear_system) is the independent route it is checked
+against, and it is in turn independent of the superoperator route in
+lindblad.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-
 import numpy as np
 
-from .qops import TWO_QUBITS, DensityMatrix
-
-POPULATION_SLACK = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 
 _FIELDS = ("a", "b1", "b2", "c1", "c2", "d1", "d2", "e", "f1", "f2", "g1", "g2", "h", "i1", "i2")
@@ -25,40 +22,6 @@ _IDX = {name: k for k, name in enumerate(_FIELDS)}
 
 class DegenerateSystemError(Exception):
     """The stationarity system lost rank or failed to reach a consistent solution."""
-
-
-@dataclass(frozen=True)
-class RhoParametrization:
-    """Real components of a two-qubit density matrix in the {ee, ge, eg, gg} basis.
-
-    a, e, h are the ee, ge, eg populations (gg is 1 - a - e - h); the pairs
-    (b1, b2) ... (i1, i2) are the real and imaginary parts of the upper
-    triangle, row by row.
-    """
-
-    a: float
-    b1: float
-    b2: float
-    c1: float
-    c2: float
-    d1: float
-    d2: float
-    e: float
-    f1: float
-    f2: float
-    g1: float
-    g2: float
-    h: float
-    i1: float
-    i2: float
-
-    def __post_init__(self):
-        for name in ("a", "e", "h"):
-            if getattr(self, name) < -POPULATION_SLACK:
-                raise ValueError(f"population {name} = {getattr(self, name):.6g} is negative")
-        total = self.a + self.e + self.h
-        if total > 1.0 + POPULATION_SLACK:
-            raise ValueError(f"populations a + e + h = {total:.6g} exceed 1")
 
 
 # (position, field) of the free populations, and (row, column, index of the
@@ -92,47 +55,35 @@ def _vectors(m: np.ndarray) -> np.ndarray:
     return v
 
 
-def to_density_matrix(p: RhoParametrization) -> DensityMatrix:
-    """Assemble the Hermitian 4x4 matrix; raises InvalidStateError if not PSD."""
-    return DensityMatrix(TWO_QUBITS, _matrices(astuple(p)))
+def closed_form(zeta, xi1, xi2=0.0) -> np.ndarray:
+    """Exact steady states at arrays of (zeta, xi1, xi2) as an (N, 4, 4) stack, not validated.
 
-
-def _from_matrix(m: np.ndarray) -> RhoParametrization:
-    return RhoParametrization(*map(float, _vectors(m)))
-
-
-def _closed_form_vectors(zeta, xi1) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    x = np.atleast_1d(np.asarray(xi1, dtype=float))
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    d = z * z + (1.0 + 2.0 * x2) * (1.0 + 2.0 * x2)
-    zero = np.zeros_like(d)
-    return np.stack([
-        x4 / d,  # a
-        zero, -x3 / d,  # b1, b2
-        zero, -x3 / d,  # c1, c2
-        -x2 / d, z * x2 / d,  # d1, d2
-        (x2 + x4) / d,  # e
-        x2 / d, zero,  # f1, f2
-        -z * x / d, -(x + x3) / d,  # g1, g2
-        (x2 + x4) / d,  # h
-        -z * x / d, -(x + x3) / d,  # i1, i2
-    ], axis=-1)
-
-
-def closed_form(zeta: float, xi1: float) -> RhoParametrization:
-    """Closed-form steady-state parameters on the xi2 = 0 branch."""
-    return RhoParametrization(*map(float, _closed_form_vectors(zeta, xi1)[0]))
-
-
-def closed_form_states(zeta, xi1) -> np.ndarray:
-    """Closed-form steady states at arrays of (zeta, xi1), xi2 = 0, as an (N, 4, 4) stack.
-
-    The same formulas as closed_form; the stack is not validated here.
+    With xi = xi1 + i xi2, x2 = |xi|^2 and D = zeta^2 + (1 + 2 x2)^2, the
+    entries times D are: ee x2^2; ge and eg x2 + x2^2; (ge, eg) x2;
+    (ee, ge) and (ee, eg) -i xi x2; (ee, gg) xi^2 (-1 + i zeta); (ge, gg)
+    and (eg, gg) -(zeta xi + i (xi + xi x2)). A drive phase phi is the
+    local gauge diag(e^{2i phi}, e^{i phi}, e^{i phi}, 1), so every drive
+    takes the same formula.
     """
-    return _matrices(_closed_form_vectors(zeta, xi1))
+    z, x1, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                     for v in (zeta, xi1, xi2)))
+    xi = x1 + 1j * y
+    x2 = x1 * x1 + y * y
+    d = z * z + (1.0 + 2.0 * x2) * (1.0 + 2.0 * x2)
+
+    def parts(numerator):
+        # real and imaginary parts over the real D one by one: a complex
+        # numerator / D multiplies by a reciprocal and is not bit for bit
+        return numerator.real / d, numerator.imag / d
+
+    pop = (x2 + x2 * x2) / d
+    ee_ge = parts(-1j * xi * x2)
+    ge_gg = parts(-(z * xi + 1j * (xi + xi * x2)))
+    return _matrices(np.stack([
+        x2 * x2 / d, *ee_ge, *ee_ge, *parts(xi * xi * (-1.0 + 1j * z)),
+        pop, x2 / d, np.zeros_like(d), *ge_gg,
+        pop, *ge_gg,
+    ], axis=-1))
 
 
 def _system(zeta: float, xi1: float, xi2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +133,12 @@ def _system(zeta: float, xi1: float, xi2: float) -> tuple[np.ndarray, np.ndarray
     return m, b
 
 
-def solve_linear_system(zeta: float, xi1: float, xi2: float) -> RhoParametrization:
-    """Least-squares solution of the 16-equation system (consistent by construction)."""
+def solve_linear_system(zeta: float, xi1: float, xi2: float) -> np.ndarray:
+    """Least-squares solution of the 16-equation system as a 4x4 matrix, not validated.
+
+    The system is consistent by construction. This is the independent
+    reference route that closed_form is tested against.
+    """
     m, b = _system(zeta, xi1, xi2)
     sol, _, rank, _ = np.linalg.lstsq(m, b, rcond=None)
     if rank < 15:
@@ -191,7 +146,7 @@ def solve_linear_system(zeta: float, xi1: float, xi2: float) -> RhoParametrizati
     defect = float(np.linalg.norm(m @ sol - b))
     if defect > SOLVE_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b))):
         raise DegenerateSystemError(f"inconsistent solve, residual {defect:.3e}")
-    return RhoParametrization(*sol)
+    return _matrices(sol)
 
 
 def _split_system() -> tuple[np.ndarray, ...]:
@@ -218,8 +173,3 @@ def stationarity_residuals(zeta, xi1, xi2, states: np.ndarray) -> np.ndarray:
     m, b = _system_stack(zeta, xi1, xi2)
     r = (m @ _vectors(states)[..., None])[..., 0] - b
     return np.sqrt((r * r).sum(axis=-1))
-
-
-def residual(zeta: float, xi1: float, xi2: float, p: RhoParametrization) -> float:
-    """Euclidean norm of all 16 stationarity equations at the given parameters."""
-    return float(stationarity_residuals([zeta], [xi1], [xi2], _matrices(astuple(p))[None])[0])

@@ -20,17 +20,10 @@ import dataclasses
 import math
 import multiprocessing
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    DegenerateSystemError,
-    closed_form_states,
-    solve_linear_system,
-    stationarity_residuals,
-    to_density_matrix,
-)
+from .analytic import closed_form, stationarity_residuals
 from .entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -86,27 +79,6 @@ class TruncationError(Exception):
     """Full-model observables still moving when the photon cutoff is raised."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid specification for cmd_sweep."""
-
-    zeta_range: tuple[float, float, int]
-    xi1_range: tuple[float, float, int]
-    xi2: float = 0.0
-    solver: str = "analytic"
-    output_path: str = "sweep.csv"
-
-    def __post_init__(self):
-        for rng in (self.zeta_range, self.xi1_range):
-            lo, hi, steps = rng
-            if steps < 1:
-                raise ValueError(f"grid steps must be >= 1, got {steps}")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"grid bounds must be finite, got {lo:g}:{hi:g}")
-            if lo > hi:
-                raise ValueError(f"grid minimum {lo:g} exceeds maximum {hi:g}")
-
-
 _CSV_HEADER = (
     "zeta", "xi1", "xi2", "concurrence", "negativity", "purity",
     "pop_ee", "pop_ge", "pop_eg", "pop_gg", "residual",
@@ -142,11 +114,6 @@ def _format_matrix(m: np.ndarray) -> list[str]:
     return rows
 
 
-def _numeric_steady(zeta: float, xi1: float, xi2: float):
-    model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
-    return steady_state(build_liouvillian(model))
-
-
 def _ground_state() -> DensityMatrix:
     m = np.zeros((4, 4), dtype=complex)
     m[3, 3] = 1.0
@@ -154,10 +121,10 @@ def _ground_state() -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# stacked evaluation: steady and sweep both run points through _evaluate
+# stacked evaluation: steady, sweep and witness all run points through _evaluate
 
 # failures of one point; numpy's LinAlgError is a ValueError
-_POINT_FAILURES = (InvalidStateError, DegenerateSteadyStateError, DegenerateSystemError, ValueError)
+_POINT_FAILURES = (InvalidStateError, DegenerateSteadyStateError, ValueError)
 # the sweep's residual column for each solver
 _RESIDUAL_COLUMN = {
     "analytic": "equation_residual",
@@ -166,20 +133,10 @@ _RESIDUAL_COLUMN = {
 }
 
 
-def _exact_states(zeta, xi1, xi2) -> np.ndarray:
-    # the closed form covers the xi2 = 0 branch; the mirrored branch xi1 = 0
-    # (the only other one _check_solver lets through) takes the linear system
-    if not np.any(xi2):
-        return closed_form_states(zeta, xi1)
-    return np.stack([
-        to_density_matrix(solve_linear_system(z, x, y)).matrix for z, x, y in zip(zeta, xi1, xi2)
-    ])
-
-
 def _evaluate_stack(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
     out = {}
     if solver != "numeric":
-        rho = exact = DensityMatrix(TWO_QUBITS, _exact_states(zeta, xi1, xi2))
+        rho = exact = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1, xi2))
         out["equation_residual"] = stationarity_residuals(zeta, xi1, xi2, exact.matrix)
     if solver != "analytic":
         result = steady_state(effective_liouvillians(basis, zeta, xi1, xi2))
@@ -235,9 +192,13 @@ def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
+def _evaluate_point(zeta: float, xi1: float, xi2: float, solver: str) -> dict[str, np.ndarray]:
     basis = None if solver == "analytic" else effective_basis()
-    ev = _evaluate(np.array([zeta]), np.array([xi1]), np.array([xi2]), solver, basis)
+    return _evaluate(np.array([zeta]), np.array([xi1]), np.array([xi2]), solver, basis)
+
+
+def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
+    ev = _evaluate_point(zeta, xi1, xi2, solver)
     lines = [f"steady state at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g} (solver: {solver})"]
     if "equation_residual" in ev:
         lines.append(f"equation residual = {ev['equation_residual'][0]:.17g}")
@@ -258,35 +219,37 @@ def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None
     return 0
 
 
-def cmd_sweep(cfg: SweepConfig, workers: int = 1) -> int:
-    zs = np.linspace(*cfg.zeta_range[:2], cfg.zeta_range[2])
-    xs = np.linspace(*cfg.xi1_range[:2], cfg.xi1_range[2])
-    grid = (np.repeat(zs, len(xs)), np.tile(xs, len(zs)), np.full(len(zs) * len(xs), cfg.xi2))
+def cmd_sweep(zeta_range: tuple, xi1_range: tuple, xi2: float, solver: str, out: str,
+              workers: int = 1) -> int:
+    """CSV over the (MIN, MAX, STEPS) ranges of _parse_grid, zeta-major."""
+    zs = np.linspace(*zeta_range[:2], zeta_range[2])
+    xs = np.linspace(*xi1_range[:2], xi1_range[2])
+    grid = (np.repeat(zs, len(xs)), np.tile(xs, len(zs)), np.full(len(zs) * len(xs), xi2))
     # one contiguous run of the grid per worker, through the same blocks
     parts = min(workers, len(grid[0]))
-    runs = [(*run, cfg.solver) for run in zip(*(np.array_split(v, parts) for v in grid))]
+    runs = [(*run, solver) for run in zip(*(np.array_split(v, parts) for v in grid))]
     if len(runs) > 1:
         with multiprocessing.get_context("spawn").Pool(len(runs)) as pool:
             rows = np.concatenate(pool.starmap(_sweep_rows, runs))
     else:
         rows = _sweep_rows(*runs[0])
-    _write_csv(cfg.output_path, _CSV_HEADER, rows.tolist())
+    _write_csv(out, _CSV_HEADER, rows.tolist())
     best = rows[np.argmax(rows[:, 3])]  # first maximum in grid order
-    print(f"wrote {len(rows)} rows to {cfg.output_path}")
+    print(f"wrote {len(rows)} rows to {out}")
     print(f"argmax concurrence = {best[3]:.17g} at zeta = {best[0]:.17g}, xi1 = {best[1]:.17g}")
     return 0
 
 
 def cmd_witness(zeta: float, xi1: float, xi2: float, out: str | None = None) -> int:
-    result = _numeric_steady(zeta, xi1, xi2)
-    wit = construct_witness(result.rho)
+    rho = DensityMatrix(TWO_QUBITS, _evaluate_point(zeta, xi1, xi2, "numeric")["rho"][0])
+    wit = construct_witness(rho)
     floor = separable_floor(wit, N_PURE_SAMPLES, N_MIXED_SAMPLES)
     c = wit.coefficients
     lines = [
         f"witness report at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g}",
         "normalization: Frobenius norm ||W||_F = 1 (partial transpose of a unit "
         "eigenvector projector); coefficients are Tr[W (sigma_j x sigma_k)]/4",
-        f"Tr[W rho] = {wit.expectation(result.rho):.17g}",
+        f"Tr[W rho] = {wit.expectation(rho):.17g}",
         f"min sampled separable expectation = {floor:.17g} "
         f"({N_PURE_SAMPLES} pure products + {N_MIXED_SAMPLES} mixtures)",
         "coefficients c[qubit-1 label, qubit-2 label]:",
@@ -506,20 +469,23 @@ def _parse_grid(text: str) -> tuple[tuple[float, float, int], tuple[float, float
         if len(fields) != 3:
             raise _UsageError(f"grid range must be MIN:MAX:STEPS, got {part!r}")
         try:
-            ranges.append((float(fields[0]), float(fields[1]), int(fields[2])))
+            lo, hi, steps = float(fields[0]), float(fields[1]), int(fields[2])
         except ValueError as exc:
             raise _UsageError(f"bad grid range {part!r}: {exc}") from exc
+        if steps < 1:
+            raise _UsageError(f"grid steps must be >= 1, got {steps}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _UsageError(f"grid bounds must be finite, got {lo:g}:{hi:g}")
+        if lo > hi:
+            raise _UsageError(f"grid minimum {lo:g} exceeds maximum {hi:g}")
+        ranges.append((lo, hi, steps))
     return ranges[0], ranges[1]
 
 
-def _check_solver(solver: str, xi1_max: float, xi2: float) -> str:
-    """The solver check of steady and sweep: a known route that covers the drive."""
+def _check_solver(solver: str) -> str:
+    """The solver check of steady and sweep; every route covers every drive."""
     if solver not in SOLVERS:
         raise _UsageError(f"solver must be analytic, numeric, or both, got {solver!r}")
-    # the closed form covers xi2 = 0 and the 16-equation system the mirrored
-    # branch xi1 = 0; no exact route takes both drive components at once
-    if solver != "numeric" and xi2 != 0.0 and xi1_max != 0.0:
-        raise _UsageError(f"solver {solver!r} supports xi2 != 0 only when xi1 = 0")
     return solver
 
 
@@ -530,7 +496,7 @@ def _check_horizon(t_final: float) -> None:
 
 
 def _run_steady(args: argparse.Namespace) -> int:
-    solver = _check_solver(args.solver, abs(args.xi1), args.xi2)
+    solver = _check_solver(args.solver)
     return cmd_steady(args.zeta, args.xi1, args.xi2, solver, args.out)
 
 
@@ -538,12 +504,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if args.out is None:
         raise _UsageError("sweep requires --out")
     zeta_range, xi1_range = _parse_grid(args.grid)
-    solver = _check_solver(args.solver, max(abs(xi1_range[0]), abs(xi1_range[1])), args.xi2)
-    try:
-        cfg = SweepConfig(zeta_range, xi1_range, args.xi2, solver, args.out)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return cmd_sweep(cfg, args.workers)
+    solver = _check_solver(args.solver)
+    return cmd_sweep(zeta_range, xi1_range, args.xi2, solver, args.out, args.workers)
 
 
 def _run_witness(args: argparse.Namespace) -> int:
@@ -595,7 +557,6 @@ def main(argv=None) -> int:
     except (
         InvalidStateError,
         DegenerateSteadyStateError,
-        DegenerateSystemError,
         IntegrationError,
         TruncationError,
         ValueError,

@@ -17,8 +17,6 @@ from .qops import (
     SIGMA_Z,
     DensityMatrix,
     Operator,
-    eig_hermitian,
-    kron,
     partial_transpose,
 )
 
@@ -26,7 +24,7 @@ PAULI_LABELS = ("id", "x", "y", "z")
 _PAULI = {"id": IDENTITY_2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 # conjugation matrix of the spin flip: sigma_y on both qubits, real antidiagonal
-_FLIP = kron(SIGMA_Y, SIGMA_Y).real
+_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
 
 # transpose the second qubit; either side gives the same spectrum
 _PT_SIDE = 1
@@ -47,7 +45,7 @@ class NotEntangledError(Exception):
 
 def pair_operator(label1: str, label2: str) -> np.ndarray:
     """Matrix of (sigma^label1 on qubit 1) tensor (sigma^label2 on qubit 2)."""
-    return kron(_PAULI[label2], _PAULI[label1])  # qubit 1 is the fast index
+    return np.kron(_PAULI[label2], _PAULI[label1])  # qubit 1 is the fast index
 
 
 # the 16 Pauli pairs as one (4, 4, 4, 4) tensor: _PAIRS[j, k] = pair_operator(j, k)
@@ -139,7 +137,8 @@ def construct_witness(rho: DensityMatrix) -> Witness:
     eigenvector with the largest |ee> overlap, then the phase is fixed by
     making the first nonzero component real-positive, for reproducibility.
     """
-    w, v = eig_hermitian(partial_transpose(rho, _PT_SIDE))
+    # the partial transpose of a validated state is exactly Hermitian
+    w, v = np.linalg.eigh(partial_transpose(rho, _PT_SIDE).matrix)
     if w[0] >= -DETECTION_FLOOR:
         raise NotEntangledError(
             f"partial transpose has no negative eigenvalue (lowest {w[0]:.3e})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qops import IDENTITY_2, SIGMA_MINUS, HilbertSpace, TWO_QUBITS, kron
+from .qops import IDENTITY_2, SIGMA_MINUS, HilbertSpace, TWO_QUBITS
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _embed(op: np.ndarray, which: int, dims: tuple[int, ...]) -> np.ndarray:
     mats[which] = op
     out = mats[-1]
     for k in range(len(dims) - 2, -1, -1):
-        out = kron(out, mats[k])
+        out = np.kron(out, mats[k])
     return out
 
 
@@ -123,8 +123,8 @@ def build_full_model(p: PhysicalParams) -> LindbladModel:
 
 def build_effective_model(d: DimensionlessParams) -> LindbladModel:
     """Reduced two-qubit model with unit qubit decay (jumps sqrt(2) sigma_j)."""
-    s1 = kron(IDENTITY_2, SIGMA_MINUS)
-    s2 = kron(SIGMA_MINUS, IDENTITY_2)
+    s1 = np.kron(IDENTITY_2, SIGMA_MINUS)
+    s2 = np.kron(SIGMA_MINUS, IDENTITY_2)
     xi = d.xi1 + 1j * d.xi2
     h = d.zeta * (s1 @ s2.conj().T + s1.conj().T @ s2)
     h += xi * (s1.conj().T + s2.conj().T) + np.conj(xi) * (s1 + s2)

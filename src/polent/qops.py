@@ -3,7 +3,7 @@
 Subsystems are indexed little-endian: subsystem 0 varies fastest in the
 composite basis. With the single-qubit basis ordered {|e>, |g>} this makes
 the two-qubit basis {|ee>, |ge>, |eg>, |gg>}, the first letter being qubit 1,
-and an operator acting on qubit 1 alone is kron(identity, op).
+and an operator acting on qubit 1 alone is np.kron(identity, op).
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the first factor carries the slower composite index."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def partial_transpose(rho, subsystem: int) -> Operator:
     """Transpose the indices of one subsystem, of one operator or of a stack.
 
@@ -177,25 +172,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out = np.einsum(f"{src}->{dst}", t)
     d = math.prod(dims[k] for k in kept)
     return DensityMatrix(HilbertSpace(tuple(dims[k] for k in kept)), out.reshape(d, d))
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Rejects input
-    whose anti-Hermitian part exceeds HERMITICITY_TOL relative to its norm.
-    """
-    mat = np.asarray(_as_matrix(m), dtype=complex)
-    scale = max(1.0, np.linalg.norm(mat))
-    if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(mat)
-    return w, v
-
-
-def eig_general(m) -> np.ndarray:
-    """Full complex spectrum of an arbitrary square matrix (eigenvalues only)."""
-    return np.linalg.eigvals(np.asarray(_as_matrix(m), dtype=complex))
 
 
 def trace_distance(a, b) -> float:

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from polent.analytic import closed_form, residual, solve_linear_system, to_density_matrix
+from polent.analytic import _vectors, closed_form, solve_linear_system, stationarity_residuals
 from polent.cli import main
 from polent.entangle import (
     PAULI_LABELS,
@@ -51,6 +51,10 @@ def _numeric_rho(zeta, xi1, xi2=0.0):
     return steady_state(build_liouvillian(model)).rho
 
 
+def _exact_rho(zeta, xi1):
+    return DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1)[0])
+
+
 def _ground_pair():
     m = np.zeros((4, 4), dtype=complex)
     m[3, 3] = 1.0
@@ -62,7 +66,7 @@ def test_analytic_numeric_equivalence(capsys):
     worst = 0.0
     for zeta in np.linspace(0.0, 10.0, 11):
         for xi1 in np.linspace(0.0, 4.0, 11):
-            direct = to_density_matrix(closed_form(zeta, xi1)).matrix
+            direct = closed_form(zeta, xi1)[0]
             solved = _numeric_rho(zeta, xi1).matrix
             worst = max(worst, float(np.linalg.norm(direct - solved)))
     ok = worst <= 1e-9
@@ -90,7 +94,7 @@ def test_peak_concurrence_location(capsys):
     # For u = xi1^2 = s zeta, C < 2s(1 - s) / (1 + 4s^2) <= (sqrt(5) - 1) / 4, the
     # value approached as zeta -> infinity at s = (sqrt(5) - 1) / 4.
     supremum = (np.sqrt(5.0) - 1.0) / 4.0
-    point = concurrence(to_density_matrix(closed_form(10.0, 2.135)))
+    point = concurrence(_exact_rho(10.0, 2.135))
     point_err = abs(point - _exact_concurrence(10.0, 2.135))
     zs = np.linspace(0.0, 10.0, 81)
     xs = np.linspace(0.0, 4.0, 81)
@@ -102,7 +106,7 @@ def test_peak_concurrence_location(capsys):
     grid_err = 0.0
     for z in zs:
         for x in xs:
-            c = concurrence(to_density_matrix(closed_form(z, x)))
+            c = concurrence(_exact_rho(z, x))
             exact = _exact_concurrence(z, x)
             grid_err = max(grid_err, abs(c - exact))
             exact_best = max(exact_best, exact)
@@ -133,11 +137,11 @@ def test_equation_system_oracle(capsys):
     for zeta in np.linspace(0.0, 10.0, 11):
         for xi1 in np.linspace(0.0, 4.0, 11):
             direct = closed_form(zeta, xi1)
-            worst_res = max(worst_res, residual(zeta, xi1, 0.0, direct))
+            res = stationarity_residuals([zeta], [xi1], [0.0], direct)[0]
+            worst_res = max(worst_res, float(res))
             solved = solve_linear_system(zeta, xi1, 0.0)
-            gap = np.abs(
-                np.array(dataclasses.astuple(direct)) - np.array(dataclasses.astuple(solved))
-            ).max()
+            # the 15 real parameters of each state
+            gap = np.abs(_vectors(direct[0]) - _vectors(solved)).max()
             worst_gap = max(worst_gap, float(gap))
     ok = worst_res <= 1e-12 and worst_gap <= 1e-12
     _report(
@@ -162,7 +166,7 @@ def test_drive_component_symmetry(capsys):
 
 def test_dynamics_reaches_fixed_point(capsys):
     model = build_effective_model(REFERENCE_POINT)
-    target = to_density_matrix(closed_form(REFERENCE_POINT.zeta, REFERENCE_POINT.xi1))
+    target = _exact_rho(REFERENCE_POINT.zeta, REFERENCE_POINT.xi1)
     drifts = []
     final = evolve(
         model, _ground_pair(), t_final=50.0, dt=1e-3,

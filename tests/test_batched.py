@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from polent import analytic, cli, lindblad
-from polent.analytic import solve_linear_system, to_density_matrix
+from polent.analytic import solve_linear_system
 from polent.cli import main
 from polent.entangle import negativity
 from polent.lindblad import build_liouvillian, effective_basis, effective_liouvillians
 from polent.model import DimensionlessParams, build_effective_model
+from polent.qops import TWO_QUBITS, DensityMatrix
 
 
 def random_points(n, seed):
@@ -66,13 +67,13 @@ def test_rows_match_independent_references(solver):
     worst = 0.0
     for zeta, xi1, xi2, c, neg, purity, *rest in rows:
         pops, res = rest[:4], rest[4]
-        ref = to_density_matrix(solve_linear_system(zeta, xi1, xi2)).matrix
+        ref = DensityMatrix(TWO_QUBITS, solve_linear_system(zeta, xi1, xi2))
         worst = max(
             worst,
             abs(c - exact_concurrence(zeta, xi1)),
-            abs(neg - negativity(to_density_matrix(solve_linear_system(zeta, xi1, xi2)))),
-            abs(purity - np.trace(ref @ ref).real),
-            np.abs(np.array(pops) - ref.diagonal().real).max(),
+            abs(neg - negativity(ref)),
+            abs(purity - np.trace(ref.matrix @ ref.matrix).real),
+            np.abs(np.array(pops) - ref.matrix.diagonal().real).max(),
         )
         assert 0.0 <= res <= 1e-12
     assert worst <= 1e-12

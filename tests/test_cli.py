@@ -42,11 +42,25 @@ def test_steady_numeric_handles_imaginary_drive(capsys):
     assert "superoperator residual" in capsys.readouterr().out
 
 
+def steady_figures(capsys, *argv):
+    """The report's full-precision figures: populations, concurrence, negativity, purity."""
+    assert main(["steady", *argv]) == 0
+    out = capsys.readouterr().out
+    pops = re.search(r"populations \(ee, ge, eg, gg\) = \(([^)]*)\)", out).group(1)
+    figures = [float(re.search(rf"{key} = (\S+)", out).group(1))
+               for key in ("concurrence", "negativity", "purity")]
+    return np.array([float(v) for v in pops.split(",")] + figures)
+
+
 def test_steady_usage_errors(capsys):
     assert main(["steady", "--solver", "bogus"]) == 2
-    assert main(["steady", "--zeta", "1", "--xi1", "1", "--xi2", "1", "--solver", "analytic"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a drive with both components is not a usage error: the closed form matches the null space
+    drive = ["--zeta", "10", "--xi1", "1.2", "--xi2", "0.9"]
+    exact = steady_figures(capsys, *drive, "--solver", "analytic")
+    assert exact[4] > 0.1  # entangled
+    assert np.abs(exact - steady_figures(capsys, *drive, "--solver", "numeric")).max() <= 1e-12
 
 
 def test_steady_rejects_non_finite_parameters(capsys, recwarn):
@@ -56,7 +70,7 @@ def test_steady_rejects_non_finite_parameters(capsys, recwarn):
     assert not recwarn.list
 
 
-def test_steady_mirrored_branch_uses_the_linear_system(capsys):
+def test_steady_mirrored_branch_matches_the_numeric_route(capsys):
     assert main(["steady", "--zeta", "5", "--xi2", "1", "--solver", "both"]) == 0
     out = capsys.readouterr().out
     assert float(re.search(r"equation residual = (\S+)", out).group(1)) <= 1e-13
@@ -120,7 +134,13 @@ def test_sweep_usage_errors(tmp_path, capsys, recwarn):
     assert main(["sweep", "--grid", "0:10", "--out", out]) == 2
     assert main(["sweep", "--grid", "0:10:0,0:4:3", "--out", out]) == 2
     assert main(["sweep", "--grid", "10:0:3,0:4:3", "--out", out]) == 2
-    assert main(["sweep", "--grid", "0:10:3,0:4:3", "--xi2", "1", "--out", out]) == 2
+    # a complex drive is not a usage error: the closed-form rows match the numeric ones
+    numeric = str(tmp_path / "numeric.csv")
+    assert main(["sweep", "--grid", "0:10:3,0:4:3", "--xi2", "1", "--out", out]) == 0
+    assert main(["sweep", "--grid", "0:10:3,0:4:3", "--xi2", "1", "--solver", "numeric",
+                 "--out", numeric]) == 0
+    exact, approx = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (out, numeric))
+    assert np.abs(exact[:, :10] - approx[:, :10]).max() <= 1e-12
     assert main(["sweep", "--grid", "0:10:3,0:4:3", "--solver", "bogus", "--out", out]) == 2
     for grid in ("0:nan:3,0:4:3", "0:inf:3,0:4:3", "nan:1:3,0:4:3", "0:10:3,-inf:4:3"):
         assert main(["sweep", "--grid", grid, "--out", out]) == 2

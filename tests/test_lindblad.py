@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polent.analytic import closed_form, to_density_matrix
+from polent.analytic import closed_form
 from polent.lindblad import (
     DRIFT_ABORT,
     DegenerateSteadyStateError,
@@ -20,7 +20,6 @@ from polent.qops import (
     TWO_QUBITS,
     DensityMatrix,
     HilbertSpace,
-    kron,
     trace_distance,
 )
 
@@ -119,7 +118,7 @@ def test_steady_state_full_model_without_drive():
 
 
 def test_steady_state_matches_closed_form():
-    rho_a = to_density_matrix(closed_form(10.0, 2.135))
+    rho_a = DensityMatrix(TWO_QUBITS, closed_form(10.0, 2.135)[0])
     result = steady_state(build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135))))
     assert np.linalg.norm(rho_a.matrix - result.rho.matrix) <= 1e-9
 
@@ -133,7 +132,7 @@ def test_steady_state_qubit_swap_invariance():
 
 def test_steady_state_degenerate_raises():
     # decay on qubit 1 only leaves qubit 2 free: a whole family of fixed points
-    jump = np.sqrt(2) * kron(IDENTITY_2, SIGMA_MINUS)
+    jump = np.sqrt(2) * np.kron(IDENTITY_2, SIGMA_MINUS)
     m = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), (jump,))
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(build_liouvillian(m))
@@ -210,7 +209,7 @@ def test_evolve_keeps_the_stationary_state():
     # P - I is stored apart from I: rounding P itself would move its fixed
     # point by ~1e-16 / (dt * gap), up to 2.6e-12 here after 20,000 steps
     for zeta, xi1 in ((10.0, 2.135), (5.0, 1.0), (2.0, 0.5)):
-        rho = to_density_matrix(closed_form(zeta, xi1))
+        rho = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1)[0])
         out = evolve(build_effective_model(DimensionlessParams(zeta, xi1)), rho, 20.0, 1e-3)
         assert np.abs(out.matrix - rho.matrix).max() <= 1e-14
 

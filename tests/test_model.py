@@ -13,7 +13,7 @@ from polent.model import (
     dressed_energies,
     map_physical,
 )
-from polent.qops import IDENTITY_2, SIGMA_MINUS, kron
+from polent.qops import IDENTITY_2, SIGMA_MINUS
 
 PHYS = PhysicalParams(j=1.0, delta=10.0, kappa=10.0, gamma=0.01, alpha=0.5, n_max=4)
 
@@ -126,7 +126,7 @@ def test_effective_model_structure():
     assert_allclose(m.hamiltonian, m.hamiltonian.conj().T, atol=1e-15)
     # pure exchange at zeta = 1: spectrum {-1, 0, 0, 1}
     assert_allclose(np.linalg.eigvalsh(m.hamiltonian), [-1.0, 0.0, 0.0, 1.0], atol=1e-14)
-    s1 = kron(IDENTITY_2, SIGMA_MINUS)
+    s1 = np.kron(IDENTITY_2, SIGMA_MINUS)
     assert_allclose(m.jumps[0], np.sqrt(2) * s1, atol=1e-15)
     assert len(m.jumps) == 2
 
@@ -135,8 +135,8 @@ def test_effective_model_drive_terms():
     d = DimensionlessParams(0.0, 0.3, -0.7)
     m = build_effective_model(d)
     xi = d.xi1 + 1j * d.xi2
-    s1 = kron(IDENTITY_2, SIGMA_MINUS)
-    s2 = kron(SIGMA_MINUS, IDENTITY_2)
+    s1 = np.kron(IDENTITY_2, SIGMA_MINUS)
+    s2 = np.kron(SIGMA_MINUS, IDENTITY_2)
     expected = xi * (s1 + s2).conj().T + np.conj(xi) * (s1 + s2)
     assert_allclose(m.hamiltonian, expected, atol=1e-15)
 
