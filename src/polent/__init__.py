@@ -6,12 +6,7 @@ numerically, and quantifies the stationary entanglement via concurrence,
 negativity, and measurable witness operators.
 """
 
-from .analytic import (
-    DegenerateSystemError,
-    closed_form,
-    solve_linear_system,
-    stationarity_residuals,
-)
+from .analytic import closed_form
 from .entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -22,7 +17,6 @@ from .entangle import (
     pair_operator,
     pauli_decompose,
     separable_floor,
-    spin_flip,
 )
 from .lindblad import (
     DegenerateSteadyStateError,
@@ -33,6 +27,7 @@ from .lindblad import (
     effective_basis,
     effective_liouvillians,
     evolve,
+    stationarity_residuals,
     steady_state,
 )
 from .model import (
@@ -42,7 +37,6 @@ from .model import (
     adiabatic_amplitude,
     build_effective_model,
     build_full_model,
-    dressed_energies,
     map_physical,
 )
 from .qops import (
@@ -66,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateSteadyStateError",
-    "DegenerateSystemError",
     "DensityMatrix",
     "DimensionlessParams",
     "HilbertSpace",
@@ -94,7 +87,6 @@ __all__ = [
     "closed_form",
     "concurrence",
     "construct_witness",
-    "dressed_energies",
     "effective_basis",
     "effective_liouvillians",
     "evolve",
@@ -105,8 +97,6 @@ __all__ = [
     "partial_transpose",
     "pauli_decompose",
     "separable_floor",
-    "solve_linear_system",
-    "spin_flip",
     "stationarity_residuals",
     "steady_state",
     "trace_distance",

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .analytic import closed_form, stationarity_residuals
+from .analytic import closed_form
 from .entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -39,6 +39,7 @@ from .lindblad import (
     effective_basis,
     effective_liouvillians,
     evolve,
+    stationarity_residuals,
     steady_state,
 )
 from .model import (
@@ -135,11 +136,12 @@ _RESIDUAL_COLUMN = {
 
 def _evaluate_stack(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
     out = {}
+    liouv = effective_liouvillians(basis, zeta, xi1, xi2)
     if solver != "numeric":
         rho = exact = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1, xi2))
-        out["equation_residual"] = stationarity_residuals(zeta, xi1, xi2, exact.matrix)
+        out["equation_residual"] = stationarity_residuals(liouv, exact.matrix)
     if solver != "analytic":
-        result = steady_state(effective_liouvillians(basis, zeta, xi1, xi2))
+        result = steady_state(liouv)
         rho = result.rho
         out["superoperator_residual"], out["gap"] = result.residual, result.gap
         if solver == "both":
@@ -164,8 +166,9 @@ def _evaluate_stack(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]
 def _evaluate(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
     """States and diagnostics at one block of points, with every per-point check.
 
-    ``basis`` is effective_basis(), or None for the analytic solver. A
-    failure names the first failing point, as it would in blocks of one.
+    ``basis`` is effective_basis(); every solver's residual is taken against
+    the Liouvillians built from it. A failure names the first failing point,
+    as it would in blocks of one.
     """
     try:
         return _evaluate_stack(zeta, xi1, xi2, solver, basis)
@@ -180,7 +183,7 @@ def _evaluate(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
 
 def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
     """CSV rows of a contiguous run of grid points, BLOCK_SIZE points at a time."""
-    basis = None if solver == "analytic" else effective_basis()
+    basis = effective_basis()
     blocks = []
     for start in range(0, len(zeta), BLOCK_SIZE):
         z, x1, x2 = (v[start:start + BLOCK_SIZE] for v in (zeta, xi1, xi2))
@@ -193,8 +196,8 @@ def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
 
 
 def _evaluate_point(zeta: float, xi1: float, xi2: float, solver: str) -> dict[str, np.ndarray]:
-    basis = None if solver == "analytic" else effective_basis()
-    return _evaluate(np.array([zeta]), np.array([xi1]), np.array([xi2]), solver, basis)
+    return _evaluate(np.array([zeta]), np.array([xi1]), np.array([xi2]), solver,
+                     effective_basis())
 
 
 def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
@@ -547,7 +550,10 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](_merge(args))
+        # an overflow leaves a NaN or inf that a validity check reports as a
+        # numerical failure (exit 3); numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _RUNNERS[args.command](_merge(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,13 +82,6 @@ class Witness:
         return float(np.trace(self.op.matrix @ rho.matrix).real)
 
 
-def spin_flip(rho: DensityMatrix) -> Operator:
-    """The conjugated complex conjugate (sigma_y sigma_y) rho* (sigma_y sigma_y)."""
-    if rho.space.dims != (2, 2):
-        raise ValueError(f"spin flip is defined for two qubits, got dims {rho.space.dims}")
-    return Operator(rho.space, _FLIP @ rho.matrix.conj() @ _FLIP)
-
-
 def _check_two_qubits(rho: DensityMatrix, what: str) -> None:
     if rho.space.dims != (2, 2):
         raise ValueError(f"{what} is defined for two qubits, got dims {rho.space.dims}")

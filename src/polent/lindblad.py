@@ -1,5 +1,9 @@
 """Liouvillian assembly, steady-state solving, and fixed-step time evolution.
 
+The stationarity of any state is judged here only, as ||L vec(rho)|| with
+the Liouvillian built from the model (stationarity_residuals); the
+closed-form and numeric routes are both checked against it.
+
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho), with
 vec(rho) = rho.ravel(order="F").
 """
@@ -124,8 +128,9 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     redundant: the population rows of L sum to zero. Raises
     DegenerateSteadyStateError when the singular-value probe finds a second
     near-null direction, rather than returning an arbitrary mixture, and
-    when the residual exceeds RESIDUAL_TOL; for a stack, the message names
-    the first failing Liouvillian.
+    when the residual exceeds RESIDUAL_TOL times the largest entry of L (at
+    least 1), so that c L gives the state of L at every scale c; for a
+    stack, the message names the first failing Liouvillian.
     """
     d = liouv.space.dim
     lm = liouv.matrix.reshape(-1, d * d, d * d)
@@ -143,17 +148,34 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     rhs[:, 0] = 1.0
     mats = np.linalg.solve(bordered, rhs).reshape(n, d, d).swapaxes(-1, -2)  # unvec
     mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
-    defect = (lm @ mats.swapaxes(-1, -2).reshape(n, d * d, 1))[..., 0]
-    residuals = np.sqrt((defect.real**2 + defect.imag**2).sum(axis=-1))
-    failed = ~(residuals <= RESIDUAL_TOL)
+    residuals = stationarity_residuals(liouv, mats)
+    # the largest entry of L sets its scale; unlike a norm it cannot overflow
+    bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(lm).max(axis=(-2, -1)))
+    failed = ~(residuals <= bounds)
     if failed.any():
         k = int(np.argmax(failed))
         raise DegenerateSteadyStateError(
-            f"steady-state residual {residuals[k]:.3e} exceeds {RESIDUAL_TOL:g}" + _which(k, n)
+            f"steady-state residual {residuals[k]:.3e} exceeds {bounds[k]:.3g}" + _which(k, n)
         )
     if liouv.matrix.ndim == 2:
         mats, residuals, gaps = mats[0], float(residuals[0]), float(gaps[0])
     return SteadyStateResult(DensityMatrix(liouv.space, mats), residuals, gaps)
+
+
+def stationarity_residuals(liouv: Liouvillian, states: np.ndarray) -> np.ndarray:
+    """||L vec(rho)||_2 for each Liouvillian of a stack and the state at the same index.
+
+    ``states`` is an (N, d, d) stack for a stack of N Liouvillians, or one
+    (d, d) matrix for one Liouvillian; the result is an (N,) array. This is
+    the one stationarity residual: steady_state checks its solutions with
+    it, and the closed form is checked with it against the same L.
+    """
+    d = liouv.space.dim
+    lm = liouv.matrix.reshape(-1, d * d, d * d)
+    rho = np.asarray(states).reshape(-1, d, d)
+    vecs = rho.swapaxes(-1, -2).reshape(len(lm), d * d, 1)  # column-stacked
+    defect = (lm @ vecs)[..., 0]
+    return np.sqrt((defect.real**2 + defect.imag**2).sum(axis=-1))
 
 
 def _which(k: int, n: int) -> str:

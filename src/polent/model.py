@@ -91,14 +91,6 @@ def _mode_lowering(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), 1).astype(complex)
 
 
-def dressed_energies(n: int, omega_d: float, g: float) -> tuple[float, float]:
-    """Energies (n*omega_d + g*sqrt(n), n*omega_d - g*sqrt(n)) of the n-th doublet."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    split = g * math.sqrt(n)
-    return (n * omega_d + split, n * omega_d - split)
-
-
 def build_full_model(p: PhysicalParams) -> LindbladModel:
     """Two qubits exchanging excitations with one driven, detuned, lossy mode.
 

@@ -11,7 +11,9 @@ import dataclasses
 
 import numpy as np
 
-from polent.analytic import _vectors, closed_form, solve_linear_system, stationarity_residuals
+from stationarity_oracle import _vectors, equation_residuals, solve_linear_system
+
+from polent.analytic import closed_form
 from polent.cli import main
 from polent.entangle import (
     PAULI_LABELS,
@@ -137,7 +139,7 @@ def test_equation_system_oracle(capsys):
     for zeta in np.linspace(0.0, 10.0, 11):
         for xi1 in np.linspace(0.0, 4.0, 11):
             direct = closed_form(zeta, xi1)
-            res = stationarity_residuals([zeta], [xi1], [0.0], direct)[0]
+            res = equation_residuals([zeta], [xi1], [0.0], direct)[0]
             worst_res = max(worst_res, float(res))
             solved = solve_linear_system(zeta, xi1, 0.0)
             # the 15 real parameters of each state

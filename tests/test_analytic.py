@@ -1,17 +1,12 @@
-"""Tests for the closed-form steady state and the 16-equation system it solves."""
+"""Tests for the closed-form steady state against the hand-written 16-equation system."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polent.analytic import (
-    _IDX,
-    _matrices,
-    _vectors,
-    closed_form,
-    solve_linear_system,
-    stationarity_residuals,
-)
+from stationarity_oracle import _vectors, equation_residuals, solve_linear_system
+
+from polent.analytic import _IDX, _matrices, closed_form
 from polent.entangle import concurrence
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
@@ -107,14 +102,14 @@ def test_closed_form_matches_linear_solver():
 
 def test_closed_form_residual_is_zero():
     zeta, xi1, xi2 = np.array(POINTS + [(5.0, 2.0, 0.0), (8.3, 3.6, 0.0)]).T
-    assert stationarity_residuals(zeta, xi1, xi2, closed_form(zeta, xi1, xi2)).max() <= 1e-13
+    assert equation_residuals(zeta, xi1, xi2, closed_form(zeta, xi1, xi2)).max() <= 1e-13
 
 
 def test_solver_handles_imaginary_drive():
     # a drive along the other quadrature mirrors the real-drive solution
     mirrored = solve_linear_system(5.0, 0.0, 1.0)
     reference = closed_form(5.0, 1.0)[0]
-    assert stationarity_residuals([5.0], [0.0], [1.0], mirrored[None])[0] <= 1e-13
+    assert equation_residuals([5.0], [0.0], [1.0], mirrored[None])[0] <= 1e-13
     rho_m = DensityMatrix(TWO_QUBITS, mirrored)
     rho_r = DensityMatrix(TWO_QUBITS, reference)
     assert_allclose(rho_m.matrix.diagonal(), rho_r.matrix.diagonal(), atol=1e-12)
@@ -123,7 +118,7 @@ def test_solver_handles_imaginary_drive():
 
 def test_numeric_steady_state_satisfies_equations():
     rho = steady_state(build_liouvillian(build_effective_model(DimensionlessParams(7.0, 1.3)))).rho
-    assert stationarity_residuals([7.0], [1.3], [0.0], rho.matrix[None])[0] <= 1e-9
+    assert equation_residuals([7.0], [1.3], [0.0], rho.matrix[None])[0] <= 1e-9
 
 
 def test_from_matrix_roundtrip():

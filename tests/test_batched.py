@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from polent import analytic, cli, lindblad
-from polent.analytic import solve_linear_system
+from stationarity_oracle import solve_linear_system
+
+from polent import cli, lindblad
 from polent.cli import main
 from polent.entangle import negativity
 from polent.lindblad import build_liouvillian, effective_basis, effective_liouvillians
@@ -37,15 +38,6 @@ def test_stacked_liouvillian_equals_per_point_build():
     for (zeta, xi1, xi2), lm in zip(pts, stack):
         single = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
         assert np.array_equal(lm, single.matrix)
-
-
-def test_split_equation_system_equals_per_point_system():
-    pts = random_points(200, 2)
-    m, b = analytic._system_stack(*pts.T)
-    for (zeta, xi1, xi2), mk, bk in zip(pts, m, b):
-        m_ref, b_ref = analytic._system(zeta, xi1, xi2)
-        assert np.array_equal(mk, m_ref)
-        assert np.array_equal(bk, b_ref)
 
 
 @pytest.mark.parametrize(

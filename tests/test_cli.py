@@ -77,6 +77,34 @@ def test_steady_mirrored_branch_matches_the_numeric_route(capsys):
     assert float(re.search(r"discrepancy \(Frobenius\) = (\S+)", out).group(1)) <= 1e-12
 
 
+def test_steady_at_large_scale_matches_the_exact_concurrence(capsys):
+    # the entries of L reach 2e9 here, so its null vector has a residual above 1e-9
+    x2 = 1e4**2 + 3e3**2
+    exact = 2 * x2 * (1e9 - x2) / (1e9**2 + (1 + 2 * x2) ** 2)
+    for solver in ("numeric", "both"):
+        assert main(["steady", "--zeta", "1e9", "--xi1", "1e4", "--xi2", "3e3",
+                     "--solver", solver]) == 0
+        c = float(re.search(r"concurrence = (\S+)", capsys.readouterr().out).group(1))
+        assert abs(c - exact) <= 1e-12
+
+
+def test_overflow_is_one_error_line(tmp_path, capsys):
+    huge = ["--zeta", "1e200", "--xi1", "1e100"]
+    for argv in (
+        ["steady", *huge, "--solver", "analytic"],
+        ["steady", *huge, "--solver", "both"],
+        ["sweep", "--grid", "0:1e200:3,0:1e100:3", "--solver", "both",
+         "--out", str(tmp_path / "x.csv")],
+        ["dynamics", *huge, "--t-final", "1", "--out", str(tmp_path / "d.csv")],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and err.count("\n") == 1
+    # the numeric route still solves there: C = 0 exactly, since |xi|^2 > zeta
+    assert main(["steady", *huge, "--solver", "numeric"]) == 0
+    assert float(re.search(r"concurrence = (\S+)", capsys.readouterr().out).group(1)) <= 1e-12
+
+
 def test_steady_writes_report_file(tmp_path, capsys):
     report = tmp_path / "steady.txt"
     assert main(["steady", "--zeta", "10", "--xi1", "2.135", "--out", str(report)]) == 0

@@ -1,0 +1,28 @@
+"""Every public function and class of the package is used inside the package."""
+
+import ast
+from pathlib import Path
+
+import polent
+
+SOURCES = sorted(Path(polent.__file__).parent.glob("*.py"))
+
+
+def test_every_public_definition_is_used_by_polent_code():
+    defined, used = {}, set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue  # a re-export is not a use
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            is_definition = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_definition and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        # names in code only: docstrings are constants and comments are not parsed
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not unused, f"public definitions no polent code uses: {unused}"

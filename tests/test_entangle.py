@@ -15,7 +15,6 @@ from polent.entangle import (
     pair_operator,
     pauli_decompose,
     separable_floor,
-    spin_flip,
 )
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
@@ -63,26 +62,6 @@ def test_pair_operator_ordering():
     assert_allclose(np.diag(pair_operator("id", "z")).real, [1, 1, -1, -1])
     assert_allclose(pair_operator("y", "z"), np.kron(SIGMA_Z, SIGMA_Y), atol=0)
     assert_allclose(pair_operator("id", "id"), np.eye(4), atol=0)
-
-
-def test_spin_flip_known_states():
-    # the flip fixes the Bell state and swaps the computational extremes
-    assert_allclose(spin_flip(BELL_RHO).matrix, BELL_RHO.matrix, atol=1e-15)
-    gg = pure([0, 0, 0, 1])
-    flipped = spin_flip(gg)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    assert_allclose(flipped.matrix, expected, atol=1e-15)
-
-
-def test_spin_flip_is_an_involution():
-    rng = np.random.default_rng(21)
-    rho = random_density(rng)
-    twice = spin_flip(DensityMatrix(TWO_QUBITS, spin_flip(rho).matrix))
-    assert_allclose(twice.matrix, rho.matrix, atol=1e-14)
-    once = spin_flip(rho).matrix
-    assert_allclose(np.trace(once), 1.0, atol=1e-14)
-    assert_allclose(once, once.conj().T, atol=1e-14)
 
 
 def test_concurrence_bell_state():

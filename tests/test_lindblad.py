@@ -9,8 +9,12 @@ from polent.lindblad import (
     DRIFT_ABORT,
     DegenerateSteadyStateError,
     IntegrationError,
+    Liouvillian,
     build_liouvillian,
+    effective_basis,
+    effective_liouvillians,
     evolve,
+    stationarity_residuals,
     steady_state,
 )
 from polent.model import DimensionlessParams, LindbladModel, PhysicalParams, build_effective_model, build_full_model
@@ -128,6 +132,34 @@ def test_steady_state_qubit_swap_invariance():
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
     m = result.rho.matrix
     assert_allclose(swap @ m @ swap, m, atol=1e-10)
+
+
+def test_stationarity_residuals_are_the_solver_residuals():
+    zeta, xi1, xi2 = np.linspace(0.0, 10.0, 7), np.linspace(0.0, 4.0, 7), np.full(7, -0.3)
+    liouv = effective_liouvillians(effective_basis(), zeta, xi1, xi2)
+    result = steady_state(liouv)
+    residuals = stationarity_residuals(liouv, result.rho.matrix)
+    assert residuals.shape == (7,)
+    assert residuals.tobytes() == result.residual.tobytes()
+    # one Liouvillian takes one (d, d) state and gives a length-1 array
+    single = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135)))
+    one = steady_state(single)
+    assert stationarity_residuals(single, one.rho.matrix)[0] == one.residual
+
+
+def test_stationarity_residuals_reject_a_state_of_another_point():
+    # the state at zeta = 5 against the Liouvillians at zeta = 5 and 10
+    liouv = effective_liouvillians(effective_basis(), [5.0, 10.0], [2.135] * 2, [0.0] * 2)
+    own, other = stationarity_residuals(liouv, closed_form([5.0] * 2, 2.135))
+    assert own <= 1e-14
+    assert other >= 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+def test_steady_state_does_not_depend_on_the_scale_of_l(scale):
+    liouv = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135, 0.6)))
+    scaled = Liouvillian(TWO_QUBITS, scale * liouv.matrix)
+    assert np.abs(steady_state(scaled).rho.matrix - steady_state(liouv).rho.matrix).max() <= 1e-12
 
 
 def test_steady_state_degenerate_raises():

@@ -10,7 +10,6 @@ from polent.model import (
     adiabatic_amplitude,
     build_effective_model,
     build_full_model,
-    dressed_energies,
     map_physical,
 )
 from polent.qops import IDENTITY_2, SIGMA_MINUS
@@ -32,15 +31,6 @@ def test_dimensionless_params_validation():
         DimensionlessParams(np.inf, 0.0)
     with pytest.raises(ValueError):
         DimensionlessParams(0.0, np.nan)
-
-
-def test_dressed_energies():
-    up, dn = dressed_energies(1, 2.0, 0.5)
-    assert_allclose((up, dn), (2.5, 1.5))
-    up, dn = dressed_energies(2, 2.0, 0.5)
-    assert_allclose((up, dn), (4.0 + 0.5 * np.sqrt(2), 4.0 - 0.5 * np.sqrt(2)))
-    with pytest.raises(ValueError):
-        dressed_energies(0, 1.0, 1.0)
 
 
 def test_full_model_shapes_and_hermiticity():
