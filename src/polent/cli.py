@@ -207,7 +207,7 @@ def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None
         lines.append(f"equation residual = {ev['equation_residual'][0]:.17g}")
     if "gap" in ev:
         lines.append(f"superoperator residual = {ev['superoperator_residual'][0]:.17g} "
-                     f"(gap {ev['gap'][0]:.6g})")
+                     f"(gap >= {ev['gap'][0]:.6g})")
     if "discrepancy" in ev:
         lines.append(f"analytic-numeric discrepancy (Frobenius) = {ev['discrepancy'][0]:.17g}")
     lines.append("rho =")

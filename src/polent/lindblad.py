@@ -20,6 +20,7 @@ from .qops import TWO_QUBITS, DensityMatrix, HilbertSpace
 GAP_FLOOR = 1e-8
 RESIDUAL_TOL = 1e-9
 DRIFT_ABORT = 1e-6
+STABILITY_SLACK = 1e-9
 DEFAULT_DT = 1e-3
 
 
@@ -52,11 +53,10 @@ class Liouvillian:
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateResult:
-    """Steady state with its defect norm and the uniqueness gap.
+    """Steady state with its defect norm and a certified uniqueness gap.
 
-    residual is ||L vec(rho)||_2; gap is the second-smallest singular value
-    of L, which bounds the distance to a second stationary solution. For a
-    stacked Liouvillian, rho is a stack and residual and gap are arrays.
+    residual is ||L vec(rho)||_2; gap is a certified lower bound on the second-smallest
+    singular value of L. For a stack, rho is a stack and residual and gap are arrays.
     """
 
     rho: DensityMatrix
@@ -64,12 +64,8 @@ class SteadyStateResult:
     gap: float | np.ndarray
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.ravel(order="F")
-
-
 def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d, order="F")
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
@@ -122,32 +118,27 @@ def effective_liouvillians(basis: np.ndarray, zeta, xi1, xi2) -> Liouvillian:
 def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """Solve L vec(rho) = 0 with Tr rho = 1, for one Liouvillian or a stack.
 
-    The trace condition replaces the row of L for the first population, and
-    the square system is solved directly (the direct method of QuTiP;
-    Johansson, Nation and Nori, CPC 183, 1760 (2012)). That row is
-    redundant: the population rows of L sum to zero. Raises
-    DegenerateSteadyStateError when the singular-value probe finds a second
-    near-null direction, rather than returning an arbitrary mixture, and
-    when the residual exceeds RESIDUAL_TOL times the largest entry of L (at
-    least 1), so that c L gives the state of L at every scale c; for a
-    stack, the message names the first failing Liouvillian.
+    B, L with the trace condition in place of a row (_bordered), is inverted
+    once (the direct method of QuTiP; Johansson, Nation and Nori, CPC 183,
+    1760 (2012)). Column 0 of B^-1 gives rho, Hermitian by construction;
+    gap = 1/||B^-1||_F <= sigma_min(B) <= sigma_{n-1}(L), as B - L has rank
+    one (Horn and Johnson, Topics in Matrix Analysis, Thm 3.3.16). Raises
+    DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
+    exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
+    c L gives the state of L at every scale c; a stack names its first failure.
     """
     d = liouv.space.dim
     lm = liouv.matrix.reshape(-1, d * d, d * d)
     n = len(lm)
-    gaps = np.linalg.svd(lm, compute_uv=False)[:, -2]
+    inverse = _inverse(_bordered(lm, d))
+    gaps = 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
     degenerate = ~(gaps > GAP_FLOOR)  # "not >" so that NaN fails
     if degenerate.any():
         k = int(np.argmax(degenerate))
         raise DegenerateSteadyStateError(
             f"stationary space is degenerate (gap {gaps[k]:.3e} <= {GAP_FLOOR:g})" + _which(k, n)
         )
-    bordered = lm.copy()
-    bordered[:, 0, :] = _vec(np.eye(d, dtype=complex))
-    rhs = np.zeros((n, d * d, 1), dtype=complex)
-    rhs[:, 0] = 1.0
-    mats = np.linalg.solve(bordered, rhs).reshape(n, d, d).swapaxes(-1, -2)  # unvec
-    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    mats = _unvec(_from_coordinates(inverse[..., 0], d), d)
     residuals = stationarity_residuals(liouv, mats)
     # the largest entry of L sets its scale; unlike a norm it cannot overflow
     bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(lm).max(axis=(-2, -1)))
@@ -160,6 +151,14 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     if liouv.matrix.ndim == 2:
         mats, residuals, gaps = mats[0], float(residuals[0]), float(gaps[0])
     return SteadyStateResult(DensityMatrix(liouv.space, mats), residuals, gaps)
+
+
+def _inverse(mats: np.ndarray) -> np.ndarray:
+    """inv of each matrix of a stack; an exactly singular one gets an infinite inverse (gap 0)."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:  # one singular member fails the whole stack
+        return np.stack([_inverse(m) for m in mats]) if mats.ndim > 2 else mats + np.inf
 
 
 def stationarity_residuals(liouv: Liouvillian, states: np.ndarray) -> np.ndarray:
@@ -175,29 +174,55 @@ def stationarity_residuals(liouv: Liouvillian, states: np.ndarray) -> np.ndarray
     rho = np.asarray(states).reshape(-1, d, d)
     vecs = rho.swapaxes(-1, -2).reshape(len(lm), d * d, 1)  # column-stacked
     defect = (lm @ vecs)[..., 0]
-    return np.sqrt((defect.real**2 + defect.imag**2).sum(axis=-1))
+    # an exact power-of-two scaling before squaring keeps a finite defect's norm finite
+    exponent = np.frexp(np.maximum(abs(defect.real), abs(defect.imag)).max(axis=-1))[1]
+    re, im = (np.ldexp(part, -exponent[:, None]) for part in (defect.real, defect.imag))
+    return np.ldexp(np.sqrt((re**2 + im**2).sum(axis=-1)), exponent)
 
 
 def _which(k: int, n: int) -> str:
     return f" (Liouvillian {k} of a stack of {n})" if n > 1 else ""
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """(d^2, d^2) unitary whose columns are vec(B_k) for an orthonormal Hermitian basis B_k.
+def _hermitian_pairs(d: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal Hermitian B_k with vec(B_k) = a_k e_{p_k} + b_k e_{q_k}, for d x d matrices.
 
-    The B_k are the diagonal units E_ii, then (E_ij + E_ji)/sqrt(2) and
-    i (E_ij - E_ji)/sqrt(2) for i < j. A Hermitian matrix has real
-    coordinates r = U^dagger vec(rho) in this basis, and every real r gives
-    back an exactly Hermitian matrix.
+    E_ii (p = q, b = 0), then (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2)
+    for i < j (p at (i, j), q at (j, i)): real coordinates give Hermitian matrices.
     """
     i, j = np.triu_indices(d, 1)
-    s = 1.0 / np.sqrt(2.0)
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    sym, anti = np.arange(d, d + len(i)), np.arange(d + len(i), d * d)
-    basis[sym, i, j] = basis[sym, j, i] = s
-    basis[anti, i, j], basis[anti, j, i] = 1j * s, -1j * s
-    return basis.swapaxes(-1, -2).reshape(d * d, d * d).T  # column k is vec(B_k)
+    diag, upper, lower, s = np.arange(d) * (d + 1), i + j * d, j + i * d, 1.0 / np.sqrt(2.0)
+    p, q = np.concatenate([diag, upper, upper]), np.concatenate([diag, lower, lower])
+    counts = [d, len(i), len(i)]
+    return p, q, np.repeat([1.0, s, 1j * s], counts), np.repeat([0.0, s, -1j * s], counts)
+
+
+def _from_coordinates(r: np.ndarray, d: int) -> np.ndarray:
+    """vec of sum_k r_k B_k for each row r of an (N, d^2) array of real coordinates."""
+    p, q, a, b = _hermitian_pairs(d)
+    vecs = np.zeros(r.shape, dtype=complex)
+    np.add.at(vecs.T, np.concatenate([p, q]), np.concatenate([a * r, b * r], axis=-1).T)
+    return vecs
+
+
+def _bordered(lm: np.ndarray, d: int) -> np.ndarray:
+    """Re(U^dagger L U), vec(B_k) of _hermitian_pairs in column k of U, with row 0 set to Tr B_k.
+
+    Row 0 is the first population's, redundant as the population rows of L
+    sum to zero. Each entry is a +-sum of up to four real or imaginary parts
+    of L's entries, scaled once by 1, 1/sqrt(2) or 1/2: scaling first would
+    leave rounding of the largest entries (1e183 at zeta 1e200) where they cancel.
+    """
+    p, q, a, b = _hermitian_pairs(d)
+    off = (b != 0).astype(int)
+    a, b = a / abs(a), b / abs(a)  # 0, +-1 or +-i: multiplying by them is exact
+    scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units
+    out = np.empty(lm.shape)
+    for k in np.array_split(np.arange(lm.shape[-1]), max(1, lm.size // 2**14)):  # 256 kB temporaries
+        half = a[k, None].conj() * lm[:, p[k]] + b[k, None].conj() * lm[:, q[k]]
+        out[:, k] = (half[..., p] * a + half[..., q] * b).real * scale[off[k, None] + off]
+    out[:, 0] = 1 - off
+    return out
 
 
 def evolve(
@@ -213,12 +238,14 @@ def evolve(
     For the linear equation d vec(rho)/dt = L vec(rho), one RK4 step is
     exactly the matrix P = sum_{k<=4} (dt L)^k / k!. It is formed once, from
     one Liouvillian, and written in a real orthonormal basis of Hermitian
-    matrices (_hermitian_basis), so each step is one real matrix-vector
+    matrices (_hermitian_pairs), so each step is one real matrix-vector
     product and the state stays Hermitian by construction. The increment
     P - I is kept apart from the identity: rounding P itself would move its
     fixed point by about 1e-16 / (dt * gap of L), 1e-12 at dt = 1e-3. The
     trace is checked after every step and never renormalized; drift beyond
-    DRIFT_ABORT, or a NaN trace, aborts the run. The run takes
+    DRIFT_ABORT, or a NaN trace, aborts the run, and a spectral radius of P
+    above 1 + STABILITY_SLACK aborts it before the first step, as the drift
+    shows a growing mode only after a growth of ~1e10. The run takes
     round(t_final / dt) steps, at least one when t_final > 0.
     ``_observer(step, t, matrix, drift)`` is called after every ``_every``-th
     step and after the last one.
@@ -231,11 +258,14 @@ def evolve(
     d = m.space.dim
     eye = np.eye(d * d)
     increment = a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))  # P - I
-    u = _hermitian_basis(d)
-    uh = u.conj().T
-    increment = (uh @ increment @ u).real
-    trace_row = (_vec(np.eye(d)) @ u).real
-    r = (uh @ _vec(rho0.matrix.astype(complex))).real
+    u = _from_coordinates(eye, d).T  # column k is vec(B_k)
+    increment = (u.conj().T @ increment @ u).real
+    finite = np.isfinite(increment).all()  # a non-finite P is left to the trace check
+    radius = np.abs(np.linalg.eigvals(eye + increment)).max() if finite else 1.0
+    if radius > 1.0 + STABILITY_SLACK:
+        raise IntegrationError(f"RK4 step spectral radius {radius:.6g} > 1; reduce dt below {dt:g}")
+    trace_row = (np.arange(d * d) < d) * 1.0  # Tr B_k
+    r = (u.conj().T @ rho0.matrix.ravel(order="F")).real
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     for step in range(1, nsteps + 1):
         r = r + increment @ r

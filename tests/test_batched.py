@@ -10,7 +10,7 @@ from stationarity_oracle import solve_linear_system
 from polent import cli, lindblad
 from polent.cli import main
 from polent.entangle import negativity
-from polent.lindblad import build_liouvillian, effective_basis, effective_liouvillians
+from polent.lindblad import build_liouvillian, effective_basis, effective_liouvillians, steady_state
 from polent.model import DimensionlessParams, build_effective_model
 from polent.qops import TWO_QUBITS, DensityMatrix
 
@@ -75,8 +75,8 @@ def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):
     zs, xs = np.linspace(2.5, 10.0, 7), np.linspace(0.0, 4.0, 9)
     zeta, xi1 = np.repeat(zs, 9), np.tile(xs, 7)
     stack = effective_liouvillians(effective_basis(), zeta, xi1, np.zeros_like(zeta))
-    gaps = np.linalg.svd(stack.matrix, compute_uv=False)[:, -2]
-    floor = 1.1  # gaps along zeta = 2.5 are 2, 1.57, 1.24, 1.09, ...
+    gaps = steady_state(stack).gap
+    floor = 0.51  # certified gaps along zeta = 2.5 are 0.5145, 0.5093, 0.5204, ...
     first = int(np.argmax(gaps <= floor))
     assert first % 4 != 0  # inside a block of 4, not at its start
     monkeypatch.setattr(lindblad, "GAP_FLOOR", floor)

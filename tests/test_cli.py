@@ -306,6 +306,17 @@ def test_dynamics_usage_and_failure_exits(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_dynamics_names_an_unstable_dt_before_stepping(tmp_path, capsys):
+    # at dt = 0.14 the RK4 step matrix has spectral radius 1.27 on the ridge: the
+    # state turns non-positive long before the trace drift would show it
+    out = tmp_path / "d.csv"
+    assert main(["dynamics", "--zeta", "10", "--xi1", "2.135", "--dt", "0.14",
+                 "--t-final", "30", "--sample-every", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and err.endswith("reduce dt below 0.14\n")
+    assert not out.exists()
+
+
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,12 +1,14 @@
 """Tests for the Liouvillian builder, steady-state solver, and integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polent import lindblad
 from polent.analytic import closed_form
 from polent.lindblad import (
-    DRIFT_ABORT,
     DegenerateSteadyStateError,
     IntegrationError,
     Liouvillian,
@@ -170,6 +172,80 @@ def test_steady_state_degenerate_raises():
         steady_state(build_liouvillian(m))
 
 
+def dense_hermitian_basis(d):
+    # column k is vec(B_k): E_ii, then (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2) for i < j
+    i, j = np.triu_indices(d, 1)
+    s = 1.0 / np.sqrt(2.0)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    sym, anti = np.arange(d, d + len(i)), np.arange(d + len(i), d * d)
+    basis[sym, i, j] = basis[sym, j, i] = s
+    basis[anti, i, j], basis[anti, j, i] = 1j * s, -1j * s
+    return basis.swapaxes(-1, -2).reshape(d * d, d * d).T
+
+
+@pytest.mark.parametrize("d, count", [(2, 3), (4, 3), (12, 2)])  # (12, 2) takes two row blocks
+def test_bordered_system_is_l_in_the_hermitian_basis(d, count):
+    rng = np.random.default_rng(d)
+    lm = rng.normal(size=(count, d * d, d * d)) + 1j * rng.normal(size=(count, d * d, d * d))
+    u = dense_hermitian_basis(d)
+    assert np.array_equal(lindblad._from_coordinates(np.eye(d * d), d).T, u)
+    bordered = lindblad._bordered(lm, d)
+    assert np.abs(bordered[:, 1:] - (u.conj().T @ lm @ u).real[:, 1:]).max() <= 1e-13
+    assert np.array_equal(bordered[:, 0], np.broadcast_to(np.arange(d * d) < d, (count, d * d)))
+
+
+@pytest.mark.parametrize("degenerate", ["zero", "one_qubit_decay"])
+def test_degenerate_member_of_a_stack_is_named(degenerate):
+    # the zero Liouvillian makes the bordered system exactly singular, which
+    # inv refuses for the whole stack; one-qubit decay leaves a near-null pair
+    good = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135))).matrix
+    jump = np.sqrt(2) * np.kron(IDENTITY_2, SIGMA_MINUS)
+    decay_one = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), (jump,))
+    bad = {"zero": np.zeros((16, 16)), "one_qubit_decay": build_liouvillian(decay_one).matrix}
+    stack = Liouvillian(TWO_QUBITS, np.stack([good, good, bad[degenerate], good, bad[degenerate]]))
+    with pytest.raises(DegenerateSteadyStateError, match=r"\(Liouvillian 2 of a stack of 5\)"):
+        steady_state(stack)
+
+
+def test_steady_state_keeps_the_small_entries_at_extreme_scale():
+    # at (zeta, xi1) = (1e200, 1e100) the decay entries are 1e-200 of the
+    # largest ones; the closed form there is ee = ge = eg = 1/5, gg = 2/5 and
+    # rho_(ee,gg) = i/5 (|xi|^2 = zeta, D = 5 zeta^2)
+    model = build_effective_model(DimensionlessParams(1e200, 1e100))
+    rho = steady_state(build_liouvillian(model)).rho
+    expected = np.diag([0.2, 0.2, 0.2, 0.4]).astype(complex)
+    expected[0, 3], expected[3, 0] = 0.2j, -0.2j
+    assert np.abs(rho.matrix - expected).max() <= 1e-12
+
+
+def test_stationarity_residuals_scale_exactly_and_do_not_overflow():
+    liouv = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135, 0.6)))
+    ground = ground_pair().matrix
+    res = stationarity_residuals(liouv, ground)[0]
+    assert res > 1.0
+    # the defect of 2^1000 L squares to inf; its norm must still be exact
+    for k in (-1000, 500, 1000):
+        scaled = Liouvillian(TWO_QUBITS, 2.0**k * liouv.matrix)
+        assert stationarity_residuals(scaled, ground)[0] == np.ldexp(res, k)
+    huge = stationarity_residuals(Liouvillian(TWO_QUBITS, 1e300 * liouv.matrix), ground)[0]
+    assert np.isfinite(huge) and abs(huge / (1e300 * res) - 1.0) <= 1e-14
+
+
+def test_steady_state_memory_stays_near_one_matrix_above_l():
+    # the real route needs the bordered real matrix and its inverse, 1.0
+    # complex n^2 matrices; a complex inverse needed 3.0
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6)))
+    n = liouv.matrix.shape[-1]
+    tracemalloc.start()
+    try:
+        steady_state(liouv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 16
+
+
 def test_evolve_constant_under_zero_generator():
     m = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), ())
     rng = np.random.default_rng(4)
@@ -260,20 +336,23 @@ def test_evolve_observer_cadence():
 
 
 def test_evolve_aborts_at_the_first_bad_step_even_when_unobserved():
+    # dt = 0.5 is outside the stability region of RK4 here, so the run stops
+    # before its first step and no observer is called, whatever its cadence
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    drifts = []
-    with pytest.raises(IntegrationError) as every_step:
-        evolve(m, ground_pair(), t_final=20.0, dt=0.5,
-               _observer=lambda step, t, mat, drift: drifts.append(drift))
-    assert drifts and max(drifts) <= DRIFT_ABORT
-    # the run stopped at the step after the last observed one
-    assert f"at t = {(len(drifts) + 1) * 0.5:.6g} " in str(every_step.value)
-    seen = []
-    with pytest.raises(IntegrationError) as unobserved:
-        evolve(m, ground_pair(), t_final=20.0, dt=0.5,
-               _observer=lambda *args: seen.append(args), _every=1000)
-    assert seen == []
-    assert str(unobserved.value) == str(every_step.value)
+    messages = []
+    for every in (1, 1000):
+        seen = []
+        with pytest.raises(IntegrationError,
+                           match=r"spectral radius \S+ > 1; reduce dt below 0\.5$") as exc:
+            evolve(m, ground_pair(), t_final=20.0, dt=0.5,
+                   _observer=lambda *args: seen.append(args), _every=every)
+        assert seen == []
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    # the stability edge lies between dt = 0.13 and 0.14 (spectral radius 1.27)
+    evolve(m, ground_pair(), t_final=30.0, dt=0.13)
+    with pytest.raises(IntegrationError, match=r"spectral radius 1\.27"):
+        evolve(m, ground_pair(), t_final=30.0, dt=0.14)
 
 
 def test_evolve_aborts_on_a_nan_trace():

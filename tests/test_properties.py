@@ -13,11 +13,13 @@ from polent.analytic import closed_form
 from polent.cli import main
 from polent.entangle import concurrence, negativity
 from polent.lindblad import (
+    build_liouvillian,
     effective_basis,
     effective_liouvillians,
     stationarity_residuals,
     steady_state,
 )
+from polent.model import PhysicalParams, build_full_model
 from polent.qops import TWO_QUBITS, DensityMatrix
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -55,6 +57,54 @@ def test_entanglement_depends_on_the_drive_modulus_only(pts):
     assert np.abs(turned.matrix - gauged).max() <= 1e-12
     assert np.abs(concurrence(turned) - concurrence(real)).max() <= 1e-12
     assert np.abs(negativity(turned) - negativity(real)).max() <= 1e-12
+
+
+@SETTINGS
+@given(points)
+def test_steady_state_is_swap_symmetric(pts):
+    # both qubits see the same hopping, drive and decay
+    zeta, xi1, xi2 = np.array(pts).T
+    rho = steady_state(effective_liouvillians(BASIS, zeta, xi1, xi2)).rho.matrix
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    assert np.abs(swap @ rho @ swap - rho).max() <= 1e-12
+
+
+def _haar_qubit_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+@SETTINGS
+@given(points, st.integers(0, 2**32 - 1))
+def test_concurrence_is_invariant_under_local_unitaries(pts, seed):
+    zeta, xi1, xi2 = np.array(pts).T
+    rho = closed_form(zeta, xi1, xi2)
+    rng = np.random.default_rng(seed)
+    u = np.stack([np.kron(_haar_qubit_unitary(rng), _haar_qubit_unitary(rng)) for _ in rho])
+    turned = u @ rho @ u.conj().swapaxes(-1, -2)
+    # sqrt(eps) ~ 1.5e-8: the square roots of eigenvalues of rho that are 0
+    # up to rounding move C by at most that much
+    before, after = (concurrence(DensityMatrix(TWO_QUBITS, m)) for m in (rho, turned))
+    assert np.abs(after - before).max() <= 1e-8
+
+
+@SETTINGS
+@given(points)
+def test_gap_bounds_the_second_singular_value_of_effective_stacks(pts):
+    zeta, xi1, xi2 = np.array(pts).T
+    liouv = effective_liouvillians(BASIS, zeta, xi1, xi2)
+    second = np.linalg.svd(liouv.matrix, compute_uv=False)[:, -2]
+    assert (steady_state(liouv).gap <= second * (1 + 1e-12)).all()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(st.builds(PhysicalParams, st.floats(0.1, 3.0), st.floats(-20.0, 20.0), st.floats(0.5, 20.0),
+                 st.floats(0.01, 1.0), st.complex_numbers(max_magnitude=1.0), st.integers(2, 4)))
+def test_gap_bounds_the_second_singular_value_of_full_models(p):
+    liouv = build_liouvillian(build_full_model(p))
+    second = np.linalg.svd(liouv.matrix, compute_uv=False)[-2]
+    assert steady_state(liouv).gap <= second * (1 + 1e-12)
 
 
 # every float, inf and NaN, and values at the scales where products overflow
