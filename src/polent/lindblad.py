@@ -5,7 +5,15 @@ the Liouvillian built from the model (stationarity_residuals); the
 closed-form and numeric routes are both checked against it.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho), with
-vec(rho) = rho.ravel(order="F").
+vec(rho) = rho.ravel(order="F"). With A = -iH - 1/2 sum_j J_j^dagger J_j, the
+Liouvillian is
+
+    L = I kron A + conj(A) kron I + sum_j conj(J_j) kron J_j,
+
+because -i[H, rho] - 1/2 {J^dagger J, rho} = A rho + rho A^dagger for Hermitian
+H and J^dagger J. build_liouvillian writes the Kronecker sum into the
+diagonal blocks of one zero matrix and adds each conj(J) kron J only at the
+products of J's nonzero entries, so no dense Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DimensionlessParams, LindbladModel, build_effective_model
-from .qops import TWO_QUBITS, DensityMatrix, HilbertSpace
+from .qops import TWO_QUBITS, DensityMatrix, HilbertSpace, InvalidStateError
 
 GAP_FLOOR = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -29,7 +37,7 @@ class DegenerateSteadyStateError(Exception):
 
 
 class IntegrationError(Exception):
-    """The fixed-step integrator lost the trace beyond the abort threshold."""
+    """The fixed-step integrator went unstable, lost the trace or left the density matrices."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,24 +76,37 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
-def _commutator(h: np.ndarray) -> np.ndarray:
-    # -i[H, .] as a superoperator
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def _kronecker_sum(a: np.ndarray) -> np.ndarray:
+    """I kron A + conj(A) kron I, written into one new zero matrix.
+
+    In the (d, d, d, d) view of L, I kron A is A on the blocks [i, :, i, :]
+    and conj(A) kron I is conj(A) on [:, k, :, k]; both are writable
+    diagonal views, so only the (d^2, d^2) result is allocated.
+    """
+    d = a.shape[0]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    blocks = out.reshape(d, d, d, d)
+    np.einsum("ikil->ikl", blocks)[...] += a
+    np.einsum("ikjk->kij", blocks)[...] += a.conj()
+    return out
 
 
 def build_liouvillian(m: LindbladModel) -> Liouvillian:
-    """Assemble -i[H, .] plus the jump dissipators as one superoperator matrix."""
-    h = m.hamiltonian
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    mat = _commutator(h)
+    """Assemble -i[H, .] plus the jump dissipators as one superoperator matrix.
+
+    Each conj(J) kron J is added at the products of J's nonzero entries
+    only; these positions are distinct, so one fancy-indexed += adds each
+    product once, and a dense J gives the terms of np.kron.
+    """
+    d = m.space.dim
+    a = -1j * m.hamiltonian
     for jump in m.jumps:
-        if jump.shape != h.shape:
-            raise ValueError(f"jump shape {jump.shape} does not match Hamiltonian {h.shape}")
-        jdj = jump.conj().T @ jump
-        mat += np.kron(jump.conj(), jump)
-        mat -= 0.5 * (np.kron(eye, jdj) + np.kron(jdj.T, eye))
+        a -= 0.5 * (jump.conj().T @ jump)
+    mat = _kronecker_sum(a)
+    for jump in m.jumps:
+        rows, cols = np.nonzero(jump)
+        values = jump[rows, cols]
+        mat[rows[:, None] * d + rows, cols[:, None] * d + cols] += values.conj()[:, None] * values
     return Liouvillian(m.space, mat)
 
 
@@ -93,15 +114,17 @@ def effective_basis() -> np.ndarray:
     """(L0, Lz, Lx1, Lx2): the reduced model's Liouvillian is L0 + zeta Lz + xi1 Lx1 + xi2 Lx2.
 
     L0 is build_liouvillian of the undriven, uncoupled model; each other
-    term is the commutator with the model's Hamiltonian at one unit
-    parameter, so build_effective_model stays the only source of the model.
+    term is -i[H, .], the Kronecker sum of -iH, with the model's Hamiltonian
+    at one unit parameter, so build_effective_model stays the only source of
+    the model and both share build_liouvillian's assembly.
     Each entry of L depends on at most one parameter, so the affine sum
     equals build_liouvillian at every point bit for bit.
     """
     base = build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0))).matrix
     units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     return np.stack([base] + [
-        _commutator(build_effective_model(DimensionlessParams(*u)).hamiltonian) for u in units
+        _kronecker_sum(-1j * build_effective_model(DimensionlessParams(*u)).hamiltonian)
+        for u in units
     ])
 
 
@@ -245,7 +268,9 @@ def evolve(
     trace is checked after every step and never renormalized; drift beyond
     DRIFT_ABORT, or a NaN trace, aborts the run, and a spectral radius of P
     above 1 + STABILITY_SLACK aborts it before the first step, as the drift
-    shows a growing mode only after a growth of ~1e10. The run takes
+    shows a growing mode only after a growth of ~1e10. RK4 does not keep
+    positivity, so an InvalidStateError from the observer or from the final
+    state becomes an IntegrationError that names t and dt. The run takes
     round(t_final / dt) steps, at least one when t_final > 0.
     ``_observer(step, t, matrix, drift)`` is called after every ``_every``-th
     step and after the last one.
@@ -267,15 +292,21 @@ def evolve(
     trace_row = (np.arange(d * d) < d) * 1.0  # Tr B_k
     r = (u.conj().T @ rho0.matrix.ravel(order="F")).real
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
-    for step in range(1, nsteps + 1):
-        r = r + increment @ r
-        drift = abs(trace_row @ r - 1.0)
-        # "not <=" instead of ">" so a NaN trace (overflowed state) also aborts
-        if not drift <= DRIFT_ABORT:
-            raise IntegrationError(
-                f"trace drift {drift:.3e} at t = {step * dt:.6g} exceeds "
-                f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
-            )
-        if _observer is not None and (step % _every == 0 or step == nsteps):
-            _observer(step, step * dt, _unvec(u @ r, d), drift)
-    return DensityMatrix(m.space, _unvec(u @ r, d))
+    step = 0
+    try:
+        for step in range(1, nsteps + 1):
+            r = r + increment @ r
+            drift = abs(trace_row @ r - 1.0)
+            # "not <=" instead of ">" so a NaN trace (overflowed state) also aborts
+            if not drift <= DRIFT_ABORT:
+                raise IntegrationError(
+                    f"trace drift {drift:.3e} at t = {step * dt:.6g} exceeds "
+                    f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
+                )
+            if _observer is not None and (step % _every == 0 or step == nsteps):
+                _observer(step, step * dt, _unvec(u @ r, d), drift)
+        return DensityMatrix(m.space, _unvec(u @ r, d))
+    except InvalidStateError as exc:  # a stable step can still overshoot a fast transient
+        raise IntegrationError(
+            f"state at t = {step * dt:.6g} is not a density matrix ({exc}); reduce dt below {dt:g}"
+        ) from exc

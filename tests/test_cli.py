@@ -317,6 +317,19 @@ def test_dynamics_names_an_unstable_dt_before_stepping(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", ["0.1", "0.05"])
+def test_dynamics_names_dt_when_the_state_loses_positivity(tmp_path, capsys, dt):
+    # a stable step that overshoots the early transient: the first state has
+    # a negative eigenvalue (-1.1e-3 at dt = 0.1, -5.2e-5 at dt = 0.05)
+    out = tmp_path / "d.csv"
+    assert main(["dynamics", "--zeta", "10", "--xi1", "2.135", "--dt", dt,
+                 "--t-final", "30", "--sample-every", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: state at t = ")
+    assert "negative eigenvalue" in err and err.endswith(f"reduce dt below {dt}\n")
+    assert not out.exists()
+
+
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

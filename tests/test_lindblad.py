@@ -67,6 +67,54 @@ def rk4_reference(m, rho0, nsteps, dt):
     return v.reshape(d, d, order="F")
 
 
+def dense_liouvillian(m):
+    # the textbook assembly, one dense Kronecker product per term:
+    # -i(I kron H - H^T kron I) + sum_j conj(J) kron J - 1/2 (I kron J^dag J + (J^dag J)^T kron I)
+    h = m.hamiltonian
+    eye = np.eye(h.shape[0], dtype=complex)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for jump in m.jumps:
+        jdj = jump.conj().T @ jump
+        mat += np.kron(jump.conj(), jump)
+        mat -= 0.5 * (np.kron(eye, jdj) + np.kron(jdj.T, eye))
+    return mat
+
+
+def random_jump(rng, d, kind):
+    jump = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "sparse":  # about one entry in three
+        jump *= rng.random((d, d)) < 0.35
+    elif kind == "explicit_zeros":  # dense storage with whole rows and a column of zeros
+        jump[::2] = 0.0
+        jump[:, -1] = 0.0
+    return jump
+
+
+def assert_matches_dense(m):
+    lm, dense = build_liouvillian(m).matrix, dense_liouvillian(m)
+    assert np.abs(lm - dense).max() <= 1e-15 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (5,), (2, 3)], ids=lambda dims: f"d{np.prod(dims)}")
+@pytest.mark.parametrize("kinds", [(), ("dense",), ("sparse", "sparse"), ("explicit_zeros",),
+                                   ("dense", "sparse", "explicit_zeros")],
+                         ids=lambda kinds: "-".join(kinds) or "no_jumps")
+def test_build_liouvillian_matches_the_dense_kronecker_formula(dims, kinds):
+    space = HilbertSpace(dims)
+    d = space.dim
+    rng = np.random.default_rng([d, len(kinds)])
+    for _ in range(3):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert_matches_dense(LindbladModel(space, g + g.conj().T,
+                                           tuple(random_jump(rng, d, k) for k in kinds)))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_build_liouvillian_matches_the_dense_formula_on_full_models(n_max):
+    p = PhysicalParams(j=1.3, delta=-7.0, kappa=4.0, gamma=0.02, alpha=0.6 - 0.45j, n_max=n_max)
+    assert_matches_dense(build_full_model(p))
+
+
 def test_liouvillian_zero_model():
     m = LindbladModel(ONE_QUBIT, np.zeros((2, 2)), ())
     lv = build_liouvillian(m)
@@ -246,6 +294,20 @@ def test_steady_state_memory_stays_near_one_matrix_above_l():
     assert peak <= 1.5 * n * n * 16
 
 
+def test_build_liouvillian_memory_stays_near_two_matrices():
+    # the assembled matrix and the copy Liouvillian keeps, 2.0 complex n^2
+    # matrices; summing dense Kronecker products needed 4.0
+    model = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6))
+    n = model.space.dim**2
+    tracemalloc.start()
+    try:
+        build_liouvillian(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * n * n * 16
+
+
 def test_evolve_constant_under_zero_generator():
     m = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), ())
     rng = np.random.default_rng(4)
@@ -353,6 +415,18 @@ def test_evolve_aborts_at_the_first_bad_step_even_when_unobserved():
     evolve(m, ground_pair(), t_final=30.0, dt=0.13)
     with pytest.raises(IntegrationError, match=r"spectral radius 1\.27"):
         evolve(m, ground_pair(), t_final=30.0, dt=0.14)
+
+
+def test_evolve_names_t_and_dt_when_a_state_is_not_a_density_matrix():
+    # dt = 0.1 is inside RK4's stability region, but one step from the ground
+    # state at (10, 2.135) overshoots to a negative eigenvalue
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    message = r"^state at t = 0\.1 is not a density matrix \(negative eigenvalue .*\); reduce dt below 0\.1$"
+    with pytest.raises(IntegrationError, match=message):
+        evolve(m, ground_pair(), t_final=0.1, dt=0.1)  # the final state
+    with pytest.raises(IntegrationError, match=message):
+        evolve(m, ground_pair(), t_final=30.0, dt=0.1,
+               _observer=lambda step, t, mat, drift: DensityMatrix(TWO_QUBITS, mat))
 
 
 def test_evolve_aborts_on_a_nan_trace():

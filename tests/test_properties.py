@@ -13,13 +13,15 @@ from polent.analytic import closed_form
 from polent.cli import main
 from polent.entangle import concurrence, negativity
 from polent.lindblad import (
+    IntegrationError,
     build_liouvillian,
     effective_basis,
     effective_liouvillians,
+    evolve,
     stationarity_residuals,
     steady_state,
 )
-from polent.model import PhysicalParams, build_full_model
+from polent.model import DimensionlessParams, PhysicalParams, build_effective_model, build_full_model
 from polent.qops import TWO_QUBITS, DensityMatrix
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -105,6 +107,23 @@ def test_gap_bounds_the_second_singular_value_of_full_models(p):
     liouv = build_liouvillian(build_full_model(p))
     second = np.linalg.svd(liouv.matrix, compute_uv=False)[-2]
     assert steady_state(liouv).gap <= second * (1 + 1e-12)
+
+
+@SETTINGS
+@given(zetas, components, components, st.floats(0.01, 1.0), st.integers(1, 200))
+def test_rk4_keeps_the_trace_to_rounding_at_every_step(zeta, xi1, xi2, fraction, nsteps):
+    # |dt lambda| <= fraction for every eigenvalue lambda of L: inside RK4's
+    # stability region, where vec(I)^T P = vec(I)^T leaves only rounding
+    model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
+    dt = fraction / np.linalg.norm(build_liouvillian(model).matrix, 2)
+    ground = DensityMatrix(TWO_QUBITS, np.diag([0.0, 0.0, 0.0, 1.0]))
+    drifts = []
+    try:
+        evolve(model, ground, nsteps * dt, dt, _observer=lambda step, t, mat, drift: drifts.append(drift))
+    except IntegrationError as exc:  # a coarse step may overshoot positivity, never the trace
+        assert "is not a density matrix" in str(exc)
+    assert len(drifts) == nsteps
+    assert max(drifts) <= 1e-13
 
 
 # every float, inf and NaN, and values at the scales where products overflow
