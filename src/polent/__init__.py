@@ -50,7 +50,6 @@ from .qops import (
     DensityMatrix,
     HilbertSpace,
     InvalidStateError,
-    Operator,
     partial_trace,
     partial_transpose,
     trace_distance,
@@ -69,7 +68,6 @@ __all__ = [
     "LindbladModel",
     "Liouvillian",
     "NotEntangledError",
-    "Operator",
     "PAULI_LABELS",
     "PhysicalParams",
     "SIGMA_MINUS",

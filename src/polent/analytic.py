@@ -1,10 +1,8 @@
 """Exact steady state of the reduced two-qubit model.
 
-The density matrix is parametrized by 15 real numbers (populations A, E, H
-and seven complex coherences split into real/imaginary parts), which
-_matrices lays out as 4x4 Hermitian matrices. closed_form gives the
-stationary state at every complex drive xi = xi1 + i xi2, from one formula
-in xi: the drive phase is a local gauge. Its stationarity is checked as
+closed_form gives the stationary state at every complex drive
+xi = xi1 + i xi2 as a stack of 4x4 Hermitian matrices, from one formula in
+xi: the drive phase is a local gauge. Its stationarity is checked as
 ||L vec(rho)|| against the Liouvillian that lindblad builds from the model
 (lindblad.stationarity_residuals), so the equation of motion is written
 down once, in model.
@@ -13,28 +11,6 @@ down once, in model.
 from __future__ import annotations
 
 import numpy as np
-
-_FIELDS = ("a", "b1", "b2", "c1", "c2", "d1", "d2", "e", "f1", "f2", "g1", "g2", "h", "i1", "i2")
-_IDX = {name: k for k, name in enumerate(_FIELDS)}
-
-# (position, field) of the free populations, and (row, column, index of the
-# real part) of the upper-triangle coherences; gg is 1 - a - e - h
-_DIAGONAL = ((0, _IDX["a"]), (1, _IDX["e"]), (2, _IDX["h"]))
-_UPPER = ((0, 1, _IDX["b1"]), (0, 2, _IDX["c1"]), (0, 3, _IDX["d1"]),
-          (1, 2, _IDX["f1"]), (1, 3, _IDX["g1"]), (2, 3, _IDX["i1"]))
-
-
-def _matrices(v) -> np.ndarray:
-    """(..., 15) parameter vectors in _FIELDS order to (..., 4, 4) Hermitian matrices."""
-    v = np.asarray(v, dtype=float)
-    m = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
-    for k, i in _DIAGONAL:
-        m[..., k, k] = v[..., i]
-    m[..., 3, 3] = 1.0 - v[..., _IDX["a"]] - v[..., _IDX["e"]] - v[..., _IDX["h"]]
-    for r, c, i in _UPPER:
-        m[..., r, c] = v[..., i] + 1j * v[..., i + 1]
-        m[..., c, r] = v[..., i] - 1j * v[..., i + 1]
-    return m
 
 
 def closed_form(zeta, xi1, xi2=0.0) -> np.ndarray:
@@ -58,11 +34,18 @@ def closed_form(zeta, xi1, xi2=0.0) -> np.ndarray:
         # numerator / D multiplies by a reciprocal and is not bit for bit
         return numerator.real / d, numerator.imag / d
 
+    ee = x2 * x2 / d
     pop = (x2 + x2 * x2) / d
     ee_ge = parts(-1j * xi * x2)
     ge_gg = parts(-(z * xi + 1j * (xi + xi * x2)))
-    return _matrices(np.stack([
-        x2 * x2 / d, *ee_ge, *ee_ge, *parts(xi * xi * (-1.0 + 1j * z)),
-        pop, x2 / d, np.zeros_like(d), *ge_gg,
-        pop, *ge_gg,
-    ], axis=-1))
+    m = np.zeros(d.shape + (4, 4), dtype=complex)
+    m[:, 0, 0] = ee
+    m[:, 1, 1] = m[:, 2, 2] = pop
+    m[:, 3, 3] = 1.0 - ee - pop - pop
+    m[:, 1, 2] = m[:, 2, 1] = x2 / d
+    for r, c, (re, im) in ((0, 1, ee_ge), (0, 2, ee_ge), (1, 3, ge_gg), (2, 3, ge_gg),
+                           (0, 3, parts(xi * xi * (-1.0 + 1j * z)))):
+        # re - 1j im, not conj(), which flips the sign of a zero imaginary part; reports print it
+        m[:, r, c] = re + 1j * im
+        m[:, c, r] = re - 1j * im
+    return m

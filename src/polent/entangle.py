@@ -16,7 +16,6 @@ from .qops import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    Operator,
     partial_transpose,
 )
 
@@ -60,26 +59,23 @@ def _pauli_coefficients(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Hermitian operator, negative on a target state, nonnegative on separables."""
+    """W = sum c[j, k] sigma^j x sigma^k, negative on a target state, nonnegative on separables.
 
-    op: Operator
+    Tr[W rho] is a sum of the local Pauli correlations of rho; the matrix W is never formed.
+    """
+
     coefficients: np.ndarray  # 4x4 real, indexed by PAULI_LABELS x PAULI_LABELS
 
     def __post_init__(self):
         c = np.array(self.coefficients, dtype=float)
         if c.shape != (4, 4):
             raise ValueError(f"coefficient array must be 4x4, got {c.shape}")
-        m = self.op.matrix
-        if np.linalg.norm(m - m.conj().T) > WITNESS_TOL:
-            raise ValueError("witness operator is not Hermitian within tolerance")
-        rebuilt = np.einsum("jk,jkab->ab", c, _PAIRS)
-        if np.linalg.norm(rebuilt - m) > WITNESS_TOL:
-            raise ValueError("coefficients do not reconstruct the operator")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
     def expectation(self, rho: DensityMatrix) -> float:
-        return float(np.trace(self.op.matrix @ rho.matrix).real)
+        # sum of c[j, k] <sigma^j x sigma^k>; _pauli_coefficients(rho) is the correlations / 4
+        return float(4.0 * np.sum(self.coefficients * _pauli_coefficients(rho.matrix)))
 
 
 def _check_two_qubits(rho: DensityMatrix, what: str) -> None:
@@ -116,7 +112,7 @@ def negativity(rho: DensityMatrix):
     Returns a float for one state and an array for a stack.
     """
     _check_two_qubits(rho, "negativity")
-    w = np.linalg.eigvalsh(partial_transpose(rho, _PT_SIDE).matrix)
+    w = np.linalg.eigvalsh(partial_transpose(rho, _PT_SIDE))
     return _per_state(-np.minimum(w, 0.0).sum(axis=-1) + 0.0)  # + 0.0 normalizes -0.0 when PPT
 
 
@@ -125,13 +121,16 @@ def construct_witness(rho: DensityMatrix) -> Witness:
 
     W is the partial transpose of that eigenvector's projector, so
     Tr[W rho] equals the negative eigenvalue and Tr[W sigma] >= 0 for every
-    separable sigma. The projector normalization leaves the Frobenius norm
-    of W at exactly 1. Ties in the bottom eigenvalue are broken toward the
-    eigenvector with the largest |ee> overlap, then the phase is fixed by
-    making the first nonzero component real-positive, for reproducibility.
+    separable sigma. Transposing qubit 2 (_PT_SIDE) maps its sigma_y to
+    -sigma_y and fixes id, x and z, so the coefficients of W are those of
+    the projector with the qubit-2 y column negated. The projector
+    normalization leaves the Frobenius norm of W at exactly 1. Ties in the
+    bottom eigenvalue are broken toward the eigenvector with the largest
+    |ee> overlap, then the phase is fixed by making the first nonzero
+    component real-positive, for reproducibility.
     """
     # the partial transpose of a validated state is exactly Hermitian
-    w, v = np.linalg.eigh(partial_transpose(rho, _PT_SIDE).matrix)
+    w, v = np.linalg.eigh(partial_transpose(rho, _PT_SIDE))
     if w[0] >= -DETECTION_FLOOR:
         raise NotEntangledError(
             f"partial transpose has no negative eigenvalue (lowest {w[0]:.3e})"
@@ -140,14 +139,13 @@ def construct_witness(rho: DensityMatrix) -> Witness:
     eta = v[:, ties[np.argmax(np.abs(v[0, ties]))]]
     lead = np.flatnonzero(np.abs(eta) > _TIE_TOL)[0]
     eta = eta * (eta[lead].conj() / abs(eta[lead]))
-    projector = DensityMatrix(rho.space, np.outer(eta, eta.conj()))
-    op = partial_transpose(projector, _PT_SIDE)
-    return Witness(op, pauli_decompose(op))
+    c = pauli_decompose(np.outer(eta, eta.conj()))
+    c[:, PAULI_LABELS.index("y")] *= -1.0
+    return Witness(c)
 
 
-def pauli_decompose(w) -> np.ndarray:
-    """Real coefficients c[j, k] = Tr[w (sigma^j tensor sigma^k)] / 4."""
-    m = w if isinstance(w, np.ndarray) else w.matrix
+def pauli_decompose(m: np.ndarray) -> np.ndarray:
+    """Real coefficients c[j, k] = Tr[m (sigma^j tensor sigma^k)] / 4 of a Hermitian 4x4 m."""
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
     if np.linalg.norm(m - m.conj().T) > WITNESS_TOL:
@@ -174,7 +172,7 @@ def _bloch_vectors(u: np.ndarray) -> np.ndarray:
 
 
 def separable_floor(
-    w, n_pure: int = 10000, n_mixed: int = 1000, seed: int = SAMPLING_SEED
+    w: Witness, n_pure: int = 10000, n_mixed: int = 1000, seed: int = SAMPLING_SEED
 ) -> float:
     """Minimum witness expectation over sampled separable states.
 
@@ -184,11 +182,9 @@ def separable_floor(
     deterministic. A product state's expectation is the real bilinear form
     of its two Bloch vectors with the Pauli coefficients of W
     (_product_expectations). Samples are drawn and evaluated FLOOR_BLOCK at
-    a time, which bounds the temporaries and does not change the draws. For
-    a matrix that is not Hermitian this is the floor of its Hermitian part.
+    a time, which bounds the temporaries and does not change the draws.
     """
-    m = w.op.matrix if isinstance(w, Witness) else (w if isinstance(w, np.ndarray) else w.matrix)
-    c = _pauli_coefficients(m)
+    c = w.coefficients
     rng = np.random.default_rng(seed)
     floor = np.inf
     for start in range(0, n_pure, FLOOR_BLOCK):

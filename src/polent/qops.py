@@ -3,7 +3,9 @@
 Subsystems are indexed little-endian: subsystem 0 varies fastest in the
 composite basis. With the single-qubit basis ordered {|e>, |g>} this makes
 the two-qubit basis {|ee>, |ge>, |eg>, |gg>}, the first letter being qubit 1,
-and an operator acting on qubit 1 alone is np.kron(identity, op).
+and an operator acting on qubit 1 alone is np.kron(identity, op). An operator
+is a plain ndarray; DensityMatrix, the one wrapper, ties a validated state to
+its HilbertSpace.
 """
 
 from __future__ import annotations
@@ -54,25 +56,6 @@ class HilbertSpace:
 TWO_QUBITS = HilbertSpace((2, 2))
 
 
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, np.ndarray):
-        return op
-    return op.matrix
-
-
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """A square matrix tied to a HilbertSpace, or a stack of them; not required to be Hermitian."""
-
-    space: HilbertSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _stack_of(self.matrix, self.space.dim, ValueError)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated quantum state, or stack of states along the leading axis.
@@ -86,7 +69,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _stack_of(self.matrix, self.space.dim, InvalidStateError)
+        m, d = np.array(self.matrix, dtype=complex), self.space.dim
+        if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
+            raise InvalidStateError(f"matrix shape {m.shape} does not match space dimension {d}")
         states = m.reshape((-1,) + m.shape[-2:])
         herm = _frobenius(states - _dagger(states))
         tr = np.trace(states, axis1=-2, axis2=-1)
@@ -111,13 +96,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def _stack_of(matrix, d: int, error: type[Exception]) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
-        raise error(f"matrix shape {m.shape} does not match space dimension {d}")
-    return m
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -128,24 +106,23 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1)))
 
 
-def partial_transpose(rho, subsystem: int) -> Operator:
-    """Transpose the indices of one subsystem, of one operator or of a stack.
+def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
+    """Matrix of rho with the indices of one subsystem transposed, of one state or a stack.
 
-    Preserves trace and Hermiticity exactly (index moves plus conjugation);
-    the result need not be positive, which is the point of the map.
+    Preserves trace and Hermiticity exactly (index moves only); the result
+    need not be positive, which is the point of the map.
     """
-    space = rho.space
-    dims = space.dims
+    dims = rho.space.dims
     n = len(dims)
     if not 0 <= subsystem < n:
         raise ValueError(f"subsystem index {subsystem} outside 0..{n - 1}")
-    m = _as_matrix(rho)
+    m = rho.matrix
     lead = m.shape[:-2]  # stack axes, if any
     rev = dims[::-1]
     t = m.reshape(lead + rev + rev)
     # axis of subsystem k: row block n-1-k, column block 2n-1-k, after the stack axes
     t = np.swapaxes(t, len(lead) + n - 1 - subsystem, len(lead) + 2 * n - 1 - subsystem)
-    return Operator(space, t.reshape(m.shape))
+    return t.reshape(m.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -158,7 +135,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if kept[0] < 0 or kept[-1] >= n:
         raise ValueError(f"keep indices {kept} outside 0..{n - 1}")
     rev = dims[::-1]
-    t = _as_matrix(rho).reshape(rev + rev)
+    t = rho.matrix.reshape(rev + rev)
     letters = iter(string.ascii_lowercase)
     row, col = {}, {}
     for k in range(n):
@@ -174,8 +151,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(HilbertSpace(tuple(dims[k] for k in kept)), out.reshape(d, d))
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b) for Hermitian a, b."""
-    diff = _as_matrix(a) - _as_matrix(b)
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of (a - b)."""
+    diff = a.matrix - b.matrix
     diff = 0.5 * (diff + diff.conj().T)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

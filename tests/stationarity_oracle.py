@@ -1,14 +1,39 @@
 """The paper slice's 16 stationarity equations, typed by hand: a test oracle.
 
 The rows below are written out from the master equation at epsilon = eta = 0
-and share no code with polent.model or polent.lindblad, where the library
-derives the same equations as the Liouvillian L. The tests check the closed
-form and the numeric route against both encodings.
+and share no code with polent, where the library derives the same equations
+as the Liouvillian L. The tests check the closed form and the numeric route
+against both encodings.
+
+The unknowns are 15 real numbers: the populations a, e, h of ee, ge, eg and
+the real/imaginary parts of the six upper-triangle coherences, in _FIELDS
+order; gg is 1 - a - e - h. _matrices lays them out as 4x4 Hermitian
+matrices and _vectors reads them back.
 """
 
 import numpy as np
 
-from polent.analytic import _DIAGONAL, _IDX, _UPPER, _matrices
+_FIELDS = ("a", "b1", "b2", "c1", "c2", "d1", "d2", "e", "f1", "f2", "g1", "g2", "h", "i1", "i2")
+_IDX = {name: k for k, name in enumerate(_FIELDS)}
+
+# (position, field) of the free populations, and (row, column, index of the
+# real part) of the upper-triangle coherences
+_DIAGONAL = ((0, _IDX["a"]), (1, _IDX["e"]), (2, _IDX["h"]))
+_UPPER = ((0, 1, _IDX["b1"]), (0, 2, _IDX["c1"]), (0, 3, _IDX["d1"]),
+          (1, 2, _IDX["f1"]), (1, 3, _IDX["g1"]), (2, 3, _IDX["i1"]))
+
+
+def _matrices(v) -> np.ndarray:
+    """(..., 15) parameter vectors in _FIELDS order to (..., 4, 4) Hermitian matrices."""
+    v = np.asarray(v, dtype=float)
+    m = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
+    for k, i in _DIAGONAL:
+        m[..., k, k] = v[..., i]
+    m[..., 3, 3] = 1.0 - v[..., _IDX["a"]] - v[..., _IDX["e"]] - v[..., _IDX["h"]]
+    for r, c, i in _UPPER:
+        m[..., r, c] = v[..., i] + 1j * v[..., i + 1]
+        m[..., c, r] = v[..., i] - 1j * v[..., i + 1]
+    return m
 
 
 def _vectors(m: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ rather than from quoted numbers that no document in the repo supports.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 
@@ -293,7 +294,7 @@ def test_witness_properties(capsys):
     # W = (|eta><eta|)^{T_B}, so c[j, k] = <eta| sigma^j (x) (sigma^k)^T |eta> / 4; with
     # sigma^k in {id, z} the transpose is trivial and the single-qubit z terms are
     # <eta| z (x) id |eta> / 4 and <eta| id (x) z |eta> / 4
-    _, vecs = np.linalg.eigh(partial_transpose(rho, 1).matrix)
+    _, vecs = np.linalg.eigh(partial_transpose(rho, 1))
     eta = vecs[:, 0]
     z_one = float((eta.conj() @ pair_operator("z", "id") @ eta).real) / 4.0
     z_two = float((eta.conj() @ pair_operator("id", "z") @ eta).real) / 4.0
@@ -342,6 +343,6 @@ def test_sweep_determinism(capsys, tmp_path):
     _report(
         capsys, 9, ok,
         f"default 81x81 sweep: repeat run byte-identical {repeat_ok}, "
-        f"8-worker run byte-identical {workers_ok}",
+        f"--workers 8 run ({min(8, os.cpu_count() or 1)} processes) byte-identical {workers_ok}",
     )
     assert ok

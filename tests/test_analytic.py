@@ -1,12 +1,15 @@
 """Tests for the closed-form steady state against the hand-written 16-equation system."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stationarity_oracle import _vectors, equation_residuals, solve_linear_system
+from stationarity_oracle import _IDX, _matrices, _vectors, equation_residuals, solve_linear_system
 
-from polent.analytic import _IDX, _matrices, closed_form
+from polent.analytic import closed_form
 from polent.entangle import concurrence
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
@@ -131,3 +134,12 @@ def test_qubit_exchange_symmetry():
         v = _vectors(closed_form(3.0, 2.0, xi2)[0])
         for one, two in (("b1", "c1"), ("b2", "c2"), ("e", "h"), ("g1", "i1"), ("g2", "i2")):
             assert v[_IDX[one]] == v[_IDX[two]]
+
+
+def test_oracle_imports_nothing_from_polent():
+    # the 16 hand-written equations are an independent encoding only if they share no code
+    tree = ast.parse(Path(__file__).with_name("stationarity_oracle.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "polent"], imported

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import itertools
+import os
 import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polent import cli
 from polent.cli import main
 
 CSV_HEADER = "zeta,xi1,xi2,concurrence,negativity,purity,pop_ee,pop_ge,pop_eg,pop_gg,residual"
@@ -154,6 +157,42 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
     first = paths[0].read_bytes()
     assert first == paths[1].read_bytes()
     assert first == paths[2].read_bytes()
+
+
+class _InlineContext:
+    """A multiprocessing context whose pool records its size and runs tasks in-process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, tasks):
+        return list(itertools.starmap(func, tasks))
+
+
+def test_sweep_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    paths = [tmp_path / f"run{k}.csv" for k in range(2)]
+    grid = "0:10:4,0:4:4"
+    assert main(["sweep", "--grid", grid, "--out", str(paths[0])]) == 0
+    context = _InlineContext()
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert main(["sweep", "--grid", grid, "--workers", "10000", "--out", str(paths[1])]) == 0
+    assert context.sizes == [3]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # an unknown CPU count runs in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(["sweep", "--grid", grid, "--workers", "8", "--out", str(paths[1])]) == 0
+    assert context.sizes == [3]
 
 
 def test_sweep_usage_errors(tmp_path, capsys, recwarn):
@@ -334,3 +373,14 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):
+    # what numpy raises when a large --nmax outgrows the address space
+    def exhausted(liouvillian):
+        raise MemoryError("Unable to allocate 3.52 GiB for an array with shape (15376, 15376)")
+
+    monkeypatch.setattr(cli, "steady_state", exhausted)
+    assert main(["validate"]) == 3
+    assert capsys.readouterr().err == ("numerical failure: Unable to allocate 3.52 GiB for an "
+                                       "array with shape (15376, 15376)\n")

@@ -18,7 +18,7 @@ from polent.entangle import (
 )
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
-from polent.qops import SIGMA_Y, SIGMA_Z, TWO_QUBITS, DensityMatrix
+from polent.qops import SIGMA_Y, SIGMA_Z, TWO_QUBITS, DensityMatrix, partial_transpose
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
 BELL_RHO = DensityMatrix(TWO_QUBITS, np.outer(BELL, BELL.conj()))
@@ -132,8 +132,8 @@ def test_separable_mixtures_are_undetected():
 def test_witness_of_bell_state():
     w = construct_witness(BELL_RHO)
     assert_allclose(w.expectation(BELL_RHO), -0.5, atol=1e-12)
-    assert_allclose(np.linalg.norm(w.op.matrix), 1.0, atol=1e-12)
-    assert_allclose(w.op.matrix, w.op.matrix.conj().T, atol=1e-14)
+    # Tr[P_jk P_lm] = 4 delta, so ||W||_F = 1 means ||c||_F = 1/2
+    assert_allclose(np.linalg.norm(w.coefficients), 0.5, atol=1e-12)
     assert w.coefficients.shape == (4, 4)
     assert w.coefficients.dtype == np.float64
 
@@ -152,8 +152,34 @@ def test_witness_is_deterministic():
     rho = steady_state(build_liouvillian(model)).rho
     w1 = construct_witness(rho)
     w2 = construct_witness(rho)
-    assert np.array_equal(w1.op.matrix, w2.op.matrix)
     assert np.array_equal(w1.coefficients, w2.coefficients)
+
+
+def test_witness_matches_the_transposed_projector():
+    # the matrix route: W = (|eta><eta|)^{T_2} formed as a matrix, then decomposed
+    rng = np.random.default_rng(2901)
+    ranks = rng.integers(1, 5, size=1500)
+    states = []
+    for r in ranks:
+        g = rng.normal(size=(4, r)) + 1j * rng.normal(size=(4, r))
+        m = g @ g.conj().T
+        states.append(m / np.trace(m).real)
+    stack = DensityMatrix(TWO_QUBITS, np.array(states))
+    entangled = np.flatnonzero(negativity(stack) > 1e-6)
+    assert len(entangled) >= 1000
+    worst_c = worst_tr = worst_n = 0.0
+    for k in entangled:
+        rho = DensityMatrix(TWO_QUBITS, stack.matrix[k])
+        eta = np.linalg.eigh(partial_transpose(rho, 1))[1][:, 0]
+        eta = eta * (eta[0].conj() / abs(eta[0]))  # the library's phase convention
+        w = partial_transpose(DensityMatrix(TWO_QUBITS, np.outer(eta, eta.conj())), 1)
+        wit = construct_witness(rho)
+        worst_c = max(worst_c, np.abs(wit.coefficients - pauli_decompose(w)).max())
+        worst_tr = max(worst_tr, abs(wit.expectation(rho) - np.trace(w @ rho.matrix).real))
+        worst_n = max(worst_n, abs(wit.expectation(rho) + negativity(rho)))
+    assert worst_c <= 1e-16, worst_c
+    assert worst_tr <= 1e-15, worst_tr
+    assert worst_n <= 1e-14, worst_n
 
 
 def test_witness_rejects_separable_states():
@@ -167,7 +193,11 @@ def test_witness_rejects_separable_states():
 def test_witness_coefficient_consistency():
     w = construct_witness(BELL_RHO)
     with pytest.raises(ValueError):
-        Witness(w.op, w.coefficients + 0.1)
+        Witness(w.coefficients[:, :3])
+    with pytest.raises(ValueError):
+        Witness(w.coefficients.ravel())
+    assert np.array_equal(Witness(w.coefficients.tolist()).coefficients, w.coefficients)
+    assert not w.coefficients.flags.writeable
 
 
 def test_pauli_decompose_basis_elements():
@@ -257,8 +287,9 @@ def test_separable_floor_finds_a_negative_product_expectation():
     # z1, z2 gives -(1 + z1)(1 + z2)/4, which reaches -1 at |ee>
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = -1.0
-    assert -1.0 <= separable_floor(m) < -0.9
-    assert -1.0 <= separable_floor(m, n_pure=0) < -0.5
+    w = Witness(pauli_decompose(m))
+    assert -1.0 <= separable_floor(w) < -0.9
+    assert -1.0 <= separable_floor(w, n_pure=0) < -0.5
 
 
 def test_separable_floor_takes_empty_blocks():

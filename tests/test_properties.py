@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationarity_oracle import equation_residuals
+from stationarity_oracle import _matrices, _vectors, equation_residuals
 
 from polent.analytic import closed_form
 from polent.cli import main
@@ -43,6 +43,10 @@ def test_closed_form_is_the_stationary_state(pts):
     # the Liouvillian and the hand-written rows: two encodings of one equation
     assert stationarity_residuals(liouv, exact).max() <= 1e-12
     assert equation_residuals(zeta, xi1, xi2, exact).max() <= 1e-12
+    # the oracle's 15-parameter layout writes the same matrices, bit for bit up to
+    # the sign of a zero part: re + 1j im stores no -0 imaginary part, so a -0
+    # part (zero drive, zeta = -0, underflow) can come back as +0 or move its sign
+    assert np.array_equal(_matrices(_vectors(exact)), exact)
 
 
 @SETTINGS
