@@ -38,6 +38,7 @@ from .model import (
     build_effective_model,
     build_full_model,
     map_physical,
+    mode_lowering,
 )
 from .qops import (
     IDENTITY_2,
@@ -89,6 +90,7 @@ __all__ = [
     "effective_liouvillians",
     "evolve",
     "map_physical",
+    "mode_lowering",
     "negativity",
     "pair_operator",
     "partial_trace",

@@ -8,7 +8,10 @@ Subcommands
     dynamics  CSV time series of a relaxation run from both qubits in |g>
 
 Any flag can instead be given in a config file of flat ``key = value`` lines
-(keys match the long flag names); explicit flags win over file values.
+(keys match the long flag names); explicit flags win over file values. Each
+option has one converter, which is its whole check: a flag, a config line and
+the default all go through it, and a bad value exits 2 with one ``error:``
+line, whatever its source.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 4 witness requested for a non-entangled state.
 """
@@ -46,12 +49,11 @@ from .lindblad import (
 from .model import (
     DimensionlessParams,
     PhysicalParams,
-    _embed,
-    _mode_lowering,
     adiabatic_amplitude,
     build_effective_model,
     build_full_model,
     map_physical,
+    mode_lowering,
 )
 from .qops import (
     SIGMA_MINUS,
@@ -93,7 +95,7 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
@@ -104,7 +106,7 @@ def _emit(lines: list[str], out: str | None) -> None:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot write {out}: {exc}") from exc
 
 
@@ -221,16 +223,14 @@ def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None
     return 0
 
 
-def cmd_sweep(zeta_range: tuple, xi1_range: tuple, xi2: float, solver: str, out: str,
-              workers: int = 1) -> int:
-    """CSV over the (MIN, MAX, STEPS) ranges of _parse_grid, zeta-major."""
-    zs = np.linspace(*zeta_range[:2], zeta_range[2])
-    xs = np.linspace(*xi1_range[:2], xi1_range[2])
-    grid = (np.repeat(zs, len(xs)), np.tile(xs, len(zs)), np.full(len(zs) * len(xs), xi2))
+def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) -> int:
+    """CSV over the two (MIN, MAX, STEPS) ranges of _grid, zeta-major."""
+    zs, xs = (np.linspace(lo, hi, steps) for lo, hi, steps in grid)
+    points = (np.repeat(zs, len(xs)), np.tile(xs, len(zs)), np.full(len(zs) * len(xs), xi2))
     # one contiguous run of the grid per worker, through the same blocks; more
     # workers than CPUs only add interpreter start-ups
-    parts = min(workers, os.cpu_count() or 1, len(grid[0]))
-    runs = [(*run, solver) for run in zip(*(np.array_split(v, parts) for v in grid))]
+    parts = min(workers, os.cpu_count() or 1, len(points[0]))
+    runs = [(*run, solver) for run in zip(*(np.array_split(v, parts) for v in points))]
     if len(runs) > 1:
         with multiprocessing.get_context("spawn").Pool(len(runs)) as pool:
             rows = np.concatenate(pool.starmap(_sweep_rows, runs))
@@ -272,19 +272,20 @@ def cmd_witness(zeta: float, xi1: float, xi2: float, out: str | None = None) -> 
 
 
 def _reduced_full_state(p: PhysicalParams):
-    full = build_full_model(p)
-    result = steady_state(build_liouvillian(full))
-    dims = full.space.dims
-    a_op = _embed(_mode_lowering(p.n_max), 2, dims)
-    rho = result.rho.matrix
-    amp = complex(np.trace(rho @ a_op))
-    nbar = float(np.trace(rho @ (a_op.conj().T @ a_op)).real)
-    sig1 = complex(np.trace(rho @ _embed(SIGMA_MINUS, 0, dims)))
-    sig2 = complex(np.trace(rho @ _embed(SIGMA_MINUS, 1, dims)))
-    return partial_trace(result.rho, (0, 1)), amp, nbar, sig1, sig2
+    """The qubit pair's state, <a>, <a+a> and <sigma-_j>, all from marginals."""
+    rho = steady_state(build_liouvillian(build_full_model(p))).rho
+    qubits, mode = partial_trace(rho, (0, 1)), partial_trace(rho, (2,)).matrix
+    a_op = mode_lowering(p.n_max)
+    amp = complex(np.trace(mode @ a_op))
+    nbar = float(np.trace(mode @ (a_op.conj().T @ a_op)).real)
+    sig1, sig2 = (complex(np.trace(partial_trace(qubits, (k,)).matrix @ SIGMA_MINUS))
+                  for k in (0, 1))
+    return qubits, amp, nbar, sig1, sig2
 
 
-def cmd_validate(p: PhysicalParams, t_final: float, out: str | None = None) -> int:
+def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: float,
+                 alpha_im: float, nmax: int, t_final: float, out: str | None = None) -> int:
+    p = PhysicalParams(j, delta, kappa, gamma, complex(alpha_re, alpha_im), nmax)
     reduced, amp, nbar, sig1, sig2 = _reduced_full_state(p)
     bigger = dataclasses.replace(p, n_max=p.n_max + 2)
     reduced2, amp2, nbar2, _, _ = _reduced_full_state(bigger)
@@ -324,15 +325,8 @@ def cmd_validate(p: PhysicalParams, t_final: float, out: str | None = None) -> i
     return 0
 
 
-def cmd_dynamics(
-    zeta: float,
-    xi1: float,
-    xi2: float,
-    t_final: float,
-    dt: float,
-    sample_every: int,
-    out: str,
-) -> int:
+def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
+                 sample_every: int, out: str) -> int:
     model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
     rho0 = _ground_state()
     rows = [(0.0, concurrence(rho0), 0.0, 0.0, 0.0, 1.0, 0.0)]
@@ -348,58 +342,133 @@ def cmd_dynamics(
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument plumbing: an option's value, from its flag, else its config line,
+# else its default, goes through the option's converter, which is its whole
+# check; a converter's ValueError is a usage error (exit 2)
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+# validate's cutoff, for a 1 GiB budget: its tracemalloc peak is 32 bytes per
+# entry of the n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2, which
+# at n_max = 15 is 0.80 GiB (measured: 0.80 GiB, 1.25 GiB max RSS, 12 s on 2 CPUs)
+MAX_NMAX = 15
+
+
+def _finite(text) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
     return value
 
 
-# per-subcommand option tables: dest -> (converter, default, help)
+def _positive(text) -> float:
+    value = _finite(text)
+    # a non-positive horizon takes no step, and a non-positive rate or dt has no meaning
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value:g}")
+    return value
+
+
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused below with the text
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _nmax(text) -> int:
+    value = _positive_int(text)
+    if value > MAX_NMAX:
+        raise ValueError(f"must be at most {MAX_NMAX}, got {value}")
+    return value
+
+
+def _solver(text: str) -> str:
+    if text not in SOLVERS:
+        raise ValueError(f"must be analytic, numeric, or both, got {text!r}")
+    return text
+
+
+def _grid(text: str) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"must be two comma-separated ranges, got {text!r}")
+    ranges = []
+    for part in parts:
+        try:
+            lo, hi, steps = part.split(":")  # a wrong field count is a ValueError too
+            lo, hi, steps = float(lo), float(hi), int(steps)
+        except ValueError:
+            raise ValueError(f"range must be MIN:MAX:STEPS, got {part!r}") from None
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds must be finite, got {lo:g}:{hi:g}")
+        if lo > hi:
+            raise ValueError(f"minimum must not exceed maximum, got {lo:g}:{hi:g}")
+        ranges.append((lo, hi, steps))
+    return ranges[0], ranges[1]
+
+
+def _report_file(text: str | None) -> str | None:
+    return text  # the report goes to stdout, and also here when given
+
+
+def _csv_file(text: str | None) -> str:
+    if text is None:
+        raise ValueError("must be given")
+    return text
+
+
+_POINT = {
+    "zeta": (_finite, 0.0, "hopping strength"),
+    "xi1": (_finite, 0.0, "real drive component"),
+    "xi2": (_finite, 0.0, "imaginary drive component"),
+}
+# per-command option tables, keyed by the parameters of its cmd_* function:
+# name -> (converter, default, help)
 _OPTIONS = {
     "steady": {
-        "zeta": (float, 0.0, "hopping strength"),
-        "xi1": (float, 0.0, "real drive component"),
-        "xi2": (float, 0.0, "imaginary drive component"),
-        "solver": (str, "both", "analytic, numeric, or both"),
-        "out": (str, None, "also write the report to this file"),
+        **_POINT,
+        "solver": (_solver, "both", "analytic, numeric, or both"),
+        "out": (_report_file, None, "also write the report to this file"),
     },
     "sweep": {
-        "grid": (str, DEFAULT_GRID, "ZMIN:ZMAX:ZSTEPS,XMIN:XMAX:XSTEPS"),
-        "xi2": (float, 0.0, "fixed imaginary drive component"),
-        "solver": (str, "analytic", "analytic, numeric, or both"),
-        "out": (str, None, "output CSV path (required)"),
+        "grid": (_grid, DEFAULT_GRID, "ZMIN:ZMAX:ZSTEPS,XMIN:XMAX:XSTEPS"),
+        "xi2": (_finite, 0.0, "fixed imaginary drive component"),
+        "solver": (_solver, "analytic", "analytic, numeric, or both"),
+        "out": (_csv_file, None, "output CSV path (required)"),
         "workers": (_positive_int, 1, "worker processes up to the CPU count, one grid part each"),
     },
     "witness": {
-        "zeta": (float, 0.0, "hopping strength"),
-        "xi1": (float, 0.0, "real drive component"),
-        "xi2": (float, 0.0, "imaginary drive component"),
-        "out": (str, None, "also write the report to this file"),
+        **_POINT,
+        "out": (_report_file, None, "also write the report to this file"),
     },
     "validate": {
-        "j": (float, 1.0, "qubit-mode coupling"),
-        "delta": (float, 10.0, "mode detuning"),
-        "kappa": (float, 10.0, "mode decay rate"),
-        "gamma": (float, 0.01, "qubit decay rate"),
-        "alpha_re": (float, 0.5, "drive amplitude, real part"),
-        "alpha_im": (float, 0.0, "drive amplitude, imaginary part"),
-        "nmax": (_positive_int, 4, "photon-number cutoff"),
-        "t_final": (float, 20.0, "dynamics cross-check horizon"),
-        "out": (str, None, "also write the report to this file"),
+        "j": (_finite, 1.0, "qubit-mode coupling"),
+        "delta": (_finite, 10.0, "mode detuning"),
+        "kappa": (_positive, 10.0, "mode decay rate"),
+        "gamma": (_positive, 0.01, "qubit decay rate"),
+        "alpha_re": (_finite, 0.5, "drive amplitude, real part"),
+        "alpha_im": (_finite, 0.0, "drive amplitude, imaginary part"),
+        "nmax": (_nmax, 4, f"photon-number cutoff, at most {MAX_NMAX}"),
+        "t_final": (_positive, 20.0, "dynamics cross-check horizon"),
+        "out": (_report_file, None, "also write the report to this file"),
     },
     "dynamics": {
-        "zeta": (float, 0.0, "hopping strength"),
-        "xi1": (float, 0.0, "real drive component"),
-        "xi2": (float, 0.0, "imaginary drive component"),
-        "t_final": (float, 50.0, "integration horizon"),
-        "dt": (float, 1e-3, "integrator step"),
+        **_POINT,
+        "t_final": (_positive, 50.0, "integration horizon"),
+        "dt": (_positive, 1e-3, "integrator step"),
         "sample_every": (_positive_int, 100, "steps between CSV samples"),
-        "out": (str, None, "output CSV path (required)"),
+        "out": (_csv_file, None, "output CSV path (required)"),
     },
 }
+_COMMANDS = {"steady": cmd_steady, "sweep": cmd_sweep, "witness": cmd_witness,
+             "validate": cmd_validate, "dynamics": cmd_dynamics}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -411,12 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, table in _OPTIONS.items():
         p = sub.add_parser(command)
-        for dest, (conv, _default, help_text) in table.items():
-            flag = "--" + dest.replace("_", "-")
-            if conv in (float, int, _positive_int):
-                p.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
-            else:
-                p.add_argument(flag, dest=dest, default=None, help=help_text)
+        for name, (_conv, _default, help_text) in table.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=help_text)
         p.add_argument("--config", default=None, help="flat key = value file of defaults")
     return parser
 
@@ -425,7 +490,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise _UsageError(f"cannot read config file: {exc}") from exc
     table: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -439,112 +504,21 @@ def _load_config(path: str) -> dict[str, str]:
     return table
 
 
-def _merge(args: argparse.Namespace) -> argparse.Namespace:
+def _options(args: argparse.Namespace) -> dict:
+    """Each option of the command, converted from its flag, else its config line, else its default."""
     table = _OPTIONS[args.command]
     config = _load_config(args.config) if args.config else {}
     for key in config:
         if key not in table:
             raise _UsageError(f"unknown config key {key!r} for command {args.command!r}")
-    for dest, (conv, default, _help) in table.items():
-        if getattr(args, dest) is not None:
-            continue  # explicit flag wins
-        if dest in config:
-            try:
-                setattr(args, dest, conv(config[dest]))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise _UsageError(f"config key {dest!r}: {exc}") from exc
-        else:
-            setattr(args, dest, default)
-    for dest, (conv, _default, _help) in table.items():
-        value = getattr(args, dest)
-        if conv is float and not math.isfinite(value):
-            raise _UsageError(f"--{dest.replace('_', '-')} must be finite, got {value!r}")
-    return args
-
-
-def _parse_grid(text: str) -> tuple[tuple[float, float, int], tuple[float, float, int]]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"grid must be two comma-separated ranges, got {text!r}")
-    ranges = []
-    for part in parts:
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise _UsageError(f"grid range must be MIN:MAX:STEPS, got {part!r}")
+    options = {}
+    for name, (conv, default, _help) in table.items():
+        text = getattr(args, name)
         try:
-            lo, hi, steps = float(fields[0]), float(fields[1]), int(fields[2])
+            options[name] = conv(config.get(name, default) if text is None else text)
         except ValueError as exc:
-            raise _UsageError(f"bad grid range {part!r}: {exc}") from exc
-        if steps < 1:
-            raise _UsageError(f"grid steps must be >= 1, got {steps}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise _UsageError(f"grid bounds must be finite, got {lo:g}:{hi:g}")
-        if lo > hi:
-            raise _UsageError(f"grid minimum {lo:g} exceeds maximum {hi:g}")
-        ranges.append((lo, hi, steps))
-    return ranges[0], ranges[1]
-
-
-def _check_solver(solver: str) -> str:
-    """The solver check of steady and sweep; every route covers every drive."""
-    if solver not in SOLVERS:
-        raise _UsageError(f"solver must be analytic, numeric, or both, got {solver!r}")
-    return solver
-
-
-def _check_horizon(t_final: float) -> None:
-    # a non-positive horizon takes no step, so there would be nothing to report
-    if t_final <= 0:
-        raise _UsageError(f"t-final must be positive, got {t_final:g}")
-
-
-def _run_steady(args: argparse.Namespace) -> int:
-    solver = _check_solver(args.solver)
-    return cmd_steady(args.zeta, args.xi1, args.xi2, solver, args.out)
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise _UsageError("sweep requires --out")
-    zeta_range, xi1_range = _parse_grid(args.grid)
-    solver = _check_solver(args.solver)
-    return cmd_sweep(zeta_range, xi1_range, args.xi2, solver, args.out, args.workers)
-
-
-def _run_witness(args: argparse.Namespace) -> int:
-    return cmd_witness(args.zeta, args.xi1, args.xi2, args.out)
-
-
-def _run_validate(args: argparse.Namespace) -> int:
-    try:
-        params = PhysicalParams(
-            args.j, args.delta, args.kappa, args.gamma,
-            complex(args.alpha_re, args.alpha_im), args.nmax,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    _check_horizon(args.t_final)
-    return cmd_validate(params, args.t_final, args.out)
-
-
-def _run_dynamics(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise _UsageError("dynamics requires --out")
-    if args.dt <= 0:
-        raise _UsageError(f"dt must be positive, got {args.dt:g}")
-    _check_horizon(args.t_final)
-    return cmd_dynamics(
-        args.zeta, args.xi1, args.xi2, args.t_final, args.dt, args.sample_every, args.out
-    )
-
-
-_RUNNERS = {
-    "steady": _run_steady,
-    "sweep": _run_sweep,
-    "witness": _run_witness,
-    "validate": _run_validate,
-    "dynamics": _run_dynamics,
-}
+            raise _UsageError(f"{name.replace('_', '-')} {exc}") from exc
+    return options
 
 
 def main(argv=None) -> int:
@@ -553,7 +527,7 @@ def main(argv=None) -> int:
         # an overflow leaves a NaN or inf that a validity check reports as a
         # numerical failure (exit 3); numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _RUNNERS[args.command](_merge(args))
+            return _COMMANDS[args.command](**_options(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,7 +87,8 @@ def _embed(op: np.ndarray, which: int, dims: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _mode_lowering(n_max: int) -> np.ndarray:
+def mode_lowering(n_max: int) -> np.ndarray:
+    """Annihilation operator of a mode truncated at n_max photons."""
     return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), 1).astype(complex)
 
 
@@ -100,7 +101,7 @@ def build_full_model(p: PhysicalParams) -> LindbladModel:
     dims = (2, 2, p.n_max + 1)
     s1 = _embed(SIGMA_MINUS, 0, dims)
     s2 = _embed(SIGMA_MINUS, 1, dims)
-    a = _embed(_mode_lowering(p.n_max), 2, dims)
+    a = _embed(mode_lowering(p.n_max), 2, dims)
     ad = a.conj().T
     h = p.j * (s1 @ ad + s1.conj().T @ a + s2 @ ad + s2.conj().T @ a)
     h -= p.delta * (ad @ a)

@@ -384,3 +384,59 @@ def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):
     assert main(["validate"]) == 3
     assert capsys.readouterr().err == ("numerical failure: Unable to allocate 3.52 GiB for an "
                                        "array with shape (15376, 15376)\n")
+
+
+def test_validate_caps_nmax_before_building_a_model(monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError("validate built a model for an n_max above the cap")
+
+    monkeypatch.setattr(cli, "build_full_model", refuse)
+    assert main(["validate", "--nmax", str(cli.MAX_NMAX + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: nmax must be at most {cli.MAX_NMAX}, got {cli.MAX_NMAX + 1}\n"
+
+
+# one bad value for each converter a command uses, as (option, text)
+BAD_VALUES = {
+    "steady": [("zeta", "abc"), ("solver", "bogus")],
+    "sweep": [("grid", "0:10:0,0:4:3"), ("xi2", "nan"), ("solver", "fast"), ("workers", "0")],
+    "witness": [("xi1", "inf")],
+    "validate": [("j", "x"), ("kappa", "0"), ("nmax", "16"), ("t_final", "-1")],
+    "dynamics": [("xi2", "1e400"), ("dt", "-0.1"), ("sample_every", "1.5")],
+}
+
+
+@pytest.mark.parametrize("command, name, text",
+                         [(c, n, t) for c, bad in BAD_VALUES.items() for n, t in bad])
+def test_a_flag_and_a_config_line_give_the_same_error(tmp_path, capsys, command, name, text):
+    csv = tmp_path / "x.csv"
+    out = ["--out", str(csv)] if command in ("sweep", "dynamics") else []
+    flag = name.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {text}\n")
+    errors = []
+    # a SystemExit from argparse would end the test here
+    for argv in ([command, f"--{flag}={text}", *out], [command, "--config", str(cfg), *out]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {flag} ") and " must " in errors[0]
+    assert not csv.exists()
+
+
+def test_unusable_paths_are_one_usage_line(tmp_path, capsys):
+    for command in ("sweep", "dynamics"):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == "error: out must be given\n"
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"zeta = \xff\n")
+    nul_out = tmp_path / "nul.cfg"
+    nul_out.write_text("out = a\0b\n")
+    for argv in (["steady", "--config=a\0b"], ["steady", "--config", str(not_utf8)],
+                 ["sweep", "--grid", "0:1:1,0:1:1", "--config", str(nul_out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and err.count("\n") == 1

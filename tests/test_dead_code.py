@@ -1,4 +1,5 @@
-"""Every public function and class of the package is used inside the package."""
+"""Every public function and class of the package is used inside the package,
+and no module imports another module's private names."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,15 @@ def test_every_public_definition_is_used_by_polent_code():
                 used.add(node.attr)
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"public definitions no polent code uses: {unused}"
+
+
+def test_no_module_imports_a_private_name():
+    imports = sorted(
+        f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("polent"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not imports, f"private names imported across polent modules: {imports}"

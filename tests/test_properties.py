@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from stationarity_oracle import _matrices, _vectors, equation_residuals
 
+from polent import cli
 from polent.analytic import closed_form
 from polent.cli import main
 from polent.entangle import concurrence, negativity
@@ -144,3 +146,33 @@ def test_every_argv_ends_in_a_documented_exit_code(command, zeta, xi1, xi2):
     argv = [*command, f"--zeta={zeta!r}", f"--xi1={xi1!r}", f"--xi2={xi2!r}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3, 4)
+
+
+# an option's text: anything at all, or text that a converter may accept
+option_texts = (st.none() | st.text() | st.floats().map(repr) | st.integers(-2, 20).map(str)
+                | st.sampled_from(["analytic", "numeric", "both", "0:10:3,0:4:3", "1:0:2,0:1:1"]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(cli._OPTIONS)), st.data())
+def test_every_option_text_is_converted_or_refused_in_one_line(command, data):
+    argv = [command]
+    for name in cli._OPTIONS[command]:
+        text = data.draw(option_texts, label=name)
+        if text is not None:
+            argv.append(f"--{name.replace('_', '-')}={text}")
+    calls = []
+
+    def stub(**options):  # the command itself, with nothing numerical behind it
+        calls.append(options)
+        return 0
+
+    err = io.StringIO()
+    with mock.patch.dict(cli._COMMANDS, {command: stub}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert [list(options) for options in calls] == [list(cli._OPTIONS[command])]
+    else:
+        assert code == 2 and not calls
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
