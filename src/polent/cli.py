@@ -300,11 +300,11 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
             f"rerun with --nmax {p.n_max + 2} or larger"
         )
     dp = map_physical(p)
-    eff = steady_state(build_liouvillian(build_effective_model(dp)))
-    td = trace_distance(reduced, eff.rho)
+    eff = DensityMatrix(TWO_QUBITS, _evaluate_point(dp.zeta, dp.xi1, dp.xi2, "numeric")["rho"][0])
+    td = trace_distance(reduced, eff)
     predicted = adiabatic_amplitude(sig1, sig2, p)
-    evolved = evolve(build_effective_model(dp), _ground_state(), t_final)
-    td_dyn = trace_distance(evolved, eff.rho)
+    evolved = evolve(build_effective_model(dp), _ground_state(), t_final)[1].matrix[-1]
+    td_dyn = trace_distance(DensityMatrix(TWO_QUBITS, evolved), eff)
     cavity = abs(p.alpha / (p.delta + 1j * p.kappa))
     lines = [
         f"validation report (kappa/J = {p.kappa / p.j:g})",
@@ -328,14 +328,9 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
 def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
                  sample_every: int, out: str) -> int:
     model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
-    rho0 = _ground_state()
-    rows = [(0.0, concurrence(rho0), 0.0, 0.0, 0.0, 1.0, 0.0)]
-
-    def observer(step, t, mat, drift):
-        pops = mat.diagonal().real
-        rows.append((t, concurrence(DensityMatrix(TWO_QUBITS, mat)), *pops, drift))
-
-    evolve(model, rho0, t_final, dt, _observer=observer, _every=sample_every)
+    steps, rho, drift = evolve(model, _ground_state(), t_final, dt, sample_every)
+    pops = rho.matrix.diagonal(axis1=-2, axis2=-1).real
+    rows = np.column_stack([steps * dt, concurrence(rho), pops, drift[steps]])
     _write_csv(out, ("t", "concurrence", "pop_ee", "pop_ge", "pop_eg", "pop_gg", "trace_drift"), rows)
     print(f"wrote {len(rows)} samples to {out}")
     return 0
@@ -346,9 +341,10 @@ def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
 # else its default, goes through the option's converter, which is its whole
 # check; a converter's ValueError is a usage error (exit 2)
 
-# validate's cutoff, for a 1 GiB budget: its tracemalloc peak is 32 bytes per
-# entry of the n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2, which
-# at n_max = 15 is 0.80 GiB (measured: 0.80 GiB, 1.25 GiB max RSS, 12 s on 2 CPUs)
+# validate's cutoff: the process's max RSS is about 50 bytes per entry of the
+# n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2, which at n_max = 15
+# is 1.25 GiB (measured in one fresh process with getrusage, 12 s on 2 CPUs;
+# tracemalloc's peak, which sees numpy's buffers only, is 0.80 GiB there)
 MAX_NMAX = 15
 
 

@@ -53,8 +53,8 @@ _PAIRS.setflags(write=False)
 
 
 def _pauli_coefficients(m: np.ndarray) -> np.ndarray:
-    # Re Tr[m P_jk] / 4, the coefficients of the Hermitian part of m
-    return np.einsum("jkab,ba->jk", _PAIRS, m).real / 4.0
+    # Re Tr[m P_jk] / 4, the coefficients of the Hermitian part of m, of one matrix or a stack
+    return np.einsum("jkab,...ba->...jk", _PAIRS, m).real / 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +73,9 @@ class Witness:
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
-    def expectation(self, rho: DensityMatrix) -> float:
-        # sum of c[j, k] <sigma^j x sigma^k>; _pauli_coefficients(rho) is the correlations / 4
-        return float(4.0 * np.sum(self.coefficients * _pauli_coefficients(rho.matrix)))
+    def expectation(self, rho: DensityMatrix):
+        # sum of c[j, k] <sigma^j x sigma^k>, a float for one state and an array for a stack
+        return _per_state(4.0 * (self.coefficients * _pauli_coefficients(rho.matrix)).sum((-2, -1)))
 
 
 def _check_two_qubits(rho: DensityMatrix, what: str) -> None:

@@ -248,15 +248,9 @@ def _bordered(lm: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def evolve(
-    m: LindbladModel,
-    rho0: DensityMatrix,
-    t_final: float,
-    dt: float = DEFAULT_DT,
-    _observer=None,
-    _every: int = 1,
-) -> DensityMatrix:
-    """Propagate rho0 with fixed-step fourth-order Runge-Kutta.
+def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DEFAULT_DT,
+           sample_every: int | None = None) -> tuple[np.ndarray, DensityMatrix, np.ndarray]:
+    """Propagate rho0 with fixed-step fourth-order Runge-Kutta; return (steps, rho, drift).
 
     For the linear equation d vec(rho)/dt = L vec(rho), one RK4 step is
     exactly the matrix P = sum_{k<=4} (dt L)^k / k!. It is formed once, from
@@ -268,12 +262,13 @@ def evolve(
     trace is checked after every step and never renormalized; drift beyond
     DRIFT_ABORT, or a NaN trace, aborts the run, and a spectral radius of P
     above 1 + STABILITY_SLACK aborts it before the first step, as the drift
-    shows a growing mode only after a growth of ~1e10. RK4 does not keep
-    positivity, so an InvalidStateError from the observer or from the final
-    state becomes an IntegrationError that names t and dt. The run takes
-    round(t_final / dt) steps, at least one when t_final > 0.
-    ``_observer(step, t, matrix, drift)`` is called after every ``_every``-th
-    step and after the last one.
+    shows a growing mode only after a growth of ~1e10. The run takes
+    round(t_final / dt) steps, at least one when t_final > 0. ``steps`` is
+    0, k, 2k, ... and the last step for k = sample_every (0 and the last step
+    for None), ``rho`` the stack of the states there, rho0 first, and
+    ``drift`` |Tr rho - 1| after every step, step 0 first. RK4 does not keep
+    positivity: a sample that is not a density matrix (checked in one batch)
+    raises an IntegrationError that names its t and dt.
     """
     if rho0.space.dims != m.space.dims:
         raise ValueError("initial state lives on a different space than the model")
@@ -292,21 +287,29 @@ def evolve(
     trace_row = (np.arange(d * d) < d) * 1.0  # Tr B_k
     r = (u.conj().T @ rho0.matrix.ravel(order="F")).real
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
-    step = 0
+    every = sample_every or max(1, nsteps)
+    steps, samples, drift = [0], [r], np.empty(nsteps + 1)
+    drift[0] = abs(trace_row @ r - 1.0)
+    for step in range(1, nsteps + 1):
+        r = r + increment @ r
+        drift[step] = step_drift = abs(trace_row @ r - 1.0)
+        # "not <=" instead of ">" so a NaN trace (overflowed state) also aborts
+        if not step_drift <= DRIFT_ABORT:
+            raise IntegrationError(
+                f"trace drift {step_drift:.3e} at t = {step * dt:.6g} exceeds "
+                f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
+            )
+        if step % every == 0 or step == nsteps:
+            steps.append(step)
+            samples.append(r)
+    mats = _unvec(_from_coordinates(np.array(samples), d), d)  # elementwise, so row-independent
     try:
-        for step in range(1, nsteps + 1):
-            r = r + increment @ r
-            drift = abs(trace_row @ r - 1.0)
-            # "not <=" instead of ">" so a NaN trace (overflowed state) also aborts
-            if not drift <= DRIFT_ABORT:
-                raise IntegrationError(
-                    f"trace drift {drift:.3e} at t = {step * dt:.6g} exceeds "
-                    f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
-                )
-            if _observer is not None and (step % _every == 0 or step == nsteps):
-                _observer(step, step * dt, _unvec(u @ r, d), drift)
-        return DensityMatrix(m.space, _unvec(u @ r, d))
-    except InvalidStateError as exc:  # a stable step can still overshoot a fast transient
-        raise IntegrationError(
-            f"state at t = {step * dt:.6g} is not a density matrix ({exc}); reduce dt below {dt:g}"
-        ) from exc
+        return np.array(steps), DensityMatrix(m.space, mats), drift
+    except InvalidStateError:  # a stable step can still overshoot a fast transient
+        for step, mat in zip(steps, mats):  # the first failing sample, as in a run of one
+            try:
+                DensityMatrix(m.space, mat)
+            except InvalidStateError as exc:
+                raise IntegrationError(f"state at t = {step * dt:.6g} is not a density matrix "
+                                       f"({exc}); reduce dt below {dt:g}") from exc
+        raise

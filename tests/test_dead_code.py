@@ -1,5 +1,6 @@
 """Every public function and class of the package is used inside the package,
-and no module imports another module's private names."""
+no module imports another module's private names, and no public function
+takes a private parameter."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,16 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_")
     )
     assert not imports, f"private names imported across polent modules: {imports}"
+
+
+def test_no_public_function_takes_a_private_parameter():
+    private = sorted(
+        f"{path.name}: {node.name}({arg.arg})"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    node.args.vararg, node.args.kwarg)
+        if arg is not None and arg.arg.startswith("_")
+    )
+    assert not private, f"public functions with private parameters: {private}"

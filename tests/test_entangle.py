@@ -147,6 +147,17 @@ def test_witness_expectation_reads_negativity():
     assert_allclose(w.expectation(rho), -negativity(rho), atol=1e-10)
 
 
+def test_witness_expectation_of_a_stack_is_per_state():
+    rng = np.random.default_rng(1107)
+    w = construct_witness(BELL_RHO)
+    states = [BELL_RHO, pure([1.0, 0.0, 0.0, 0.0])] + [random_density(rng) for _ in range(5)]
+    stack = DensityMatrix(TWO_QUBITS, np.array([rho.matrix for rho in states]))
+    values = w.expectation(stack)
+    assert values.shape == (len(states),)
+    assert np.array_equal(values, [w.expectation(rho) for rho in states])
+    assert type(w.expectation(BELL_RHO)) is float
+
+
 def test_witness_is_deterministic():
     model = build_effective_model(DimensionlessParams(10.0, 2.135))
     rho = steady_state(build_liouvillian(model)).rho

@@ -51,6 +51,12 @@ def random_model(rng, space):
     return LindbladModel(space, g + g.conj().T, jumps)
 
 
+def evolve_final(*args, **kwargs):
+    """The last state of an evolve run."""
+    _, rho, _ = evolve(*args, **kwargs)
+    return DensityMatrix(rho.space, rho.matrix[-1])
+
+
 def rk4_reference(m, rho0, nsteps, dt):
     # the explicit four-stage step on vec(rho), re-symmetrized every step
     lm = build_liouvillian(m).matrix
@@ -312,7 +318,7 @@ def test_evolve_constant_under_zero_generator():
     m = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), ())
     rng = np.random.default_rng(4)
     rho0 = DensityMatrix(TWO_QUBITS, random_density(rng, 4))
-    out = evolve(m, rho0, t_final=1.0, dt=1e-2)
+    out = evolve_final(m, rho0, t_final=1.0, dt=1e-2)
     assert_allclose(out.matrix, rho0.matrix, atol=1e-14)
 
 
@@ -320,7 +326,7 @@ def test_evolve_single_qubit_decay_curve():
     # d rho_ee / dt = -2 rho_ee, so rho_ee(t) = exp(-2 t)
     m = LindbladModel(ONE_QUBIT, np.zeros((2, 2)), (np.sqrt(2) * SIGMA_MINUS,))
     rho0 = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
-    out = evolve(m, rho0, t_final=1.0, dt=1e-3)
+    out = evolve_final(m, rho0, t_final=1.0, dt=1e-3)
     assert_allclose(out.matrix[0, 0].real, np.exp(-2.0), atol=1e-10)
 
 
@@ -328,14 +334,14 @@ def test_evolve_pair_decay_curve():
     # both qubits decaying: the doubly excited population falls as exp(-4 t)
     m = build_effective_model(DimensionlessParams(0.0, 0.0))
     rho0 = DensityMatrix(TWO_QUBITS, np.diag([1.0, 0.0, 0.0, 0.0]))
-    out = evolve(m, rho0, t_final=1.0, dt=1e-3)
+    out = evolve_final(m, rho0, t_final=1.0, dt=1e-3)
     assert_allclose(out.matrix[0, 0].real, np.exp(-4.0), atol=1e-10)
 
 
 def test_evolve_relaxes_to_steady_state():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     target = steady_state(build_liouvillian(m)).rho
-    out = evolve(m, ground_pair(), t_final=20.0, dt=1e-3)
+    out = evolve_final(m, ground_pair(), t_final=20.0, dt=1e-3)
     assert trace_distance(out, target) <= 1e-6
 
 
@@ -345,23 +351,16 @@ def test_evolve_relaxes_from_random_states():
     rng = np.random.default_rng(12)
     for _ in range(10):
         rho0 = DensityMatrix(TWO_QUBITS, random_density(rng, 4))
-        out = evolve(m, rho0, t_final=50.0, dt=1e-2)
+        out = evolve_final(m, rho0, t_final=50.0, dt=1e-2)
         assert trace_distance(out, target) <= 1e-6
 
 
-def test_evolve_reports_drift_to_observer():
+def test_evolve_returns_the_drift_of_every_step():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    drifts = []
-    times = []
-
-    def observer(step, t, mat, drift):
-        drifts.append(drift)
-        times.append(t)
-
-    evolve(m, ground_pair(), t_final=1.0, dt=1e-3, _observer=observer)
-    assert len(drifts) == 1000
+    steps, _, drifts = evolve(m, ground_pair(), t_final=1.0, dt=1e-3)
+    assert len(drifts) == 1 + 1000  # step 0, then every step
     assert max(drifts) <= 1e-8
-    assert_allclose(times[-1], 1.0, atol=1e-12)
+    assert_allclose(steps[-1] * 1e-3, 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("space", [ONE_QUBIT, TWO_QUBITS], ids=["d2", "d4"])
@@ -370,7 +369,7 @@ def test_evolve_matches_the_four_stage_step(space):
     for _ in range(3):
         m = random_model(rng, space)
         rho0 = DensityMatrix(space, random_density(rng, space.dim))
-        out = evolve(m, rho0, t_final=1.0, dt=1e-3)
+        out = evolve_final(m, rho0, t_final=1.0, dt=1e-3)
         assert np.abs(out.matrix - rk4_reference(m, rho0, 1000, 1e-3)).max() <= 1e-12
         assert np.array_equal(out.matrix, out.matrix.conj().T)
 
@@ -380,35 +379,47 @@ def test_evolve_keeps_the_stationary_state():
     # point by ~1e-16 / (dt * gap), up to 2.6e-12 here after 20,000 steps
     for zeta, xi1 in ((10.0, 2.135), (5.0, 1.0), (2.0, 0.5)):
         rho = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1)[0])
-        out = evolve(build_effective_model(DimensionlessParams(zeta, xi1)), rho, 20.0, 1e-3)
+        out = evolve_final(build_effective_model(DimensionlessParams(zeta, xi1)), rho, 20.0, 1e-3)
         assert np.abs(out.matrix - rho.matrix).max() <= 1e-14
 
 
-def test_evolve_observer_cadence():
+def test_evolve_sample_cadence():
+    # dt = 1e-3: every sample is validated, and at dt = 1e-2 the state at
+    # t = 0.01 has an eigenvalue of -2.3e-8, below the PSD floor
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    final = evolve(m, ground_pair(), t_final=1.0, dt=1e-2).matrix
+    final = evolve_final(m, ground_pair(), t_final=1.0, dt=1e-3).matrix
     for every in (1, 7, 100, 250):
-        seen = []
-        evolve(m, ground_pair(), t_final=1.0, dt=1e-2,
-               _observer=lambda step, t, mat, drift: seen.append((step, t, mat)), _every=every)
-        expected = sorted(set(range(every, 101, every)) | {100})
-        assert [step for step, _, _ in seen] == expected
-        assert [t for _, t, _ in seen] == [step * 1e-2 for step in expected]
-        assert np.array_equal(seen[-1][2], final)
+        steps, rho, _ = evolve(m, ground_pair(), t_final=1.0, dt=1e-3, sample_every=every)
+        expected = [0] + sorted(set(range(every, 1001, every)) | {1000})
+        assert steps.tolist() == expected
+        assert (steps * 1e-3).tolist() == [step * 1e-3 for step in expected]
+        assert len(rho.matrix) == len(expected)
+        assert np.array_equal(rho.matrix[-1], final)
+
+
+@pytest.mark.parametrize("every", [1, 7, 100, None])
+def test_sampling_does_not_perturb_the_run(every):
+    # dt = 2^-10 makes k dt / dt exactly k: the k-step run is a prefix of the long one
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    dt = 2.0**-10
+    steps, rho, drifts = evolve(m, ground_pair(), 300 * dt, dt, sample_every=every)
+    assert steps[-1] == 300
+    for k, mat in zip(steps, rho.matrix):
+        short_steps, short, short_drifts = evolve(m, ground_pair(), k * dt, dt)
+        assert short_steps[-1] == k
+        assert np.array_equal(mat, short.matrix[-1])
+        assert np.array_equal(drifts[:k + 1], short_drifts)
 
 
 def test_evolve_aborts_at_the_first_bad_step_even_when_unobserved():
     # dt = 0.5 is outside the stability region of RK4 here, so the run stops
-    # before its first step and no observer is called, whatever its cadence
+    # before its first step, whatever its cadence
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     messages = []
     for every in (1, 1000):
-        seen = []
         with pytest.raises(IntegrationError,
                            match=r"spectral radius \S+ > 1; reduce dt below 0\.5$") as exc:
-            evolve(m, ground_pair(), t_final=20.0, dt=0.5,
-                   _observer=lambda *args: seen.append(args), _every=every)
-        assert seen == []
+            evolve(m, ground_pair(), t_final=20.0, dt=0.5, sample_every=every)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     # the stability edge lies between dt = 0.13 and 0.14 (spectral radius 1.27)
@@ -425,8 +436,7 @@ def test_evolve_names_t_and_dt_when_a_state_is_not_a_density_matrix():
     with pytest.raises(IntegrationError, match=message):
         evolve(m, ground_pair(), t_final=0.1, dt=0.1)  # the final state
     with pytest.raises(IntegrationError, match=message):
-        evolve(m, ground_pair(), t_final=30.0, dt=0.1,
-               _observer=lambda step, t, mat, drift: DensityMatrix(TWO_QUBITS, mat))
+        evolve(m, ground_pair(), t_final=30.0, dt=0.1, sample_every=1)
 
 
 def test_evolve_aborts_on_a_nan_trace():
