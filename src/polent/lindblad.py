@@ -30,6 +30,10 @@ RESIDUAL_TOL = 1e-9
 DRIFT_ABORT = 1e-6
 STABILITY_SLACK = 1e-9
 DEFAULT_DT = 1e-3
+# evolve's steps per anchor, and strides checked per batch: 4,096 states, a
+# working set of 0.8 MB at d = 4 that does not grow with the run
+STRIDE = 128
+STRIDE_BATCH = 32
 
 
 class DegenerateSteadyStateError(Exception):
@@ -248,6 +252,22 @@ def _bordered(lm: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _step_powers(increment: np.ndarray, count: int) -> np.ndarray:
+    """X_j = P^j - I for j = 1..count, from X_1 = P - I, by X_{m+j} = X_m + X_j + X_m X_j.
+
+    P^j itself is never formed, so no X_j is rounded against the identity.
+    """
+    powers = np.empty((count,) + increment.shape)
+    powers[0] = increment
+    done = 1
+    while done < count:
+        k = min(done, count - done)
+        last = powers[done - 1]
+        powers[done:done + k] = last + powers[:k] + last @ powers[:k]
+        done += k
+    return powers
+
+
 def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DEFAULT_DT,
            sample_every: int | None = None) -> tuple[np.ndarray, DensityMatrix, np.ndarray]:
     """Propagate rho0 with fixed-step fourth-order Runge-Kutta; return (steps, rho, drift).
@@ -255,14 +275,22 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     For the linear equation d vec(rho)/dt = L vec(rho), one RK4 step is
     exactly the matrix P = sum_{k<=4} (dt L)^k / k!. It is formed once, from
     one Liouvillian, and written in a real orthonormal basis of Hermitian
-    matrices (_hermitian_pairs), so each step is one real matrix-vector
-    product and the state stays Hermitian by construction. The increment
-    P - I is kept apart from the identity: rounding P itself would move its
-    fixed point by about 1e-16 / (dt * gap of L), 1e-12 at dt = 1e-3. The
-    trace is checked after every step and never renormalized; drift beyond
-    DRIFT_ABORT, or a NaN trace, aborts the run, and a spectral radius of P
-    above 1 + STABILITY_SLACK aborts it before the first step, as the drift
-    shows a growing mode only after a growth of ~1e10. The run takes
+    matrices (_hermitian_pairs), so the state stays Hermitian by
+    construction. The increment X_1 = P - I is kept apart from the identity:
+    rounding P itself would move its fixed point by about 1e-16 / (dt * gap
+    of L), 1e-12 at dt = 1e-3. From it, X_j = P^j - I for j = 1..STRIDE are
+    formed by doubling (_step_powers), STRIDE d^4 floats. Only the anchors,
+    every STRIDE-th state, are stepped in order, r_{(b+1)S} = r_{bS} +
+    X_S r_{bS}; the states between are r_{bS+j} = r_{bS} + X_j r_{bS}, all
+    of a stride from one matrix-vector product with the stacked X_j. So a
+    state does not depend on the length of the run, and a run is a prefix of
+    any longer one bit for bit. The states are formed STRIDE_BATCH strides
+    at a time, so memory beyond the samples and the drift does not grow
+    with the run. The trace of every step is checked and never
+    renormalized; drift beyond DRIFT_ABORT, or a NaN trace, aborts the run
+    at the first failing step. A spectral radius of P above
+    1 + STABILITY_SLACK aborts it before the first step, as the drift shows
+    a growing mode only after a growth of ~1e10. The run takes
     round(t_final / dt) steps, at least one when t_final > 0. ``steps`` is
     0, k, 2k, ... and the last step for k = sample_every (0 and the last step
     for None), ``rho`` the stack of the states there, rho0 first, and
@@ -276,7 +304,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise ValueError(f"dt must be positive, got {dt}")
     a = dt * build_liouvillian(m).matrix
     d = m.space.dim
-    eye = np.eye(d * d)
+    n = d * d
+    eye = np.eye(n)
     increment = a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))  # P - I
     u = _from_coordinates(eye, d).T  # column k is vec(B_k)
     increment = (u.conj().T @ increment @ u).real
@@ -284,27 +313,38 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     radius = np.abs(np.linalg.eigvals(eye + increment)).max() if finite else 1.0
     if radius > 1.0 + STABILITY_SLACK:
         raise IntegrationError(f"RK4 step spectral radius {radius:.6g} > 1; reduce dt below {dt:g}")
-    trace_row = (np.arange(d * d) < d) * 1.0  # Tr B_k
     r = (u.conj().T @ rho0.matrix.ravel(order="F")).real
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     every = sample_every or max(1, nsteps)
-    steps, samples, drift = [0], [r], np.empty(nsteps + 1)
-    drift[0] = abs(trace_row @ r - 1.0)
-    for step in range(1, nsteps + 1):
-        r = r + increment @ r
-        drift[step] = step_drift = abs(trace_row @ r - 1.0)
+    steps = np.append(np.arange(0, nsteps, every), nsteps)
+    samples = np.empty((len(steps), n))
+    samples[0] = r
+    drift = np.empty(nsteps + 1)
+    drift[0] = abs(r[:d].sum() - 1.0)
+    powers = _step_powers(increment, STRIDE).reshape(STRIDE * n, n)
+    span = STRIDE * min(STRIDE_BATCH, nsteps // STRIDE + 1)  # steps per batch
+    batch = np.empty((span // STRIDE, STRIDE, n))
+    for start in range(0, nsteps, span):  # steps start + 1 .. stop
+        stop = min(nsteps, start + span)
+        for stride in batch[:(stop - start - 1) // STRIDE + 1]:  # the strides that reach stop
+            np.matmul(powers, r, out=stride.reshape(-1))  # X_j r for j = 1..STRIDE
+            stride += r
+            r = stride[-1].copy()
+        coords = batch.reshape(-1, n)[:stop - start]
+        drift[start + 1:stop + 1] = abs(coords[:, :d].sum(axis=1) - 1.0)
         # "not <=" instead of ">" so a NaN trace (overflowed state) also aborts
-        if not step_drift <= DRIFT_ABORT:
+        lost = ~(drift[start + 1:stop + 1] <= DRIFT_ABORT)
+        if lost.any():
+            step = start + 1 + int(np.argmax(lost))
             raise IntegrationError(
-                f"trace drift {step_drift:.3e} at t = {step * dt:.6g} exceeds "
+                f"trace drift {drift[step]:.3e} at t = {step * dt:.6g} exceeds "
                 f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
             )
-        if step % every == 0 or step == nsteps:
-            steps.append(step)
-            samples.append(r)
-    mats = _unvec(_from_coordinates(np.array(samples), d), d)  # elementwise, so row-independent
+        first, last = np.searchsorted(steps, [start + 1, stop + 1])
+        samples[first:last] = coords[steps[first:last] - start - 1]
+    mats = _unvec(_from_coordinates(samples, d), d)  # elementwise, so row-independent
     try:
-        return np.array(steps), DensityMatrix(m.space, mats), drift
+        return steps, DensityMatrix(m.space, mats), drift
     except InvalidStateError:  # a stable step can still overshoot a fast transient
         for step, mat in zip(steps, mats):  # the first failing sample, as in a run of one
             try:

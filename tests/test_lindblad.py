@@ -374,6 +374,56 @@ def test_evolve_matches_the_four_stage_step(space):
         assert np.array_equal(out.matrix, out.matrix.conj().T)
 
 
+@pytest.mark.parametrize("space", [ONE_QUBIT, TWO_QUBITS], ids=["d2", "d4"])
+@pytest.mark.parametrize("nsteps", [1, lindblad.STRIDE - 1, lindblad.STRIDE, lindblad.STRIDE + 1,
+                                    3 * lindblad.STRIDE + 7])
+def test_evolve_matches_the_four_stage_step_around_an_anchor(space, nsteps):
+    # the last state is X_j applied to an anchor, for j = 1, S - 1, S (the
+    # next anchor), 1 past an anchor and 7 past the third
+    rng = np.random.default_rng([space.dim, nsteps])
+    for _ in range(2):
+        m = random_model(rng, space)
+        rho0 = DensityMatrix(space, random_density(rng, space.dim))
+        out = evolve_final(m, rho0, nsteps * 1e-3, 1e-3)
+        assert np.abs(out.matrix - rk4_reference(m, rho0, nsteps, 1e-3)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 10**6])
+def test_evolve_does_not_depend_on_the_batch_size(monkeypatch, batch):
+    # 10,000 steps: three batches of the default size, the last one partial
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    reference = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
+    monkeypatch.setattr(lindblad, "STRIDE_BATCH", batch)
+    steps, rho, drift = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
+    assert np.array_equal(steps, reference[0])
+    assert np.array_equal(rho.matrix, reference[1].matrix)
+    assert np.array_equal(drift, reference[2])
+
+
+def test_evolve_memory_does_not_grow_with_the_run():
+    # only the drift array grows; the states are formed one batch at a time
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    peaks = []
+    for nsteps in (50_000, 200_000):
+        tracemalloc.start()
+        try:
+            evolve(m, ground_pair(), nsteps * 1e-3, 1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= np.empty(200_001).nbytes
+
+
+def test_evolve_names_the_first_step_whose_trace_drifts():
+    # H = -i eps |e><e| drains the trace as exp(-2 eps t): the drift is
+    # 0.99990e-6 at step 5555 and 1.00008e-6 at step 5556, inside the second
+    # batch, between two anchors
+    m = LindbladModel(ONE_QUBIT, -1j * 0.9e-7 * np.diag([1.0, 0.0]), ())
+    rho0 = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
+    with pytest.raises(IntegrationError, match=r"^trace drift 1\.000e-06 at t = 5\.556 exceeds 1e-06; "):
+        evolve(m, rho0, 20.0, 1e-3)
+
+
 def test_evolve_keeps_the_stationary_state():
     # P - I is stored apart from I: rounding P itself would move its fixed
     # point by ~1e-16 / (dt * gap), up to 2.6e-12 here after 20,000 steps
