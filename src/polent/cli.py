@@ -37,6 +37,7 @@ from .entangle import (
     separable_floor,
 )
 from .lindblad import (
+    DEFAULT_DT,
     DegenerateSteadyStateError,
     IntegrationError,
     build_liouvillian,
@@ -89,12 +90,10 @@ _CSV_HEADER = (
 )
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+def _write_csv(path: str, header: tuple[str, ...], rows: np.ndarray) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -236,7 +235,7 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
             rows = np.concatenate(pool.starmap(_sweep_rows, runs))
     else:
         rows = _sweep_rows(*runs[0])
-    _write_csv(out, _CSV_HEADER, rows.tolist())
+    _write_csv(out, _CSV_HEADER, rows)
     best = rows[np.argmax(rows[:, 3])]  # first maximum in grid order
     print(f"wrote {len(rows)} rows to {out}")
     print(f"argmax concurrence = {best[3]:.17g} at zeta = {best[0]:.17g}, xi1 = {best[1]:.17g}")
@@ -458,7 +457,7 @@ _OPTIONS = {
     "dynamics": {
         **_POINT,
         "t_final": (_positive, 50.0, "integration horizon"),
-        "dt": (_positive, 1e-3, "integrator step"),
+        "dt": (_positive, DEFAULT_DT, "integrator step"),
         "sample_every": (_positive_int, 100, "steps between CSV samples"),
         "out": (_csv_file, None, "output CSV path (required)"),
     },

@@ -33,7 +33,6 @@ SAMPLING_SEED = 20260817
 # detectable entanglement; witness construction treats it as separable
 DETECTION_FLOOR = 1e-12
 WITNESS_TOL = 1e-10
-_TIE_TOL = 1e-12
 # separable samples drawn and evaluated at a time: temporaries stay near 100 kB
 FLOOR_BLOCK = 1024
 
@@ -117,31 +116,23 @@ def negativity(rho: DensityMatrix):
 
 
 def construct_witness(rho: DensityMatrix) -> Witness:
-    """Witness from the most-negative partial-transpose eigenvector of rho.
+    """W = (|eta><eta|)^{T_2}, eta the negative partial-transpose eigenvector of rho.
 
-    W is the partial transpose of that eigenvector's projector, so
-    Tr[W rho] equals the negative eigenvalue and Tr[W sigma] >= 0 for every
-    separable sigma. Transposing qubit 2 (_PT_SIDE) maps its sigma_y to
-    -sigma_y and fixes id, x and z, so the coefficients of W are those of
-    the projector with the qubit-2 y column negated. The projector
-    normalization leaves the Frobenius norm of W at exactly 1. Ties in the
-    bottom eigenvalue are broken toward the eigenvector with the largest
-    |ee> overlap, then the phase is fixed by making the first nonzero
-    component real-positive, for reproducibility.
+    Lewenstein, Kraus, Cirac & Horodecki, PRA 62, 052310 (2000): Tr[W rho] is that eigenvalue
+    and ||W||_F = 1. eta is unique up to a phase, which the projector does not see: a two-qubit
+    partial transpose has at most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58,
+    826 (1998)). Tr[W a x b] = |<eta|a x conj(b)>|^2 >= 0, and some product vector is orthogonal
+    to eta, so W's separable floor is exactly 0; separable_floor samples an upper estimate.
     """
+    _check_two_qubits(rho, "construct_witness")
     # the partial transpose of a validated state is exactly Hermitian
     w, v = np.linalg.eigh(partial_transpose(rho, _PT_SIDE))
     if w[0] >= -DETECTION_FLOOR:
         raise NotEntangledError(
             f"partial transpose has no negative eigenvalue (lowest {w[0]:.3e})"
         )
-    ties = np.flatnonzero(w - w[0] < _TIE_TOL)
-    eta = v[:, ties[np.argmax(np.abs(v[0, ties]))]]
-    lead = np.flatnonzero(np.abs(eta) > _TIE_TOL)[0]
-    eta = eta * (eta[lead].conj() / abs(eta[lead]))
-    c = pauli_decompose(np.outer(eta, eta.conj()))
-    c[:, PAULI_LABELS.index("y")] *= -1.0
-    return Witness(c)
+    projector = DensityMatrix(rho.space, np.outer(v[:, 0], v[:, 0].conj()))  # |eta><eta|
+    return Witness(pauli_decompose(partial_transpose(projector, _PT_SIDE)))
 
 
 def pauli_decompose(m: np.ndarray) -> np.ndarray:

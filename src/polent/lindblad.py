@@ -291,12 +291,12 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     at the first failing step. A spectral radius of P above
     1 + STABILITY_SLACK aborts it before the first step, as the drift shows
     a growing mode only after a growth of ~1e10. The run takes
-    round(t_final / dt) steps, at least one when t_final > 0. ``steps`` is
-    0, k, 2k, ... and the last step for k = sample_every (0 and the last step
-    for None), ``rho`` the stack of the states there, rho0 first, and
-    ``drift`` |Tr rho - 1| after every step, step 0 first. RK4 does not keep
-    positivity: a sample that is not a density matrix (checked in one batch)
-    raises an IntegrationError that names its t and dt.
+    round(t_final / dt) steps, at least one when t_final > 0. ``steps`` is 0,
+    k, 2k, ... and the last step for k = sample_every (0 and the last step for
+    None or k beyond the run), ``rho`` the stack of the states there, rho0
+    first, and ``drift`` |Tr rho - 1| after every step, step 0 first. RK4
+    does not keep positivity: a sample that is not a density matrix (checked
+    in one batch) raises an IntegrationError that names its t and dt.
     """
     if rho0.space.dims != m.space.dims:
         raise ValueError("initial state lives on a different space than the model")
@@ -315,7 +315,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise IntegrationError(f"RK4 step spectral radius {radius:.6g} > 1; reduce dt below {dt:g}")
     r = (u.conj().T @ rho0.matrix.ravel(order="F")).real
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
-    every = sample_every or max(1, nsteps)
+    every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     steps = np.append(np.arange(0, nsteps, every), nsteps)
     samples = np.empty((len(steps), n))
     samples[0] = r

@@ -136,8 +136,10 @@ def map_physical(p: PhysicalParams) -> DimensionlessParams:
 
 
 def adiabatic_amplitude(sigma1_expect: complex, sigma2_expect: complex, p: PhysicalParams) -> complex:
-    """Mode amplitude predicted when the mode follows the qubits instantaneously.
+    """(J (<sigma-_1> + <sigma-_2>) + alpha) / (Delta + i kappa): a full-model steady <a>.
 
-    Validation diagnostic: compare against the full model's steady <a>.
+    Exact up to the cutoff: d<a>/dt = 0 gives (Delta + i kappa) <a> = J <S K> + alpha <K>, with
+    S = sigma-_1 + sigma-_2, K = 1 - (N+1) Pi_N and Pi_N the projector on the top Fock level N.
+    So it cannot tell a wrong reduction; it measures only the cutoff and the solver error.
     """
     return (p.j * (sigma1_expect + sigma2_expect) + p.alpha) / (p.delta + 1j * p.kappa)

@@ -52,7 +52,7 @@ def test_closed_form_populations():
     assert_allclose(rho.diagonal().real, [1 / 9, 2 / 9, 2 / 9, 4 / 9], atol=1e-15)
 
 
-def test_to_density_matrix_layout():
+def test_closed_form_at_zero_hopping_and_unit_drive():
     expected = np.array(
         [
             [1, -1j, -1j, -1],
@@ -66,7 +66,7 @@ def test_to_density_matrix_layout():
     assert_allclose(rho.matrix, expected, atol=1e-15)
 
 
-def test_to_density_matrix_hermitian_completion():
+def test_oracle_matrix_is_the_hermitian_completion():
     # the (gg, ge) entry is the conjugate of g1 + i g2
     v = _vectors(closed_form(4.0, 1.5)[0])
     m = _matrices(v)
@@ -76,7 +76,7 @@ def test_to_density_matrix_hermitian_completion():
     assert_allclose(m, m.conj().T, atol=1e-15)
 
 
-def test_parametrization_validation():
+def test_density_matrix_rejects_oracle_populations_outside_0_1():
     # DensityMatrix rejects a negative population and populations beyond 1
     with pytest.raises(InvalidStateError):
         DensityMatrix(TWO_QUBITS, _matrices(params(a=-0.1)))
@@ -84,7 +84,7 @@ def test_parametrization_validation():
         DensityMatrix(TWO_QUBITS, _matrices(params(a=0.5, e=0.4, h=0.2)))
 
 
-def test_to_density_matrix_rejects_indefinite_input():
+def test_density_matrix_rejects_a_coherence_without_populations():
     # an |ee><gg| coherence with no population behind it
     with pytest.raises(InvalidStateError):
         DensityMatrix(TWO_QUBITS, _matrices(params(d1=0.5)))
@@ -124,7 +124,7 @@ def test_numeric_steady_state_satisfies_equations():
     assert equation_residuals([7.0], [1.3], [0.0], rho.matrix[None])[0] <= 1e-9
 
 
-def test_from_matrix_roundtrip():
+def test_oracle_layout_roundtrips_the_closed_form():
     v = _vectors(closed_form(6.0, 2.4)[0])
     assert_allclose(_vectors(_matrices(v)), v, atol=1e-15)
 

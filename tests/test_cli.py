@@ -73,7 +73,7 @@ def test_steady_rejects_non_finite_parameters(capsys, recwarn):
     assert not recwarn.list
 
 
-def test_steady_mirrored_branch_matches_the_numeric_route(capsys):
+def test_steady_routes_agree_at_an_imaginary_drive(capsys):
     assert main(["steady", "--zeta", "5", "--xi2", "1", "--solver", "both"]) == 0
     out = capsys.readouterr().out
     assert float(re.search(r"equation residual = (\S+)", out).group(1)) <= 1e-13
@@ -326,6 +326,16 @@ def test_dynamics_without_drive_stays_in_ground_state(tmp_path, capsys):
     for r in rows:
         assert r[1] == 0.0
         assert_allclose(r[2:6], [0, 0, 0, 1], atol=1e-12)
+    capsys.readouterr()
+
+
+def test_dynamics_takes_a_cadence_beyond_int64(tmp_path, capsys):
+    run = ["dynamics", "--zeta", "10", "--xi1", "2", "--t-final", "1"]
+    huge, reference = tmp_path / "huge.csv", tmp_path / "reference.csv"
+    assert main([*run, "--sample-every", str(2**63), "--out", str(huge)]) == 0
+    assert main([*run, "--sample-every", "1000000", "--out", str(reference)]) == 0
+    assert huge.read_bytes() == reference.read_bytes()
+    assert len(read_rows(huge)[1]) == 2
     capsys.readouterr()
 
 

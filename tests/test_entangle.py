@@ -18,7 +18,14 @@ from polent.entangle import (
 )
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
-from polent.qops import SIGMA_Y, SIGMA_Z, TWO_QUBITS, DensityMatrix, partial_transpose
+from polent.qops import (
+    SIGMA_Y,
+    SIGMA_Z,
+    TWO_QUBITS,
+    DensityMatrix,
+    HilbertSpace,
+    partial_transpose,
+)
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
 BELL_RHO = DensityMatrix(TWO_QUBITS, np.outer(BELL, BELL.conj()))
@@ -182,7 +189,6 @@ def test_witness_matches_the_transposed_projector():
     for k in entangled:
         rho = DensityMatrix(TWO_QUBITS, stack.matrix[k])
         eta = np.linalg.eigh(partial_transpose(rho, 1))[1][:, 0]
-        eta = eta * (eta[0].conj() / abs(eta[0]))  # the library's phase convention
         w = partial_transpose(DensityMatrix(TWO_QUBITS, np.outer(eta, eta.conj())), 1)
         wit = construct_witness(rho)
         worst_c = max(worst_c, np.abs(wit.coefficients - pauli_decompose(w)).max())
@@ -191,6 +197,27 @@ def test_witness_matches_the_transposed_projector():
     assert worst_c <= 1e-16, worst_c
     assert worst_tr <= 1e-15, worst_tr
     assert worst_n <= 1e-14, worst_n
+
+
+def test_two_qubit_partial_transpose_has_at_most_one_negative_eigenvalue():
+    # the fact that makes the witness's eigenvector unique (Sanpera, Tarrach & Vidal 1998)
+    rng = np.random.default_rng(2903)
+    states = []
+    for r in rng.integers(1, 5, size=1500):
+        g = rng.normal(size=(4, r)) + 1j * rng.normal(size=(4, r))
+        m = g @ g.conj().T
+        states.append(m / np.trace(m).real)
+    stack = DensityMatrix(TWO_QUBITS, np.array(states))
+    w = np.linalg.eigvalsh(partial_transpose(stack, 1))
+    negative = (w < -entangle.DETECTION_FLOOR).sum(axis=-1)
+    assert (negative == 1).sum() >= 1000
+    assert negative.max() == 1
+
+
+def test_witness_rejects_a_state_that_is_not_two_qubits():
+    three = DensityMatrix(HilbertSpace((2, 2, 2)), np.eye(8) / 8)
+    with pytest.raises(ValueError, match="two qubits"):
+        construct_witness(three)
 
 
 def test_witness_rejects_separable_states():

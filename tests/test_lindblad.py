@@ -447,6 +447,16 @@ def test_evolve_sample_cadence():
         assert np.array_equal(rho.matrix[-1], final)
 
 
+def test_a_cadence_beyond_the_run_samples_its_ends():
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    steps, rho, drift = evolve(m, ground_pair(), t_final=1.0, dt=1e-3)
+    for every in (1001, 2**63, 10**30):
+        long_steps, long_rho, long_drift = evolve(m, ground_pair(), 1.0, 1e-3, sample_every=every)
+        assert np.array_equal(long_steps, steps) and long_steps.dtype == steps.dtype
+        assert np.array_equal(long_rho.matrix, rho.matrix)
+        assert np.array_equal(long_drift, drift)
+
+
 @pytest.mark.parametrize("every", [1, 7, 100, None])
 def test_sampling_does_not_perturb_the_run(every):
     # dt = 2^-10 makes k dt / dt exactly k: the k-step run is a prefix of the long one

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polent.lindblad import build_liouvillian, steady_state
 from polent.model import (
     DimensionlessParams,
     PhysicalParams,
@@ -11,6 +12,7 @@ from polent.model import (
     build_effective_model,
     build_full_model,
     map_physical,
+    mode_lowering,
 )
 from polent.qops import IDENTITY_2, SIGMA_MINUS
 
@@ -135,3 +137,21 @@ def test_adiabatic_amplitude_formula():
     amp = adiabatic_amplitude(0.1 - 0.2j, 0.05 + 0.0j, PHYS)
     expected = (PHYS.j * (0.15 - 0.2j) + PHYS.alpha) / (PHYS.delta + 1j * PHYS.kappa)
     assert_allclose(amp, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_adiabatic_amplitude_is_exact_up_to_the_top_fock_level(n_max):
+    # d<a>/dt = 0: (Delta + i kappa) <a> = J <S K> + alpha <K>, K = 1 - (N+1) Pi_N
+    rng = np.random.default_rng(1300 + n_max)
+    eye2 = np.eye(2)
+    s = np.kron(np.eye(n_max + 1), np.kron(eye2, SIGMA_MINUS) + np.kron(SIGMA_MINUS, eye2))
+    fock = np.ones(n_max + 1)
+    fock[-1] -= n_max + 1
+    k = np.kron(np.diag(fock), np.eye(4))
+    a = np.kron(mode_lowering(n_max), np.eye(4))
+    for _ in range(5):
+        alpha = 5 * rng.random() * np.exp(2j * np.pi * rng.random())
+        p = PhysicalParams(1.0, rng.uniform(-10, 10), rng.uniform(5, 20), 0.01, alpha, n_max)
+        rho = steady_state(build_liouvillian(build_full_model(p))).rho.matrix
+        amp, sk, kk = (np.trace(rho @ op) for op in (a, s @ k, k))
+        assert abs((p.delta + 1j * p.kappa) * amp - (p.j * sk + p.alpha * kk)) <= 1e-14

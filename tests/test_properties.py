@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 from unittest import mock
 
 import numpy as np
@@ -137,13 +138,17 @@ magnitudes = st.floats() | st.builds(lambda m, s: m * s, st.floats(-10.0, 10.0),
                                      st.sampled_from([1e300, 1e-300, 1e200, 1e9]))
 commands = st.sampled_from([["steady", "--solver=analytic"], ["steady", "--solver=numeric"],
                             ["steady", "--solver=both"], ["steady", "--solver=bogus"],
-                            ["witness"]])
+                            ["witness"], ["dynamics", "--t-final=0.01"]])
+# every integer up to 10^30, and each power of ten up to it, so cadences past int64 come up
+cadences = st.integers(-1, 10**30) | st.integers(0, 30).map(lambda e: 10**e)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(commands, magnitudes, magnitudes, magnitudes)
-def test_every_argv_ends_in_a_documented_exit_code(command, zeta, xi1, xi2):
+@given(commands, magnitudes, magnitudes, magnitudes, cadences)
+def test_every_argv_ends_in_a_documented_exit_code(command, zeta, xi1, xi2, every):
     argv = [*command, f"--zeta={zeta!r}", f"--xi1={xi1!r}", f"--xi2={xi2!r}"]
+    if command[0] == "dynamics":
+        argv += [f"--sample-every={every}", f"--out={os.devnull}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3, 4)
 
