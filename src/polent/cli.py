@@ -340,11 +340,13 @@ def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
 # else its default, goes through the option's converter, which is its whole
 # check; a converter's ValueError is a usage error (exit 2)
 
-# validate's cutoff: the process's max RSS is about 50 bytes per entry of the
-# n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2, which at n_max = 15
-# is 1.25 GiB (measured in one fresh process with getrusage, 12 s on 2 CPUs;
-# tracemalloc's peak, which sees numpy's buffers only, is 0.80 GiB there)
-MAX_NMAX = 15
+# validate's cutoff: the process's max RSS is about 32 bytes per entry of the
+# n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2: the matrix and the
+# copy Liouvillian keeps, as steady_state stores neither B nor B^-1 for one
+# Liouvillian. Measured in one fresh process with getrusage on 2 CPUs: 0.85 GiB
+# at n_max = 15 (4.1 s), 1.05 GiB at 16 (4.4 s); 17 would take about 1.28 GiB,
+# more than the 1.25 GiB that n_max = 15 took while the probe was inverted densely
+MAX_NMAX = 16
 
 
 def _finite(text) -> float:

@@ -145,30 +145,49 @@ def effective_liouvillians(basis: np.ndarray, zeta, xi1, xi2) -> Liouvillian:
 def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """Solve L vec(rho) = 0 with Tr rho = 1, for one Liouvillian or a stack.
 
-    B, L with the trace condition in place of a row (_bordered), is inverted
-    once (the direct method of QuTiP; Johansson, Nation and Nori, CPC 183,
-    1760 (2012)). Column 0 of B^-1 gives rho, Hermitian by construction;
-    gap = 1/||B^-1||_F <= sigma_min(B) <= sigma_{n-1}(L), as B - L has rank
-    one (Horn and Johnson, Topics in Matrix Analysis, Thm 3.3.16). Raises
+    B is L in a real orthonormal basis of Hermitian matrices with the trace
+    condition in place of the first population row (the direct method of
+    QuTiP; Johansson, Nation and Nori, CPC 183, 1760 (2012)). Column 0 of
+    B^-1 gives rho, Hermitian by construction; gap = 1/||B^-1||_F <=
+    sigma_min(B) <= sigma_{n-1}(L), as B - L has rank one (Horn and Johnson,
+    Topics in Matrix Analysis, Thm 3.3.16). A stack of many small systems is
+    inverted in one batch (_bordered). One Liouvillian, one large sparse
+    system, is triangularized level by level (_solve_by_levels), which gives
+    the same column and norm without forming B or B^-1; its reflections mix
+    adjacent levels only, so a result of it that fails a check below is
+    recomputed by inverting B whole, whose result then stands. Raises
     DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
     """
     d = liouv.space.dim
+    if liouv.matrix.ndim == 2:
+        coords, gap, largest = _solve_by_levels(liouv.matrix, d)
+        try:
+            return _certified(liouv, coords[None], np.array([gap]), np.array([largest]))
+        except (DegenerateSteadyStateError, InvalidStateError):
+            pass  # reflections mix adjacent levels only: B, inverted whole, decides
     lm = liouv.matrix.reshape(-1, d * d, d * d)
-    n = len(lm)
     inverse = _inverse(_bordered(lm, d))
     gaps = 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
+    return _certified(liouv, inverse[..., 0], gaps, np.abs(lm).max(axis=(-2, -1)))
+
+
+def _certified(liouv: Liouvillian, coords: np.ndarray, gaps: np.ndarray,
+               largest: np.ndarray) -> SteadyStateResult:
+    """The states of B^-1's column 0 (coords, one row per Liouvillian), once gap and residual pass."""
+    d = liouv.space.dim
+    n = len(gaps)
     degenerate = ~(gaps > GAP_FLOOR)  # "not >" so that NaN fails
     if degenerate.any():
         k = int(np.argmax(degenerate))
         raise DegenerateSteadyStateError(
             f"stationary space is degenerate (gap {gaps[k]:.3e} <= {GAP_FLOOR:g})" + _which(k, n)
         )
-    mats = _unvec(_from_coordinates(inverse[..., 0], d), d)
+    mats = _unvec(_from_coordinates(coords, d), d)
     residuals = stationarity_residuals(liouv, mats)
     # the largest entry of L sets its scale; unlike a norm it cannot overflow
-    bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(lm).max(axis=(-2, -1)))
+    bounds = RESIDUAL_TOL * np.maximum(1.0, largest)
     failed = ~(residuals <= bounds)
     if failed.any():
         k = int(np.argmax(failed))
@@ -250,6 +269,169 @@ def _bordered(lm: np.ndarray, d: int) -> np.ndarray:
         out[:, k] = (half[..., p] * a + half[..., q] * b).real * scale[off[k, None] + off]
     out[:, 0] = 1 - off
     return out
+
+
+def _owners(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two coordinates whose B_k (_hermitian_pairs) have an entry at each vec index, and its unit.
+
+    Both are (d^2, 2); an entry is its unit times 1 or 1/sqrt(2). The pair
+    i < j owns (i, j) with units (1, i) and (j, i) with units (1, -i), in
+    its real and imaginary coordinates; E_ii owns (i, i) with unit 1, and
+    its second slot repeats it with unit 0.
+    """
+    i, j, diag = *np.triu_indices(d, 1), np.arange(d)
+    owners = np.empty((d, d, 2), dtype=int)
+    units = np.zeros((d, d, 2), dtype=complex)
+    owners[diag, diag], units[diag, diag, 0] = diag[:, None], 1.0
+    owners[i, j] = owners[j, i] = d + np.arange(len(i))[:, None] + [0, len(i)]
+    units[i, j], units[j, i] = (1.0, 1j), (1.0, -1j)
+    # entry (i, j) has vec index i + j d
+    return owners.swapaxes(0, 1).reshape(d * d, 2), units.swapaxes(0, 1).reshape(d * d, 2)
+
+
+def _bordered_entries(lm: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """B's nonzero entries below row 0 as (k, l, B_kl), from L's nonzeros; and the largest |L_ij|.
+
+    An entry sums the real parts of the entries of L it couples, times the
+    units of B_k's and B_l's entries there (_owners), which is exact, and is
+    then scaled once, as in _bordered.
+    """
+    n = d * d
+    flat = np.flatnonzero(lm.view(float) != 0) // 2  # a third of the cost of lm != 0
+    rows, cols = np.divmod(flat[np.diff(flat, prepend=-1) != 0], n)
+    values = lm[rows, cols]
+    owners, units = _owners(d)
+    first, second = [0, 0, 1, 1], [0, 1, 0, 1]
+    keys, which = np.unique(owners[rows][:, first] * n + owners[cols][:, second], return_inverse=True)
+    parts = (units[rows][:, first].conj() * values[:, None] * units[cols][:, second]).real
+    k, l = np.divmod(keys, n)
+    scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units
+    entries = np.bincount(which.ravel(), parts.ravel()) * scale[(k >= d).astype(int) + (l >= d)]
+    keep = (k != 0) & (entries != 0)  # row 0 of B is the trace row
+    return k[keep], l[keep], entries[keep], float(np.abs(values).max(initial=0.0))
+
+
+def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
+    """Breadth-first level of each of n coordinates over the pattern (k, l), rooted at 0.
+
+    The search follows each pair both ways, so an edge joins levels that
+    differ by at most 1. A part of the pattern the search does not reach
+    gets its own levels after the last one, from its smallest coordinate.
+    """
+    edges = np.sort(np.concatenate([k * n + l, l * n + k]))
+    source, target = np.divmod(edges, n)
+    first = np.searchsorted(source, np.arange(n + 1))
+    level = np.full(n, -1)
+    depth, front = 0, np.zeros(0, dtype=int)
+    while (level < 0).any():
+        if not len(front):
+            front = np.flatnonzero(level < 0)[:1]
+        level[front] = depth
+        depth += 1
+        counts = first[front + 1] - first[front]
+        reach = np.repeat(first[front] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        front = np.unique(target[reach])
+        front = front[level[front] < 0]
+    return level
+
+
+def _solve_by_levels(lm: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
+    """Column 0 of B^-1, 1/||B^-1||_F and the largest |L_ij|, for one L, level by level.
+
+    _triangularize_by_levels gives DB = QR, Q orthogonal and D the identity
+    but for D_00 = s. So B^-1 = R^-1 Q^T D: its column 0 is x = R^-1 c, with
+    c = Q^T D e_0, its other columns are those of R^-1 Q^T, and
+    ||B^-1||_F^2 = ||R^-1||_F^2 + (1 - 1/s^2) ||x||^2. R^-1's rows at level k
+    are X_k = P_k E_k + A_k Z_{k+1}, with P_k = R_kk^-1, E_k the identity's
+    rows, A_k = -P_k [R_k,k+1 | R_k,k+2 | f_k] and Z_{k+1} the rows
+    [X_{k+1}; X_{k+2}; tau_{k+3}], tau_{k+3} being the trace row times R^-1's
+    rows from level k + 3 on. Z_{k+1} is zero in level k's columns, where
+    E_k lives, so X_k X_k^T = P_k P_k^T + A_k G_{k+1} A_k^T and the Gram
+    matrix G_k = Z_k Z_k^T follows from G_{k+1} alone. Summing the traces
+    from the last level to the root gives ||R^-1||_F^2 from blocks of the
+    levels' sizes, and x is back-substituted alongside. R^-1 and B^-1 are
+    never formed. An exactly singular block, or a failed LAPACK call on a
+    non-finite one, gives gap 0.
+    """
+    n = d * d
+    k, l, values, largest = _bordered_entries(lm, d)
+    s = max(1.0, largest)
+    try:
+        order, factors = _triangularize_by_levels(k, l, values, d, s)
+        del k, l, values  # B is in the factors now
+        trace = (order < d).astype(float)
+        bounds = np.cumsum([0] + [len(fac) for fac in factors] + [0])
+        gram, z = np.zeros((1, 1)), np.zeros(1)  # of Z_{k+1}, and [x_{k+1}; x_{k+2}; trace . x]
+        total, column = 0.0, np.empty(n)
+        for depth in range(len(factors) - 1, -1, -1):
+            start, stop, ahead = bounds[depth], bounds[depth + 1], bounds[depth + 2]
+            fac, width, span = factors.pop(), stop - start, len(gram)
+            p = np.linalg.inv(fac[:, :width])
+            a = -p @ fac[:, width:width + span]
+            h = a @ gram
+            own = p @ p.T + h @ a.T  # X_k X_k^T
+            total += np.trace(own)
+            column[start:stop] = p @ fac[:, -1] + a @ z
+            # Z_k = [X_k; X_{k+1}; tau_{k+2}], where tau_{k+2} = u^T Z_{k+1}
+            near = ahead - stop
+            u = np.concatenate([np.zeros(near), trace[ahead:ahead + span - 1 - near], [1.0]])
+            gu, hu = gram @ u, h @ u
+            gram = np.block([[own, h[:, :near], hu[:, None]],
+                             [h[:, :near].T, gram[:near, :near], gu[:near, None]],
+                             [hu[None], gu[None, :near], np.array([[u @ gu]])]])
+            z = np.concatenate([column[start:stop], z[:near], [u @ z]])
+    except np.linalg.LinAlgError:
+        return np.zeros(n), 0.0, largest
+    coords = np.empty(n)
+    coords[order] = column
+    total += (1 - (1 / s) ** 2) * np.vdot(column, column)
+    return coords, 1.0 / np.sqrt(total) if total > 0 else 0.0, largest
+
+
+def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
+                             s: float) -> tuple[np.ndarray, list]:
+    """DB = QR by Householder elimination level by level: the coordinates in level order, and R.
+
+    (k, l, values) are B's entries below row 0 (_bordered_entries). In the
+    order of _levels, B is block tridiagonal apart from row 0, the trace
+    row, which is level 0 alone; D scales that row by s, as a reflection
+    loses a row far smaller than the rows it mixes it with. Step k takes
+    the rows carried from step k - 1 and level k + 1's rows of B, the only
+    rows left with entries in level k's columns, and triangularizes them
+    (numpy's qr): reflections pivot across both levels without choosing
+    pivots. The first rows are level k's rows of R, nonzero only at levels
+    k, k + 1 and k + 2, and the rest are carried. The trace row is carried
+    through every step as a coefficient f in each row, whose entries beyond
+    level k + 2 are f times the trace row's, and the right-hand side D e_0
+    as c = Q^T D e_0. Level k's block row of R is kept as
+    [R_kk | R_k,k+1 | R_k,k+2 | f_k | c_k].
+    """
+    n = d * d
+    level = _levels(k, l, n)
+    order = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[order], np.arange(level.max() + 4))  # and two empty levels
+    where = np.empty(n, dtype=int)
+    where[order] = np.arange(n)
+    by_row = np.argsort(where[k], kind="stable")
+    k, l, values = where[k[by_row]], where[l[by_row]], values[by_row]
+    split = np.searchsorted(k, bounds)
+    trace = (order < d).astype(float)  # row 0 of B in level order: Tr B_k
+    carried = s * np.concatenate([trace[:bounds[2]], [1.0, 1.0]])[None]  # row 0 of DB: f = c = s
+    factors = []
+    for depth in range(len(bounds) - 3):
+        start, stop, ahead, end = bounds[depth:depth + 4]
+        panel = np.zeros((len(carried) + ahead - stop, end - start + 2))
+        panel[:len(carried), :ahead - start] = carried[:, :-2]
+        panel[:len(carried), ahead - start:end - start] = carried[:, -2, None] * trace[ahead:end]
+        panel[:len(carried), -2:] = carried[:, -2:]
+        mine = slice(split[depth + 1], split[depth + 2])
+        panel[len(carried) + k[mine] - stop, l[mine] - start] = values[mine]
+        h = np.linalg.qr(panel, mode="raw")[0].T  # R above the diagonal, the reflectors below
+        del panel  # each step's temporaries are freed before the next step's
+        factors.append(np.triu(h[:stop - start]))
+        carried = np.triu(h[stop - start:, stop - start:])
+        del h
+    return order, factors
 
 
 def _step_powers(increment: np.ndarray, count: int) -> np.ndarray:

@@ -412,7 +412,7 @@ BAD_VALUES = {
     "steady": [("zeta", "abc"), ("solver", "bogus")],
     "sweep": [("grid", "0:10:0,0:4:3"), ("xi2", "nan"), ("solver", "fast"), ("workers", "0")],
     "witness": [("xi1", "inf")],
-    "validate": [("j", "x"), ("kappa", "0"), ("nmax", "16"), ("t_final", "-1")],
+    "validate": [("j", "x"), ("kappa", "0"), ("nmax", "17"), ("t_final", "-1")],
     "dynamics": [("xi2", "1e400"), ("dt", "-0.1"), ("sample_every", "1.5")],
 }
 

@@ -226,6 +226,40 @@ def test_steady_state_degenerate_raises():
         steady_state(build_liouvillian(m))
 
 
+@pytest.mark.parametrize("hamiltonian", ["zero", "driven"])
+def test_one_jump_free_liouvillian_is_degenerate(hamiltonian):
+    # without jumps every eigenprojector of H is stationary; with H = 0 each
+    # coordinate is a part of B's pattern of its own, and the first block
+    # after the trace row is exactly singular: gap 0, not a LinAlgError
+    space = HilbertSpace((2, 2, 3))
+    h = {"zero": np.zeros((12, 12)),
+         "driven": build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.5, n_max=2)).hamiltonian}
+    liouv = build_liouvillian(LindbladModel(space, h[hamiltonian], ()))
+    if hamiltonian == "zero":
+        assert lindblad._solve_by_levels(liouv.matrix, 12)[1] == 0.0
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"^stationary space is degenerate \(gap 0\.000e\+00 <= 1e-08\)$"):
+        steady_state(liouv)
+
+
+def test_levels_search_every_part_of_a_pattern_that_splits():
+    # undriven, B's pattern falls apart: the search from coordinate 0 reaches
+    # only part of it, and each other part gets levels of its own
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.0, n_max=8)))
+    d = liouv.space.dim
+    k, l, _, _ = lindblad._bordered_entries(liouv.matrix, d)
+    level = lindblad._levels(k, l, d * d)
+    assert np.abs(level[k] - level[l]).max() <= 1
+    joined = np.zeros(level.max() + 1, dtype=bool)  # levels with an edge to the level before
+    joined[np.maximum(level[k], level[l])[level[k] != level[l]]] = True
+    assert (~joined[1:]).sum() >= 2
+    single = steady_state(liouv)
+    dense = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
+    assert single.gap == lindblad._solve_by_levels(liouv.matrix, d)[1]  # the level route's own
+    assert np.abs(single.rho.matrix - dense.rho.matrix[0]).max() <= 1e-12
+    assert abs(single.gap / dense.gap[0] - 1) <= 1e-9
+
+
 def dense_hermitian_basis(d):
     # column k is vec(B_k): E_ii, then (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2) for i < j
     i, j = np.triu_indices(d, 1)
@@ -247,6 +281,14 @@ def test_bordered_system_is_l_in_the_hermitian_basis(d, count):
     bordered = lindblad._bordered(lm, d)
     assert np.abs(bordered[:, 1:] - (u.conj().T @ lm @ u).real[:, 1:]).max() <= 1e-13
     assert np.array_equal(bordered[:, 0], np.broadcast_to(np.arange(d * d) < d, (count, d * d)))
+    # one L's entries, gathered from its nonzeros, are B's rows below the trace row
+    sparse = lm * (rng.random(lm.shape) < 0.2)
+    for one, whole in zip(sparse, lindblad._bordered(sparse, d)):
+        k, l, values, largest = lindblad._bordered_entries(one, d)
+        gathered = np.zeros((d * d, d * d))
+        gathered[k, l] = values
+        assert np.abs(gathered[1:] - whole[1:]).max() <= 1e-13 and not gathered[0].any()
+        assert largest == np.abs(one).max()
 
 
 @pytest.mark.parametrize("degenerate", ["zero", "one_qubit_decay"])
@@ -286,18 +328,30 @@ def test_stationarity_residuals_scale_exactly_and_do_not_overflow():
     assert np.isfinite(huge) and abs(huge / (1e300 * res) - 1.0) <= 1e-14
 
 
-def test_steady_state_memory_stays_near_one_matrix_above_l():
-    # the real route needs the bordered real matrix and its inverse, 1.0
-    # complex n^2 matrices; a complex inverse needed 3.0
-    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6)))
-    n = liouv.matrix.shape[-1]
+def _solve_peak(liouv):
     tracemalloc.start()
     try:
         steady_state(liouv)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 16
+
+
+def test_steady_state_memory_stays_near_one_matrix_above_l():
+    # a stack's route needs the bordered real matrix and its inverse, 1.0
+    # complex n^2 matrices; a complex inverse needed 3.0
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6)))
+    n = liouv.matrix.shape[-1]
+    assert _solve_peak(Liouvillian(liouv.space, liouv.matrix[None])) <= 1.5 * n * n * 16
+
+
+def test_one_liouvillian_is_solved_below_one_real_matrix():
+    # n_max 8, side n = 1296, one real n^2 array 13.4 MB: the level route
+    # peaked at 11.2 MB (0.83 of it, numpy 2.4), the dense route, which a
+    # stack of one takes, at 26.9 MB (2.00: B and B^-1), so it would fail
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=8)))
+    n = liouv.matrix.shape[-1]
+    assert _solve_peak(liouv) < n * n * 8
 
 
 def test_build_liouvillian_memory_stays_near_two_matrices():

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from stationarity_oracle import _matrices, _vectors, equation_residuals
 
-from polent import cli
+from polent import cli, lindblad
 from polent.analytic import closed_form
 from polent.cli import main
 from polent.entangle import concurrence, negativity
 from polent.lindblad import (
     IntegrationError,
+    Liouvillian,
     build_liouvillian,
     effective_basis,
     effective_liouvillians,
@@ -116,6 +117,25 @@ def test_gap_bounds_the_second_singular_value_of_full_models(p):
     assert steady_state(liouv).gap <= second * (1 + 1e-12)
 
 
+# undriven (B's pattern splits), barely driven, and driven past the cutoff's reach
+drives = st.just(0j) | st.complex_numbers(max_magnitude=1e-3) | st.complex_numbers(max_magnitude=5.0)
+full_models = st.builds(PhysicalParams, st.floats(0.1, 3.0), st.floats(-20.0, 20.0), st.floats(0.5, 20.0),
+                        st.floats(0.01, 1.0), drives, st.integers(1, 6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(full_models)
+def test_one_liouvillian_matches_the_dense_oracle(p):
+    # a stack of one is inverted whole; one Liouvillian is solved level by
+    # level, and the level route's own result is the one returned
+    liouv = build_liouvillian(build_full_model(p))
+    single = steady_state(liouv)
+    dense = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
+    assert single.gap == lindblad._solve_by_levels(liouv.matrix, liouv.space.dim)[1]
+    assert np.abs(single.rho.matrix - dense.rho.matrix[0]).max() <= 1e-12
+    assert abs(single.gap / dense.gap[0] - 1) <= 1e-6
+
+
 @SETTINGS
 @given(zetas, components, components, st.floats(0.01, 1.0), st.integers(1, 200))
 def test_rk4_keeps_the_trace_to_rounding_at_every_step(zeta, xi1, xi2, fraction, nsteps):
@@ -143,9 +163,17 @@ commands = st.sampled_from([["steady", "--solver=analytic"], ["steady", "--solve
 cadences = st.integers(-1, 10**30) | st.integers(0, 30).map(lambda e: 10**e)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(commands, magnitudes, magnitudes, magnitudes, cadences)
-def test_every_argv_ends_in_a_documented_exit_code(command, zeta, xi1, xi2, every):
+# three points in four in range, where every command runs to its end; the
+# rest of any magnitudes
+cli_points = st.integers(0, 3).flatmap(
+    lambda k: st.tuples(magnitudes, magnitudes, magnitudes) if k == 0
+    else st.tuples(components, components, components))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(commands, cli_points, cadences)
+def test_every_argv_ends_in_a_documented_exit_code(command, point, every):
+    zeta, xi1, xi2 = point
     argv = [*command, f"--zeta={zeta!r}", f"--xi1={xi1!r}", f"--xi2={xi2!r}"]
     if command[0] == "dynamics":
         argv += [f"--sample-every={every}", f"--out={os.devnull}"]
