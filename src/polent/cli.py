@@ -306,7 +306,7 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
     td_dyn = trace_distance(DensityMatrix(TWO_QUBITS, evolved), eff)
     cavity = abs(p.alpha / (p.delta + 1j * p.kappa))
     lines = [
-        f"validation report (kappa/J = {p.kappa / p.j:g})",
+        f"validation report (kappa/J = {p.kappa / p.j if p.j else np.inf:g})",  # J = 0: uncoupled
         f"rates: J = {p.j:g}, Delta = {p.delta:g}, kappa = {p.kappa:g}, "
         f"gamma = {p.gamma:g}, alpha = {p.alpha.real:g}{p.alpha.imag:+g}i, n_max = {p.n_max}",
         f"mapped parameters: zeta = {dp.zeta:.17g}, xi = {dp.xi1:.17g} {dp.xi2:+.17g}i",

@@ -2,7 +2,8 @@
 
 The stationarity of any state is judged here only, as ||L vec(rho)|| with
 the Liouvillian built from the model (stationarity_residuals); the
-closed-form and numeric routes are both checked against it.
+closed-form and numeric routes are both checked against it. The solves and
+RK4 read L only through _real_form, in the Hermitian basis of _owners.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho), with
 vec(rho) = rho.ravel(order="F"). With A = -iH - 1/2 sum_j J_j^dagger J_j, the
@@ -76,10 +77,6 @@ class SteadyStateResult:
     gap: float | np.ndarray
 
 
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
-
-
 def _kronecker_sum(a: np.ndarray) -> np.ndarray:
     """I kron A + conj(A) kron I, written into one new zero matrix.
 
@@ -150,27 +147,31 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     QuTiP; Johansson, Nation and Nori, CPC 183, 1760 (2012)). Column 0 of
     B^-1 gives rho, Hermitian by construction; gap = 1/||B^-1||_F <=
     sigma_min(B) <= sigma_{n-1}(L), as B - L has rank one (Horn and Johnson,
-    Topics in Matrix Analysis, Thm 3.3.16). A stack of many small systems is
-    inverted in one batch (_bordered). One Liouvillian, one large sparse
-    system, is triangularized level by level (_solve_by_levels), which gives
-    the same column and norm without forming B or B^-1; its reflections mix
-    adjacent levels only, so a result of it that fails a check below is
-    recomputed by inverting B whole, whose result then stands. Raises
+    Topics in Matrix Analysis, Thm 3.3.16). B's entries are read once
+    (_real_form). A stack of many small systems is inverted in one batch.
+    One Liouvillian, one large sparse system, is triangularized level by
+    level (_solve_by_levels), which gives the same column and norm without
+    forming B or B^-1; its reflections mix adjacent levels only, so a result
+    of it that fails a check below is recomputed by inverting B whole, whose
+    result then stands. Raises
     DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
     """
     d = liouv.space.dim
+    k, l, entries, largest = _real_form(liouv.matrix, d)
     if liouv.matrix.ndim == 2:
-        coords, gap, largest = _solve_by_levels(liouv.matrix, d)
+        coords, gap = _solve_by_levels(k, l, entries[0], d, largest[0])
         try:
-            return _certified(liouv, coords[None], np.array([gap]), np.array([largest]))
+            return _certified(liouv, coords[None], np.array([gap]), largest)
         except (DegenerateSteadyStateError, InvalidStateError):
             pass  # reflections mix adjacent levels only: B, inverted whole, decides
-    lm = liouv.matrix.reshape(-1, d * d, d * d)
-    inverse = _inverse(_bordered(lm, d))
+    bordered = np.zeros((len(entries), d * d, d * d))
+    bordered[:, k, l] = entries
+    bordered[:, 0] = np.arange(d * d) < d  # Tr B_k in place of the first population's row
+    inverse = _inverse(bordered)
     gaps = 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
-    return _certified(liouv, inverse[..., 0], gaps, np.abs(lm).max(axis=(-2, -1)))
+    return _certified(liouv, inverse[..., 0], gaps, largest)
 
 
 def _certified(liouv: Liouvillian, coords: np.ndarray, gaps: np.ndarray,
@@ -184,7 +185,7 @@ def _certified(liouv: Liouvillian, coords: np.ndarray, gaps: np.ndarray,
         raise DegenerateSteadyStateError(
             f"stationary space is degenerate (gap {gaps[k]:.3e} <= {GAP_FLOOR:g})" + _which(k, n)
         )
-    mats = _unvec(_from_coordinates(coords, d), d)
+    mats = _from_coordinates(coords, d)
     residuals = stationarity_residuals(liouv, mats)
     # the largest entry of L sets its scale; unlike a norm it cannot overflow
     bounds = RESIDUAL_TOL * np.maximum(1.0, largest)
@@ -230,51 +231,13 @@ def _which(k: int, n: int) -> str:
     return f" (Liouvillian {k} of a stack of {n})" if n > 1 else ""
 
 
-def _hermitian_pairs(d: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal Hermitian B_k with vec(B_k) = a_k e_{p_k} + b_k e_{q_k}, for d x d matrices.
+def _owners(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis B_k: the two coordinates owning each vec index, their units and their values.
 
-    E_ii (p = q, b = 0), then (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2)
-    for i < j (p at (i, j), q at (j, i)): real coordinates give Hermitian matrices.
-    """
-    i, j = np.triu_indices(d, 1)
-    diag, upper, lower, s = np.arange(d) * (d + 1), i + j * d, j + i * d, 1.0 / np.sqrt(2.0)
-    p, q = np.concatenate([diag, upper, upper]), np.concatenate([diag, lower, lower])
-    counts = [d, len(i), len(i)]
-    return p, q, np.repeat([1.0, s, 1j * s], counts), np.repeat([0.0, s, -1j * s], counts)
-
-
-def _from_coordinates(r: np.ndarray, d: int) -> np.ndarray:
-    """vec of sum_k r_k B_k for each row r of an (N, d^2) array of real coordinates."""
-    p, q, a, b = _hermitian_pairs(d)
-    vecs = np.zeros(r.shape, dtype=complex)
-    np.add.at(vecs.T, np.concatenate([p, q]), np.concatenate([a * r, b * r], axis=-1).T)
-    return vecs
-
-
-def _bordered(lm: np.ndarray, d: int) -> np.ndarray:
-    """Re(U^dagger L U), vec(B_k) of _hermitian_pairs in column k of U, with row 0 set to Tr B_k.
-
-    Row 0 is the first population's, redundant as the population rows of L
-    sum to zero. Each entry is a +-sum of up to four real or imaginary parts
-    of L's entries, scaled once by 1, 1/sqrt(2) or 1/2: scaling first would
-    leave rounding of the largest entries (1e183 at zeta 1e200) where they cancel.
-    """
-    p, q, a, b = _hermitian_pairs(d)
-    off = (b != 0).astype(int)
-    a, b = a / abs(a), b / abs(a)  # 0, +-1 or +-i: multiplying by them is exact
-    scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units
-    out = np.empty(lm.shape)
-    for k in np.array_split(np.arange(lm.shape[-1]), max(1, lm.size // 2**14)):  # 256 kB temporaries
-        half = a[k, None].conj() * lm[:, p[k]] + b[k, None].conj() * lm[:, q[k]]
-        out[:, k] = (half[..., p] * a + half[..., q] * b).real * scale[off[k, None] + off]
-    out[:, 0] = 1 - off
-    return out
-
-
-def _owners(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two coordinates whose B_k (_hermitian_pairs) have an entry at each vec index, and its unit.
-
-    Both are (d^2, 2); an entry is its unit times 1 or 1/sqrt(2). The pair
+    The B_k are an orthonormal basis of Hermitian d x d matrices, so real
+    coordinates give Hermitian matrices: E_ii for k < d, then
+    (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2) for i < j. All three
+    are (d^2, 2); a value is its unit times 1 (k < d) or 1/sqrt(2). The pair
     i < j owns (i, j) with units (1, i) and (j, i) with units (1, -i), in
     its real and imaginary coordinates; E_ii owns (i, i) with unit 1, and
     its second slot repeats it with unit 0.
@@ -286,29 +249,56 @@ def _owners(d: int) -> tuple[np.ndarray, np.ndarray]:
     owners[i, j] = owners[j, i] = d + np.arange(len(i))[:, None] + [0, len(i)]
     units[i, j], units[j, i] = (1.0, 1j), (1.0, -1j)
     # entry (i, j) has vec index i + j d
-    return owners.swapaxes(0, 1).reshape(d * d, 2), units.swapaxes(0, 1).reshape(d * d, 2)
+    owners, units = owners.swapaxes(0, 1).reshape(d * d, 2), units.swapaxes(0, 1).reshape(d * d, 2)
+    return owners, units, units * np.where(owners < d, 1.0, 1.0 / np.sqrt(2.0))
 
 
-def _bordered_entries(lm: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """B's nonzero entries below row 0 as (k, l, B_kl), from L's nonzeros; and the largest |L_ij|.
+def _from_coordinates(r: np.ndarray, d: int) -> np.ndarray:
+    """sum_k r_k B_k, as (N, d, d) matrices, for each row r of an (N, d^2) array of coordinates."""
+    owners, _, values = _owners(d)
+    # a new C-ordered array whatever r's layout, so a row's matrix lies alike in any stack
+    vecs = np.ascontiguousarray((r[:, owners] * values).sum(axis=-1))
+    return vecs.reshape(len(r), d, d).swapaxes(-1, -2)  # vec is column-stacking
 
-    An entry sums the real parts of the entries of L it couples, times the
-    units of B_k's and B_l's entries there (_owners), which is exact, and is
-    then scaled once, as in _bordered.
+
+def _real_form(lm: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L in the basis of _owners, Re(U^dagger L U) with vec(B_k) in column k of U; and max|L_ij|.
+
+    For one L or an (N, d^2, d^2) stack: the rows k and columns l of the
+    entries on the union of the nonzero patterns, an (N, len(k)) array of
+    their values, and each L's largest |L_ij|. An entry is a +-sum of real
+    or imaginary parts of up to four entries of L, exact, scaled once by 1,
+    1/sqrt(2) or 1/2: scaling first would leave rounding of the largest
+    entries (1e183 at zeta 1e200) where they cancel.
     """
     n = d * d
-    flat = np.flatnonzero(lm.view(float) != 0) // 2  # a third of the cost of lm != 0
-    rows, cols = np.divmod(flat[np.diff(flat, prepend=-1) != 0], n)
-    values = lm[rows, cols]
-    owners, units = _owners(d)
+    lm = lm.reshape(-1, n * n)
+    nonzero = lm.view(float) != 0  # a third of the cost of lm != 0
+    flat = np.flatnonzero(nonzero.any(axis=0) if len(lm) > 1 else nonzero) // 2
+    del nonzero  # a quarter of a real n^2 matrix for one L: the largest array here
+    flat = flat[np.diff(flat, prepend=-1) != 0]
+    rows, cols = np.divmod(flat, n)
+    owners, units, _ = _owners(d)
     first, second = [0, 0, 1, 1], [0, 1, 0, 1]
-    keys, which = np.unique(owners[rows][:, first] * n + owners[cols][:, second], return_inverse=True)
-    parts = (units[rows][:, first].conj() * values[:, None] * units[cols][:, second]).real
-    k, l = np.divmod(keys, n)
+    keys = (owners[rows][:, first] * n + owners[cols][:, second]).ravel()
+    unit = (units[rows][:, first].conj() * units[cols][:, second]).ravel()  # 0, +-1 or +-i
+    live = np.flatnonzero(unit)  # a zero unit adds nothing
+    live = live[np.argsort(keys[live], kind="stable")]  # each entry's parts together, in order
+    keys, unit = keys[live], unit[live]
+    new = np.diff(keys, prepend=-1) != 0
+    starts, entry = np.flatnonzero(new), np.cumsum(new) - 1
+    # an entry's parts are summed in order, as layers; a shorter entry's last are 0 L_00
+    layer = np.arange(len(keys)) - starts[entry]
+    pick = np.zeros((layer.max(initial=0) + 1, len(starts)), dtype=int)
+    sign = np.zeros(pick.shape)
+    # Re(unit L_ij) is +-Re L_ij or +-Im L_ij: L's float 2 (i n + j) or the next, times a sign
+    pick[layer, entry] = 2 * flat[live // 4] + (unit.imag != 0)
+    sign[layer, entry] = unit.real - unit.imag
+    k, l = np.divmod(keys[starts], n)
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units
-    entries = np.bincount(which.ravel(), parts.ravel()) * scale[(k >= d).astype(int) + (l >= d)]
-    keep = (k != 0) & (entries != 0)  # row 0 of B is the trace row
-    return k[keep], l[keep], entries[keep], float(np.abs(values).max(initial=0.0))
+    entries = (lm.view(float)[:, pick] * sign).sum(axis=1)
+    entries *= scale[(k >= d).astype(int) + (l >= d)]
+    return k, l, entries, np.abs(lm[:, flat]).max(axis=-1, initial=0.0)
 
 
 def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
@@ -335,8 +325,9 @@ def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
     return level
 
 
-def _solve_by_levels(lm: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
-    """Column 0 of B^-1, 1/||B^-1||_F and the largest |L_ij|, for one L, level by level.
+def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
+                     largest: float) -> tuple[np.ndarray, float]:
+    """Column 0 of B^-1 and 1/||B^-1||_F, level by level, from one L's _real_form and max|L_ij|.
 
     _triangularize_by_levels gives DB = QR, Q orthogonal and D the identity
     but for D_00 = s. So B^-1 = R^-1 Q^T D: its column 0 is x = R^-1 c, with
@@ -354,7 +345,8 @@ def _solve_by_levels(lm: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
     non-finite one, gives gap 0.
     """
     n = d * d
-    k, l, values, largest = _bordered_entries(lm, d)
+    keep = (k != 0) & (values != 0)  # row 0 of B is the trace row
+    k, l, values = k[keep], l[keep], values[keep]
     s = max(1.0, largest)
     try:
         order, factors = _triangularize_by_levels(k, l, values, d, s)
@@ -381,21 +373,21 @@ def _solve_by_levels(lm: np.ndarray, d: int) -> tuple[np.ndarray, float, float]:
                              [hu[None], gu[None, :near], np.array([[u @ gu]])]])
             z = np.concatenate([column[start:stop], z[:near], [u @ z]])
     except np.linalg.LinAlgError:
-        return np.zeros(n), 0.0, largest
+        return np.zeros(n), 0.0
     coords = np.empty(n)
     coords[order] = column
     total += (1 - (1 / s) ** 2) * np.vdot(column, column)
-    return coords, 1.0 / np.sqrt(total) if total > 0 else 0.0, largest
+    return coords, 1.0 / np.sqrt(total) if total > 0 else 0.0
 
 
 def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
                              s: float) -> tuple[np.ndarray, list]:
     """DB = QR by Householder elimination level by level: the coordinates in level order, and R.
 
-    (k, l, values) are B's entries below row 0 (_bordered_entries). In the
-    order of _levels, B is block tridiagonal apart from row 0, the trace
-    row, which is level 0 alone; D scales that row by s, as a reflection
-    loses a row far smaller than the rows it mixes it with. Step k takes
+    (k, l, values) are B's nonzero entries below row 0 (_solve_by_levels).
+    In the order of _levels, B is block tridiagonal apart from row 0, the
+    trace row, which is level 0 alone; D scales that row by s, as a
+    reflection loses a row far smaller than the rows it mixes it with. Step k takes
     the rows carried from step k - 1 and level k + 1's rows of B, the only
     rows left with entries in level k's columns, and triangularizes them
     (numpy's qr): reflections pivot across both levels without choosing
@@ -455,12 +447,12 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     """Propagate rho0 with fixed-step fourth-order Runge-Kutta; return (steps, rho, drift).
 
     For the linear equation d vec(rho)/dt = L vec(rho), one RK4 step is
-    exactly the matrix P = sum_{k<=4} (dt L)^k / k!. It is formed once, from
-    one Liouvillian, and written in a real orthonormal basis of Hermitian
-    matrices (_hermitian_pairs), so the state stays Hermitian by
-    construction. The increment X_1 = P - I is kept apart from the identity:
-    rounding P itself would move its fixed point by about 1e-16 / (dt * gap
-    of L), 1e-12 at dt = 1e-3. From it, X_j = P^j - I for j = 1..STRIDE are
+    exactly the matrix P = sum_{k<=4} (dt L)^k / k!. It is formed once, in
+    real arithmetic, from L in a real orthonormal basis of Hermitian
+    matrices (_real_form), so the state stays Hermitian by construction.
+    The increment X_1 = P - I is kept apart from the identity: rounding P
+    itself would move its fixed point by about 1e-16 / (dt * gap of L),
+    1e-12 at dt = 1e-3. From it, X_j = P^j - I for j = 1..STRIDE are
     formed by doubling (_step_powers), STRIDE d^4 floats. Only the anchors,
     every STRIDE-th state, are stepped in order, r_{(b+1)S} = r_{bS} +
     X_S r_{bS}; the states between are r_{bS+j} = r_{bS} + X_j r_{bS}, all
@@ -473,7 +465,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     at the first failing step. A spectral radius of P above
     1 + STABILITY_SLACK aborts it before the first step, as the drift shows
     a growing mode only after a growth of ~1e10. The run takes
-    round(t_final / dt) steps, at least one when t_final > 0. ``steps`` is 0,
+    round(t_final / dt) steps, at least one when t_final > 0; a non-finite
+    t_final, dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0,
     k, 2k, ... and the last step for k = sample_every (0 and the last step for
     None or k beyond the run), ``rho`` the stack of the states there, rho0
     first, and ``drift`` |Tr rho - 1| after every step, step 0 first. RK4
@@ -484,18 +477,24 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise ValueError("initial state lives on a different space than the model")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    a = dt * build_liouvillian(m).matrix
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
+    if sample_every is not None and sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     d = m.space.dim
     n = d * d
+    k, l, entries, _ = _real_form(build_liouvillian(m).matrix, d)
+    a = np.zeros((n, n))
+    a[k, l] = dt * entries[0]
     eye = np.eye(n)
     increment = a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))  # P - I
-    u = _from_coordinates(eye, d).T  # column k is vec(B_k)
-    increment = (u.conj().T @ increment @ u).real
     finite = np.isfinite(increment).all()  # a non-finite P is left to the trace check
     radius = np.abs(np.linalg.eigvals(eye + increment)).max() if finite else 1.0
     if radius > 1.0 + STABILITY_SLACK:
         raise IntegrationError(f"RK4 step spectral radius {radius:.6g} > 1; reduce dt below {dt:g}")
-    r = (u.conj().T @ rho0.matrix.ravel(order="F")).real
+    owners, _, values = _owners(d)  # r = Re(U^dagger vec rho0), the adjoint of _from_coordinates
+    weights = (values.conj() * rho0.matrix.ravel(order="F")[:, None]).real
+    r = np.bincount(owners.ravel(), weights.ravel(), minlength=n)
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     steps = np.append(np.arange(0, nsteps, every), nsteps)
@@ -524,7 +523,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
             )
         first, last = np.searchsorted(steps, [start + 1, stop + 1])
         samples[first:last] = coords[steps[first:last] - start - 1]
-    mats = _unvec(_from_coordinates(samples, d), d)  # elementwise, so row-independent
+    mats = _from_coordinates(samples, d)  # elementwise, so row-independent
     try:
         return steps, DensityMatrix(m.space, mats), drift
     except InvalidStateError:  # a stable step can still overshoot a fast transient

@@ -279,6 +279,14 @@ def test_validate_reads_config_file(tmp_path, capsys):
     assert "kappa = 20" in out
 
 
+def test_validate_reports_the_uncoupled_model(capsys):
+    # J = 0 is an accepted model: its header reads kappa/J = inf, not a division failure
+    assert main(["validate", "--j", "0", "--nmax", "2", "--t-final", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("validation report (kappa/J = inf)\n")
+    assert "J = 0, " in out
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "steady.cfg"
     cfg.write_text("zeta = 3\nxi1 = 1\nsolver = analytic\n")

@@ -1,4 +1,4 @@
-"""Every public function and class of the package is used inside the package,
+"""Every top-level function and class of the package is used inside the package,
 no module imports another module's private names, and no public function
 takes a private parameter."""
 
@@ -10,7 +10,7 @@ import polent
 SOURCES = sorted(Path(polent.__file__).parent.glob("*.py"))
 
 
-def test_every_public_definition_is_used_by_polent_code():
+def _unused_definitions(private: bool) -> list[str]:
     defined, used = {}, set()
     for path in SOURCES:
         if path.name == "__init__.py":
@@ -18,7 +18,7 @@ def test_every_public_definition_is_used_by_polent_code():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             is_definition = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if is_definition and not node.name.startswith("_"):
+            if is_definition and node.name.startswith("_") == private:
                 defined[node.name] = path.name
         # names in code only: docstrings are constants and comments are not parsed
         for node in ast.walk(tree):
@@ -26,8 +26,18 @@ def test_every_public_definition_is_used_by_polent_code():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+
+
+def test_every_public_definition_is_used_by_polent_code():
+    unused = _unused_definitions(private=False)
     assert not unused, f"public definitions no polent code uses: {unused}"
+
+
+def test_every_private_definition_is_used_by_polent_code():
+    # a helper kept in the package only for the tests is an oracle: it belongs under tests/
+    unused = _unused_definitions(private=True)
+    assert not unused, f"private definitions no polent code uses: {unused}"
 
 
 def test_no_module_imports_a_private_name():

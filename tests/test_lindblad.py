@@ -236,7 +236,8 @@ def test_one_jump_free_liouvillian_is_degenerate(hamiltonian):
          "driven": build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.5, n_max=2)).hamiltonian}
     liouv = build_liouvillian(LindbladModel(space, h[hamiltonian], ()))
     if hamiltonian == "zero":
-        assert lindblad._solve_by_levels(liouv.matrix, 12)[1] == 0.0
+        k, l, entries, largest = lindblad._real_form(liouv.matrix, 12)
+        assert lindblad._solve_by_levels(k, l, entries[0], 12, largest[0])[1] == 0.0
     with pytest.raises(DegenerateSteadyStateError,
                        match=r"^stationary space is degenerate \(gap 0\.000e\+00 <= 1e-08\)$"):
         steady_state(liouv)
@@ -247,7 +248,10 @@ def test_levels_search_every_part_of_a_pattern_that_splits():
     # only part of it, and each other part gets levels of its own
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.0, n_max=8)))
     d = liouv.space.dim
-    k, l, _, _ = lindblad._bordered_entries(liouv.matrix, d)
+    k, l, entries, largest = lindblad._real_form(liouv.matrix, d)
+    gap = lindblad._solve_by_levels(k, l, entries[0], d, largest[0])[1]
+    keep = (k != 0) & (entries[0] != 0)  # B's pattern below the trace row, as the level route's
+    k, l = k[keep], l[keep]
     level = lindblad._levels(k, l, d * d)
     assert np.abs(level[k] - level[l]).max() <= 1
     joined = np.zeros(level.max() + 1, dtype=bool)  # levels with an edge to the level before
@@ -255,7 +259,7 @@ def test_levels_search_every_part_of_a_pattern_that_splits():
     assert (~joined[1:]).sum() >= 2
     single = steady_state(liouv)
     dense = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
-    assert single.gap == lindblad._solve_by_levels(liouv.matrix, d)[1]  # the level route's own
+    assert single.gap == gap  # the level route's own
     assert np.abs(single.rho.matrix - dense.rho.matrix[0]).max() <= 1e-12
     assert abs(single.gap / dense.gap[0] - 1) <= 1e-9
 
@@ -272,23 +276,23 @@ def dense_hermitian_basis(d):
     return basis.swapaxes(-1, -2).reshape(d * d, d * d).T
 
 
-@pytest.mark.parametrize("d, count", [(2, 3), (4, 3), (12, 2)])  # (12, 2) takes two row blocks
+@pytest.mark.parametrize("d, count", [(2, 3), (4, 3), (12, 2)])
 def test_bordered_system_is_l_in_the_hermitian_basis(d, count):
+    n = d * d
     rng = np.random.default_rng(d)
-    lm = rng.normal(size=(count, d * d, d * d)) + 1j * rng.normal(size=(count, d * d, d * d))
+    lm = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     u = dense_hermitian_basis(d)
-    assert np.array_equal(lindblad._from_coordinates(np.eye(d * d), d).T, u)
-    bordered = lindblad._bordered(lm, d)
-    assert np.abs(bordered[:, 1:] - (u.conj().T @ lm @ u).real[:, 1:]).max() <= 1e-13
-    assert np.array_equal(bordered[:, 0], np.broadcast_to(np.arange(d * d) < d, (count, d * d)))
-    # one L's entries, gathered from its nonzeros, are B's rows below the trace row
+    assert np.array_equal(lindblad._from_coordinates(np.eye(n), d).swapaxes(-1, -2).reshape(n, n).T, u)
+    # the real form, gathered on the nonzero pattern: dense and sparse stacks,
+    # one sparse L at a time, a stack with an all-zero member, an all-zero stack
     sparse = lm * (rng.random(lm.shape) < 0.2)
-    for one, whole in zip(sparse, lindblad._bordered(sparse, d)):
-        k, l, values, largest = lindblad._bordered_entries(one, d)
-        gathered = np.zeros((d * d, d * d))
-        gathered[k, l] = values
-        assert np.abs(gathered[1:] - whole[1:]).max() <= 1e-13 and not gathered[0].any()
-        assert largest == np.abs(one).max()
+    for stack in (lm, sparse, *sparse, np.concatenate([sparse, np.zeros((1, n, n))]), 0 * lm):
+        k, l, entries, largest = lindblad._real_form(stack, d)
+        assert entries.dtype == float and entries.shape == (stack.size // n**2, len(k))
+        dense = np.zeros((len(entries), n, n))
+        dense[:, k, l] = entries
+        assert np.abs(dense - (u.conj().T @ stack @ u).real).max() <= 1e-13
+        assert np.array_equal(largest, np.abs(stack).reshape(-1, n * n).max(axis=-1))
 
 
 @pytest.mark.parametrize("degenerate", ["zero", "one_qubit_decay"])
@@ -573,3 +577,10 @@ def test_evolve_input_validation():
     one_qubit_state = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         evolve(m, one_qubit_state, t_final=1.0)
+    # t_final = nan would take no step and inf never end; a cadence below 1 would skip rho0
+    for t_final in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            evolve(m, ground_pair(), t_final=t_final)
+    for every in (0, -5):
+        with pytest.raises(ValueError, match="sample_every must be at least 1"):
+            evolve(m, ground_pair(), t_final=0.01, dt=1e-3, sample_every=every)

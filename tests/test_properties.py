@@ -131,7 +131,8 @@ def test_one_liouvillian_matches_the_dense_oracle(p):
     liouv = build_liouvillian(build_full_model(p))
     single = steady_state(liouv)
     dense = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
-    assert single.gap == lindblad._solve_by_levels(liouv.matrix, liouv.space.dim)[1]
+    k, l, entries, largest = lindblad._real_form(liouv.matrix, liouv.space.dim)
+    assert single.gap == lindblad._solve_by_levels(k, l, entries[0], liouv.space.dim, largest[0])[1]
     assert np.abs(single.rho.matrix - dense.rho.matrix[0]).max() <= 1e-12
     assert abs(single.gap / dense.gap[0] - 1) <= 1e-6
 
@@ -163,11 +164,16 @@ commands = st.sampled_from([["steady", "--solver=analytic"], ["steady", "--solve
 cadences = st.integers(-1, 10**30) | st.integers(0, 30).map(lambda e: 10**e)
 
 
-# three points in four in range, where every command runs to its end; the
-# rest of any magnitudes
+# entangled points, 0 < xi1^2 + xi2^2 < zeta, where witness finds its witness and exits 0
+entangled_points = st.builds(
+    lambda zeta, share, phase: (zeta, float(np.sqrt(share * zeta) * np.cos(phase)),
+                                float(np.sqrt(share * zeta) * np.sin(phase))),
+    st.floats(1.0, 100.0), st.floats(0.1, 0.9), st.floats(0.0, 2.0 * np.pi))
+# three points in four in range, where every command runs to its end, one
+# of them entangled; the rest of any magnitudes
 cli_points = st.integers(0, 3).flatmap(
     lambda k: st.tuples(magnitudes, magnitudes, magnitudes) if k == 0
-    else st.tuples(components, components, components))
+    else entangled_points if k == 1 else st.tuples(components, components, components))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
