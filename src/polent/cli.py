@@ -310,8 +310,6 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
         f"rates: J = {p.j:g}, Delta = {p.delta:g}, kappa = {p.kappa:g}, "
         f"gamma = {p.gamma:g}, alpha = {p.alpha.real:g}{p.alpha.imag:+g}i, n_max = {p.n_max}",
         f"mapped parameters: zeta = {dp.zeta:.17g}, xi = {dp.xi1:.17g} {dp.xi2:+.17g}i",
-        "note: mapping uses zeta = Re[J^2/(gamma (Delta + i kappa))]; a factor-2 "
-        f"variant seen in the literature would quote zeta = {2 * dp.zeta:.17g}",
         f"empty-cavity amplitude |alpha/(Delta + i kappa)| = {cavity:.6g}",
         f"mode occupation <a+a> = {nbar:.6g} (truncation shift {shift:.3e} at "
         f"n_max {p.n_max} -> {p.n_max + 2}: converged)",
@@ -342,10 +340,10 @@ def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
 
 # validate's cutoff: the process's max RSS is about 32 bytes per entry of the
 # n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2: the matrix and the
-# copy Liouvillian keeps, as steady_state stores neither B nor B^-1 for one
-# Liouvillian. Measured in one fresh process with getrusage on 2 CPUs: 0.85 GiB
-# at n_max = 15 (4.1 s), 1.05 GiB at 16 (4.4 s); 17 would take about 1.28 GiB,
-# more than the 1.25 GiB that n_max = 15 took while the probe was inverted densely
+# copy Liouvillian keeps. steady_state solves it by levels, with no dense
+# fallback, so no L at the cap reaches a whole inverse (3 x 8 bytes per entry).
+# One fresh process, getrusage, 2 CPUs: 0.85 GiB at n_max = 15 (4.1 s), 1.05 at
+# 16 (4.4 s); 17 would take 1.28 GiB, more than 15 took inverted whole (1.25)
 MAX_NMAX = 16
 
 

@@ -4,6 +4,9 @@ The stationarity of any state is judged here only, as ||L vec(rho)|| with
 the Liouvillian built from the model (stationarity_residuals); the
 closed-form and numeric routes are both checked against it. The solves and
 RK4 read L only through _real_form, in the Hermitian basis of _owners.
+steady_state has one route per input, by L's size (LEVEL_SIDE): levels from
+side 784 on, a whole inverse below it (0.34 against 0.99 ms at side 16) and
+for every stack. There is no fallback: a result that fails its checks raises.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho), with
 vec(rho) = rho.ravel(order="F"). With A = -iH - 1/2 sum_j J_j^dagger J_j, the
@@ -35,6 +38,11 @@ DEFAULT_DT = 1e-3
 # working set of 0.8 MB at d = 4 that does not grow with the run
 STRIDE = 128
 STRIDE_BATCH = 32
+# steady_state solves one L of at least this side (full model, n_max >= 6) by
+# levels, and a smaller one whole. Whole inverse against levels, best of 9 in
+# one process on 2 CPUs (OpenBLAS): 0.34 / 0.99 ms at side 16, 0.76 / 2.3 at 64,
+# 1.9 / 3.9 at 144, 13.7 / 18 at 400, 48 / 43 at 784 and 168 / 90 at 1296
+LEVEL_SIDE = 784
 
 
 class DegenerateSteadyStateError(Exception):
@@ -148,42 +156,32 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     B^-1 gives rho, Hermitian by construction; gap = 1/||B^-1||_F <=
     sigma_min(B) <= sigma_{n-1}(L), as B - L has rank one (Horn and Johnson,
     Topics in Matrix Analysis, Thm 3.3.16). B's entries are read once
-    (_real_form). A stack of many small systems is inverted in one batch.
-    One Liouvillian, one large sparse system, is triangularized level by
-    level (_solve_by_levels), which gives the same column and norm without
-    forming B or B^-1; its reflections mix adjacent levels only, so a result
-    of it that fails a check below is recomputed by inverting B whole, whose
-    result then stands. Raises
+    (_real_form). One Liouvillian of side LEVEL_SIDE (784) or more is
+    triangularized level by level (_solve_by_levels), the same column and
+    norm without forming B or B^-1, in 43 against 48 ms at 784; every stack,
+    and a smaller Liouvillian as a stack of one, is inverted whole in one
+    batch, 13.7 against 18 ms at 400. There is no fallback: a result raises
     DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
     """
     d = liouv.space.dim
     k, l, entries, largest = _real_form(liouv.matrix, d)
-    if liouv.matrix.ndim == 2:
+    if liouv.matrix.ndim == 2 and d * d >= LEVEL_SIDE:
         coords, gap = _solve_by_levels(k, l, entries[0], d, largest[0])
-        try:
-            return _certified(liouv, coords[None], np.array([gap]), largest)
-        except (DegenerateSteadyStateError, InvalidStateError):
-            pass  # reflections mix adjacent levels only: B, inverted whole, decides
-    bordered = np.zeros((len(entries), d * d, d * d))
-    bordered[:, k, l] = entries
-    bordered[:, 0] = np.arange(d * d) < d  # Tr B_k in place of the first population's row
-    inverse = _inverse(bordered)
-    gaps = 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
-    return _certified(liouv, inverse[..., 0], gaps, largest)
-
-
-def _certified(liouv: Liouvillian, coords: np.ndarray, gaps: np.ndarray,
-               largest: np.ndarray) -> SteadyStateResult:
-    """The states of B^-1's column 0 (coords, one row per Liouvillian), once gap and residual pass."""
-    d = liouv.space.dim
+        coords, gaps = coords[None], np.array([gap])
+    else:
+        bordered = np.zeros((len(entries), d * d, d * d))
+        bordered[:, k, l] = entries
+        bordered[:, 0] = np.arange(d * d) < d  # Tr B_k in place of the first population's row
+        inverse = _inverse(bordered)
+        coords, gaps = inverse[..., 0], 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
     n = len(gaps)
     degenerate = ~(gaps > GAP_FLOOR)  # "not >" so that NaN fails
     if degenerate.any():
-        k = int(np.argmax(degenerate))
+        i = int(np.argmax(degenerate))
         raise DegenerateSteadyStateError(
-            f"stationary space is degenerate (gap {gaps[k]:.3e} <= {GAP_FLOOR:g})" + _which(k, n)
+            f"stationary space is degenerate (gap {gaps[i]:.3e} <= {GAP_FLOOR:g})" + _which(i, n)
         )
     mats = _from_coordinates(coords, d)
     residuals = stationarity_residuals(liouv, mats)
@@ -191,9 +189,9 @@ def _certified(liouv: Liouvillian, coords: np.ndarray, gaps: np.ndarray,
     bounds = RESIDUAL_TOL * np.maximum(1.0, largest)
     failed = ~(residuals <= bounds)
     if failed.any():
-        k = int(np.argmax(failed))
+        i = int(np.argmax(failed))
         raise DegenerateSteadyStateError(
-            f"steady-state residual {residuals[k]:.3e} exceeds {bounds[k]:.3g}" + _which(k, n)
+            f"steady-state residual {residuals[i]:.3e} exceeds {bounds[i]:.3g}" + _which(i, n)
         )
     if liouv.matrix.ndim == 2:
         mats, residuals, gaps = mats[0], float(residuals[0]), float(gaps[0])

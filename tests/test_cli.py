@@ -254,7 +254,14 @@ def test_validate_flags_mapping_convention(capsys):
     assert main(["validate", "--nmax", "3", "--t-final", "2"]) == 0
     out = capsys.readouterr().out
     assert "zeta = 5" in out
-    assert "would quote zeta = 10" in out
+
+
+def test_validate_fails_where_the_level_solve_cannot_certify(capsys):
+    # the level solve's gap at n_max 6 is 5.5e-11 here, so the solve raises;
+    # inverted whole, its state moves by 1.0 from n_max 6 to 8: exit 3 either way
+    argv = ["validate", "--delta=-1e4", "--kappa", "1e-3", "--alpha-re", "1e8", "--nmax", "6"]
+    assert main(argv + ["--t-final", "2"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_validate_usage_errors(capsys):

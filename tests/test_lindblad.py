@@ -230,7 +230,8 @@ def test_steady_state_degenerate_raises():
 def test_one_jump_free_liouvillian_is_degenerate(hamiltonian):
     # without jumps every eigenprojector of H is stationary; with H = 0 each
     # coordinate is a part of B's pattern of its own, and the first block
-    # after the trace row is exactly singular: gap 0, not a LinAlgError
+    # after the trace row is exactly singular: the level solve gives gap 0,
+    # not a LinAlgError; steady_state inverts this side-144 L whole, B singular
     space = HilbertSpace((2, 2, 3))
     h = {"zero": np.zeros((12, 12)),
          "driven": build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.5, n_max=2)).hamiltonian}
@@ -308,15 +309,47 @@ def test_degenerate_member_of_a_stack_is_named(degenerate):
         steady_state(stack)
 
 
-def test_steady_state_keeps_the_small_entries_at_extreme_scale():
-    # at (zeta, xi1) = (1e200, 1e100) the decay entries are 1e-200 of the
-    # largest ones; the closed form there is ee = ge = eg = 1/5, gg = 2/5 and
-    # rho_(ee,gg) = i/5 (|xi|^2 = zeta, D = 5 zeta^2)
-    model = build_effective_model(DimensionlessParams(1e200, 1e100))
-    rho = steady_state(build_liouvillian(model)).rho
-    expected = np.diag([0.2, 0.2, 0.2, 0.4]).astype(complex)
-    expected[0, 3], expected[3, 0] = 0.2j, -0.2j
-    assert np.abs(rho.matrix - expected).max() <= 1e-12
+# closed_form's D = zeta^2 + (1 + 2|xi|^2)^2 overflows at (zeta, xi1) = (1e200, 1e100);
+# there |xi|^2 = zeta, D = 5 zeta^2: ee = ge = eg = 1/5, gg = 2/5 and rho_(ee,gg) = i/5
+AT_1E200 = np.diag([0.2, 0.2, 0.2, 0.4]).astype(complex)
+AT_1E200[0, 3], AT_1E200[3, 0] = 0.2j, -0.2j
+
+
+@pytest.mark.parametrize("zeta, xi1, xi2, exact", [(1e200, 1e100, 0.0, AT_1E200),
+                                                   (1e8, 1e20, 0.0, None),
+                                                   (1e100, 1e50, -1e50, None)],
+                         ids=["zeta_1e200", "zeta_1e8", "zeta_1e100"])
+def test_steady_state_keeps_the_small_entries_at_extreme_scale(zeta, xi1, xi2, exact):
+    # the decay entries are far below the largest ones (1e-200 of them at
+    # zeta 1e200); one 16x16 L is inverted whole, as a stack of one, bit for bit
+    liouv = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
+    rho = steady_state(liouv).rho.matrix
+    stacked = steady_state(Liouvillian(liouv.space, liouv.matrix[None])).rho.matrix[0]
+    assert rho.tobytes() == stacked.tobytes()
+    exact = closed_form(zeta, xi1, xi2)[0] if exact is None else exact
+    assert np.abs(rho - exact).max() <= 1e-12
+
+
+def test_a_liouvillian_below_the_level_side_is_inverted_whole():
+    # side 64: the level solve cannot certify this L (gap 0), and one L this
+    # small is a stack of one
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 1e8, n_max=1)))
+    d = liouv.space.dim
+    k, l, entries, largest = lindblad._real_form(liouv.matrix, d)
+    assert lindblad._solve_by_levels(k, l, entries[0], d, largest[0])[1] == 0.0
+    single = steady_state(liouv)
+    stacked = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
+    assert single.rho.matrix.tobytes() == stacked.rho.matrix[0].tobytes()
+    assert single.gap == stacked.gap[0]
+
+
+def test_a_level_result_that_fails_its_checks_raises():
+    # side 784 is solved by levels, whose gap is 5.5e-11 here; the whole
+    # inverse would certify this L, but no second route takes over
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, -1e4, 1e-3, 0.01, 1e8, n_max=6)))
+    assert liouv.matrix.shape[-1] == lindblad.LEVEL_SIDE
+    with pytest.raises(DegenerateSteadyStateError, match=r"^stationary space is degenerate"):
+        steady_state(liouv)
 
 
 def test_stationarity_residuals_scale_exactly_and_do_not_overflow():
