@@ -338,13 +338,13 @@ def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
 # else its default, goes through the option's converter, which is its whole
 # check; a converter's ValueError is a usage error (exit 2)
 
-# validate's cutoff: the process's max RSS is about 32 bytes per entry of the
-# n_max + 2 probe's Liouvillian, of side (4 (n_max + 3))^2: the matrix and the
-# copy Liouvillian keeps. steady_state solves it by levels, with no dense
-# fallback, so no L at the cap reaches a whole inverse (3 x 8 bytes per entry).
-# One fresh process, getrusage, 2 CPUs: 0.85 GiB at n_max = 15 (4.1 s), 1.05 at
-# 16 (4.4 s); 17 would take 1.28 GiB, more than 15 took inverted whole (1.25)
-MAX_NMAX = 16
+# validate's cutoff, set by time: no L is stored densely, and the level solve's
+# R factors set the memory. Wall time and max RSS, one fresh process each,
+# getrusage, 2 CPUs (OpenBLAS): 1.8-2.2 s and 147 MiB at n_max = 16, 2.6-3.2 s
+# and 164-177 MiB at 18, 3.5-4.0 s and 199-224 MiB at 20, 4.2-4.6 s at 21 and
+# 4.8-5.1 s at 22. The old cap of 16, set by memory when L was dense, took
+# 3.0-4.2 s and 1.06 GiB in the same runs; 20 is the largest n_max within that
+MAX_NMAX = 20
 
 
 def _finite(text) -> float:
@@ -516,8 +516,35 @@ def _options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each flag and a negative value after it joined as --flag=VALUE.
+
+    argparse takes a token such as -1e4, -inf or -1:0:3 for an option, as it
+    matches none of its negative-number patterns; so a float literal, or a
+    token of - and a digit, is joined to the flag before it. Every flag but
+    --help takes one value.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (token.startswith("-") and (token[1:2].isdigit() or _is_float(token))
+                and flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
         # an overflow leaves a NaN or inf that a validity check reports as a
         # numerical failure (exit 3); numpy's warnings would only repeat it

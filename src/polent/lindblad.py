@@ -15,9 +15,11 @@ Liouvillian is
     L = I kron A + conj(A) kron I + sum_j conj(J_j) kron J_j,
 
 because -i[H, rho] - 1/2 {J^dagger J, rho} = A rho + rho A^dagger for Hermitian
-H and J^dagger J. build_liouvillian writes the Kronecker sum into the
-diagonal blocks of one zero matrix and adds each conj(J) kron J only at the
-products of J's nonzero entries, so no dense Kronecker product is formed.
+H and J^dagger J. A Liouvillian is stored as its nonzero entries only, as
+(row, column, value) triplets. build_liouvillian writes them from the
+nonzeros of A, in the places of I kron A and conj(A) kron I, and from the
+products of each J's nonzeros, so no (d^2, d^2) matrix is formed; the full
+model has about 9.4 nonzeros per row of L.
 """
 
 from __future__ import annotations
@@ -55,21 +57,50 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Superoperator matrix acting on column-stacked density matrices.
+    """Superoperator on column-stacked density matrices, as its nonzero entries.
 
-    ``matrix`` is one (d^2, d^2) matrix or a stack of them along a leading axis.
+    L[rows[t], cols[t]] = values[..., t], and every other entry is 0. The
+    (row, col) pairs are distinct and in row-major order. ``values`` is
+    (nnz,) for one L, and (N, nnz) for a stack of N on one pattern, where
+    each position is nonzero in some member.
     """
 
     space: HilbertSpace
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        d = self.space.dim
-        m = np.array(self.matrix, dtype=complex)
+        n = self.space.dim**2
+        rows, cols = np.asarray(self.rows, dtype=int), np.asarray(self.cols, dtype=int)
+        values = np.ascontiguousarray(self.values, dtype=complex)
+        if (rows.ndim != 1 or rows.shape != cols.shape or values.ndim not in (1, 2)
+                or values.shape[-1] != len(rows)):
+            raise ValueError(f"triplet shapes {rows.shape}, {cols.shape} and {values.shape} do not match")
+        inside = (0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
+        if not (inside.all() and (np.diff(rows * n + cols) > 0).all()):
+            raise ValueError(f"positions must be distinct entries of an {n}x{n} matrix, in row-major order")
+        for name, array in (("rows", rows), ("cols", cols), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_matrix(cls, space: HilbertSpace, m) -> Liouvillian:
+        """The Liouvillian of one dense (d^2, d^2) matrix, or of an (N, d^2, d^2) stack."""
+        d = space.dim
+        m = np.asarray(m, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2:] != (d * d, d * d):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {d}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        rows, cols = np.nonzero(m if m.ndim == 2 else (m != 0).any(axis=0))
+        return cls(space, rows, cols, m[..., rows, cols])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (d^2, d^2) matrix, or (N, d^2, d^2) stack, formed anew on each access."""
+        n = self.space.dim**2
+        out = np.zeros(self.values.shape[:-1] + (n, n), dtype=complex)
+        out[..., self.rows, self.cols] = self.values
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,42 +116,46 @@ class SteadyStateResult:
     gap: float | np.ndarray
 
 
-def _kronecker_sum(a: np.ndarray) -> np.ndarray:
-    """I kron A + conj(A) kron I, written into one new zero matrix.
+def _assemble(space: HilbertSpace, a: np.ndarray, jumps) -> Liouvillian:
+    """I kron A + conj(A) kron I + sum_j conj(J_j) kron J_j, from the nonzeros of A and each J_j.
 
-    In the (d, d, d, d) view of L, I kron A is A on the blocks [i, :, i, :]
-    and conj(A) kron I is conj(A) on [:, k, :, k]; both are writable
-    diagonal views, so only the (d^2, d^2) result is allocated.
+    Within one term the positions are distinct. Where terms meet, they are
+    summed in that order from 0, as += on a zero matrix sums them, and an
+    entry that sums to exactly 0 is dropped.
     """
-    d = a.shape[0]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    blocks = out.reshape(d, d, d, d)
-    np.einsum("ikil->ikl", blocks)[...] += a
-    np.einsum("ikjk->kij", blocks)[...] += a.conj()
-    return out
+    d = space.dim
+    n = d * d
+    p = np.arange(d)
+    r, c = np.nonzero(a)
+    v = a[r, c]
+    # entry (i, j) of L has key i n + j. I kron A has a_rc at (p d + r, p d + c),
+    # conj(A) kron I has conj(a_rc) at (r d + p, c d + p), conj(J) kron J has
+    # conj(j_rc) j_st at (r d + s, c d + t)
+    keys = [np.add.outer(p * (d * n + d), r * n + c), np.add.outer(r * d * n + c * d, p * (n + 1))]
+    values = [np.tile(v, d), np.repeat(v.conj(), d)]
+    for jump in jumps:
+        r, c = np.nonzero(jump)
+        v = jump[r, c]
+        keys.append(np.add.outer(r * d * n + c * d, r * n + c))
+        values.append(np.multiply.outer(v.conj(), v))
+    keys, where = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    parts = np.concatenate([x.ravel() for x in values]).view(float)
+    # bincount adds in input order, from 0, the real and imaginary parts apart
+    total = np.bincount(np.add.outer(2 * where, [0, 1]).ravel(), parts, 2 * len(keys)).view(complex)
+    live = total != 0
+    return Liouvillian(space, keys[live] // n, keys[live] % n, total[live])
 
 
 def build_liouvillian(m: LindbladModel) -> Liouvillian:
-    """Assemble -i[H, .] plus the jump dissipators as one superoperator matrix.
-
-    Each conj(J) kron J is added at the products of J's nonzero entries
-    only; these positions are distinct, so one fancy-indexed += adds each
-    product once, and a dense J gives the terms of np.kron.
-    """
-    d = m.space.dim
+    """Assemble -i[H, .] plus the jump dissipators as the superoperator's nonzero entries."""
     a = -1j * m.hamiltonian
     for jump in m.jumps:
         a -= 0.5 * (jump.conj().T @ jump)
-    mat = _kronecker_sum(a)
-    for jump in m.jumps:
-        rows, cols = np.nonzero(jump)
-        values = jump[rows, cols]
-        mat[rows[:, None] * d + rows, cols[:, None] * d + cols] += values.conj()[:, None] * values
-    return Liouvillian(m.space, mat)
+    return _assemble(m.space, a, m.jumps)
 
 
-def effective_basis() -> np.ndarray:
-    """(L0, Lz, Lx1, Lx2): the reduced model's Liouvillian is L0 + zeta Lz + xi1 Lx1 + xi2 Lx2.
+def effective_basis() -> Liouvillian:
+    """(L0, Lz, Lx1, Lx2) on one pattern: the reduced model's L is L0 + zeta Lz + xi1 Lx1 + xi2 Lx2.
 
     L0 is build_liouvillian of the undriven, uncoupled model; each other
     term is -i[H, .], the Kronecker sum of -iH, with the model's Hamiltonian
@@ -129,22 +164,29 @@ def effective_basis() -> np.ndarray:
     Each entry of L depends on at most one parameter, so the affine sum
     equals build_liouvillian at every point bit for bit.
     """
-    base = build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0))).matrix
     units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return np.stack([base] + [
-        _kronecker_sum(-1j * build_effective_model(DimensionlessParams(*u)).hamiltonian)
+    terms = [build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0)))] + [
+        _assemble(TWO_QUBITS, -1j * build_effective_model(DimensionlessParams(*u)).hamiltonian, ())
         for u in units
-    ])
+    ]
+    return Liouvillian.from_matrix(TWO_QUBITS, np.stack([term.matrix for term in terms]))
 
 
-def effective_liouvillians(basis: np.ndarray, zeta, xi1, xi2) -> Liouvillian:
+def effective_liouvillians(basis: Liouvillian, zeta, xi1, xi2) -> Liouvillian:
     """Stacked reduced-model Liouvillians at arrays of (zeta, xi1, xi2), from effective_basis()."""
-    l0, lz, lx1, lx2 = basis
+    l0, lz, lx1, lx2 = basis.values
 
     def column(v):
-        return np.asarray(v, dtype=float)[:, None, None]
+        return np.asarray(v, dtype=float)[:, None]
 
-    return Liouvillian(TWO_QUBITS, l0 + column(zeta) * lz + column(xi1) * lx1 + column(xi2) * lx2)
+    values = l0 + column(zeta) * lz + column(xi1) * lx1 + column(xi2) * lx2
+    live = (values != 0).any(axis=0)  # the members' nonzeros, so no explicit 0 joins the pattern
+    return Liouvillian(basis.space, basis.rows[live], basis.cols[live], values[:, live])
+
+
+def _by_levels(liouv: Liouvillian) -> bool:
+    """One L of side LEVEL_SIDE or more: solved by levels, its residual read from its nonzeros."""
+    return liouv.values.ndim == 1 and liouv.space.dim**2 >= LEVEL_SIDE
 
 
 def steady_state(liouv: Liouvillian) -> SteadyStateResult:
@@ -166,16 +208,12 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     c L gives the state of L at every scale c; a stack names its first failure.
     """
     d = liouv.space.dim
-    k, l, entries, largest = _real_form(liouv.matrix, d)
-    if liouv.matrix.ndim == 2 and d * d >= LEVEL_SIDE:
+    k, l, entries, largest = _real_form(liouv)
+    if _by_levels(liouv):
         coords, gap = _solve_by_levels(k, l, entries[0], d, largest[0])
         coords, gaps = coords[None], np.array([gap])
     else:
-        bordered = np.zeros((len(entries), d * d, d * d))
-        bordered[:, k, l] = entries
-        bordered[:, 0] = np.arange(d * d) < d  # Tr B_k in place of the first population's row
-        inverse = _inverse(bordered)
-        coords, gaps = inverse[..., 0], 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
+        coords, gaps = _solve_whole(k, l, entries, d)
     n = len(gaps)
     degenerate = ~(gaps > GAP_FLOOR)  # "not >" so that NaN fails
     if degenerate.any():
@@ -193,9 +231,22 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residuals[i]:.3e} exceeds {bounds[i]:.3g}" + _which(i, n)
         )
-    if liouv.matrix.ndim == 2:
+    if liouv.values.ndim == 1:
         mats, residuals, gaps = mats[0], float(residuals[0]), float(gaps[0])
     return SteadyStateResult(DensityMatrix(liouv.space, mats), residuals, gaps)
+
+
+def _solve_whole(k: np.ndarray, l: np.ndarray, entries: np.ndarray,
+                 d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column 0 of each B^-1 and 1/||B^-1||_F, from a stack's _real_form, each B inverted whole.
+
+    Column 0 is copied, so B^-1 is freed before the residual forms the dense L.
+    """
+    bordered = np.zeros((len(entries), d * d, d * d))
+    bordered[:, k, l] = entries
+    bordered[:, 0] = np.arange(d * d) < d  # Tr B_k in place of the first population's row
+    inverse = _inverse(bordered)
+    return inverse[..., 0].copy(), 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
 
 
 def _inverse(mats: np.ndarray) -> np.ndarray:
@@ -212,16 +263,21 @@ def stationarity_residuals(liouv: Liouvillian, states: np.ndarray) -> np.ndarray
     ``states`` is an (N, d, d) stack for a stack of N Liouvillians, or one
     (d, d) matrix for one Liouvillian; the result is an (N,) array. This is
     the one stationarity residual: steady_state checks its solutions with
-    it, and the closed form is checked with it against the same L.
+    it, and the closed form is checked with it against the same L. One L of
+    side LEVEL_SIDE or more is applied from its nonzeros, O(nnz); a smaller
+    one and a stack through the dense matrix, in one batched product.
     """
-    d = liouv.space.dim
-    lm = liouv.matrix.reshape(-1, d * d, d * d)
-    rho = np.asarray(states).reshape(-1, d, d)
-    vecs = rho.swapaxes(-1, -2).reshape(len(lm), d * d, 1)  # column-stacked
-    defect = (lm @ vecs)[..., 0]
+    n = liouv.space.dim**2
+    vecs = np.asarray(states).swapaxes(-1, -2).reshape(-1, n, 1)  # column-stacked
+    if _by_levels(liouv):
+        terms = liouv.values * vecs[0, liouv.cols, 0]
+        parts = [np.bincount(liouv.rows, part, n)[None] for part in (terms.real, terms.imag)]
+    else:
+        defect = (liouv.matrix.reshape(-1, n, n) @ vecs)[..., 0]
+        parts = [defect.real, defect.imag]
     # an exact power-of-two scaling before squaring keeps a finite defect's norm finite
-    exponent = np.frexp(np.maximum(abs(defect.real), abs(defect.imag)).max(axis=-1))[1]
-    re, im = (np.ldexp(part, -exponent[:, None]) for part in (defect.real, defect.imag))
+    exponent = np.frexp(np.maximum(abs(parts[0]), abs(parts[1])).max(axis=-1))[1]
+    re, im = (np.ldexp(part, -exponent[:, None]) for part in parts)
     return np.ldexp(np.sqrt((re**2 + im**2).sum(axis=-1)), exponent)
 
 
@@ -259,23 +315,20 @@ def _from_coordinates(r: np.ndarray, d: int) -> np.ndarray:
     return vecs.reshape(len(r), d, d).swapaxes(-1, -2)  # vec is column-stacking
 
 
-def _real_form(lm: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """L in the basis of _owners, Re(U^dagger L U) with vec(B_k) in column k of U; and max|L_ij|.
 
-    For one L or an (N, d^2, d^2) stack: the rows k and columns l of the
-    entries on the union of the nonzero patterns, an (N, len(k)) array of
-    their values, and each L's largest |L_ij|. An entry is a +-sum of real
-    or imaginary parts of up to four entries of L, exact, scaled once by 1,
-    1/sqrt(2) or 1/2: scaling first would leave rounding of the largest
-    entries (1e183 at zeta 1e200) where they cancel.
+    For one L or a stack: the rows k and columns l of the entries that L's
+    nonzero pattern reaches, an (N, len(k)) array of their values, and each
+    L's largest |L_ij|. An entry is a +-sum of real or imaginary parts of up
+    to four entries of L, exact, scaled once by 1, 1/sqrt(2) or 1/2: scaling
+    first would leave rounding of the largest entries (1e183 at zeta 1e200)
+    where they cancel.
     """
+    d = liouv.space.dim
     n = d * d
-    lm = lm.reshape(-1, n * n)
-    nonzero = lm.view(float) != 0  # a third of the cost of lm != 0
-    flat = np.flatnonzero(nonzero.any(axis=0) if len(lm) > 1 else nonzero) // 2
-    del nonzero  # a quarter of a real n^2 matrix for one L: the largest array here
-    flat = flat[np.diff(flat, prepend=-1) != 0]
-    rows, cols = np.divmod(flat, n)
+    rows, cols = liouv.rows, liouv.cols
+    values = np.atleast_2d(liouv.values)
     owners, units, _ = _owners(d)
     first, second = [0, 0, 1, 1], [0, 1, 0, 1]
     keys = (owners[rows][:, first] * n + owners[cols][:, second]).ravel()
@@ -285,18 +338,22 @@ def _real_form(lm: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     keys, unit = keys[live], unit[live]
     new = np.diff(keys, prepend=-1) != 0
     starts, entry = np.flatnonzero(new), np.cumsum(new) - 1
-    # an entry's parts are summed in order, as layers; a shorter entry's last are 0 L_00
+    # an entry's parts are summed in order, as layers; a shorter entry's last add
+    # 0 Re L_00 (the last float of parts), as when L was read dense, so no sign of zero moves
     layer = np.arange(len(keys)) - starts[entry]
-    pick = np.zeros((layer.max(initial=0) + 1, len(starts)), dtype=int)
+    at_00 = len(rows) and rows[0] == cols[0] == 0
+    parts = np.concatenate([values.view(float),
+                            values[:, :1].real if at_00 else np.zeros((len(values), 1))], axis=1)
+    pick = np.full((layer.max(initial=0) + 1, len(starts)), parts.shape[1] - 1)
     sign = np.zeros(pick.shape)
-    # Re(unit L_ij) is +-Re L_ij or +-Im L_ij: L's float 2 (i n + j) or the next, times a sign
-    pick[layer, entry] = 2 * flat[live // 4] + (unit.imag != 0)
+    # Re(unit L_ij) is +-Re L_ij or +-Im L_ij: float 2t or 2t + 1 of its triplet t, times a sign
+    pick[layer, entry] = 2 * (live // 4) + (unit.imag != 0)
     sign[layer, entry] = unit.real - unit.imag
     k, l = np.divmod(keys[starts], n)
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units
-    entries = (lm.view(float)[:, pick] * sign).sum(axis=1)
+    entries = (parts[:, pick] * sign).sum(axis=1)
     entries *= scale[(k >= d).astype(int) + (l >= d)]
-    return k, l, entries, np.abs(lm[:, flat]).max(axis=-1, initial=0.0)
+    return k, l, entries, np.abs(values).max(axis=-1, initial=0.0)
 
 
 def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
@@ -481,7 +538,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     d = m.space.dim
     n = d * d
-    k, l, entries, _ = _real_form(build_liouvillian(m).matrix, d)
+    k, l, entries, _ = _real_form(build_liouvillian(m))
     a = np.zeros((n, n))
     a[k, l] = dt * entries[0]
     eye = np.eye(n)

@@ -427,7 +427,7 @@ BAD_VALUES = {
     "steady": [("zeta", "abc"), ("solver", "bogus")],
     "sweep": [("grid", "0:10:0,0:4:3"), ("xi2", "nan"), ("solver", "fast"), ("workers", "0")],
     "witness": [("xi1", "inf")],
-    "validate": [("j", "x"), ("kappa", "0"), ("nmax", "17"), ("t_final", "-1")],
+    "validate": [("j", "x"), ("kappa", "0"), ("nmax", "21"), ("t_final", "-1")],
     "dynamics": [("xi2", "1e400"), ("dt", "-0.1"), ("sample_every", "1.5")],
 }
 
@@ -450,6 +450,40 @@ def test_a_flag_and_a_config_line_give_the_same_error(tmp_path, capsys, command,
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"error: {flag} ") and " must " in errors[0]
     assert not csv.exists()
+
+
+# negative values that argparse's own negative-number patterns miss
+NEGATIVE_VALUES = [
+    ["steady", "--zeta", "10", "--xi1", "-2e-1"],
+    ["steady", "--zeta", "-1E2", "--xi1", "2", "--solver", "numeric"],
+    ["steady", "--xi1", "-inf"],
+    ["steady", "--xi2", "-nan"],
+    ["validate", "--delta", "-1e4", "--nmax", "2", "--t-final", "2"],
+    ["dynamics", "--zeta", "10", "--xi1", "-2.135e0", "--t-final", "1", "--out", "CSV"],
+    ["sweep", "--grid", "-1:0:3,0:1:3", "--xi2", "-1e-1", "--out", "CSV"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=["exponent", "capital-E", "inf", "nan",
+                                                        "validate", "dynamics", "grid"])
+def test_a_negative_value_reads_as_its_equals_spelling(tmp_path, capsys, argv):
+    csv = tmp_path / "x.csv"
+    argv = [str(csv) if token == "CSV" else token for token in argv]
+    joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    results = []
+    for spelling in (argv, joined):
+        code = main(spelling)  # argparse's "expected one argument" would end the test here
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err, csv.read_bytes() if csv.exists() else None))
+        csv.unlink(missing_ok=True)
+    assert results[0] == results[1]
+
+
+def test_a_flag_before_another_flag_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--xi1", "--zeta", "3"])
+    assert exc.value.code == 2
+    assert "argument --xi1: expected one argument" in capsys.readouterr().err
 
 
 def test_unusable_paths_are_one_usage_line(tmp_path, capsys):

@@ -96,9 +96,22 @@ def random_jump(rng, d, kind):
     return jump
 
 
+def assert_triplet_form(liouv):
+    # distinct positions in row-major order, each nonzero in some member, and
+    # the dense view gives the same triplets back bit for bit
+    n = liouv.space.dim**2
+    assert (np.diff(liouv.rows * n + liouv.cols) > 0).all()
+    assert (np.atleast_2d(liouv.values) != 0).any(axis=0).all()
+    again = Liouvillian.from_matrix(liouv.space, liouv.matrix)
+    for name in ("rows", "cols", "values"):
+        assert getattr(again, name).tobytes() == getattr(liouv, name).tobytes()
+
+
 def assert_matches_dense(m):
-    lm, dense = build_liouvillian(m).matrix, dense_liouvillian(m)
+    liouv = build_liouvillian(m)
+    lm, dense = liouv.matrix, dense_liouvillian(m)
     assert np.abs(lm - dense).max() <= 1e-15 * np.abs(dense).max()
+    assert_triplet_form(liouv)
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (5,), (2, 3)], ids=lambda dims: f"d{np.prod(dims)}")
@@ -126,6 +139,43 @@ def test_liouvillian_zero_model():
     lv = build_liouvillian(m)
     assert lv.matrix.shape == (4, 4)
     assert_allclose(lv.matrix, np.zeros((4, 4)), atol=1e-15)
+
+
+def test_effective_stacks_keep_their_triplet_form():
+    # zeta = xi = 0 in every member: the hopping and drive positions hold
+    # only zeros and leave the pattern, as they leave the dense pattern
+    basis = effective_basis()
+    assert basis.values.shape[0] == 4
+    assert_triplet_form(basis)
+    undriven = effective_liouvillians(basis, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    alone = build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0)))
+    assert np.array_equal(undriven.rows, alone.rows) and np.array_equal(undriven.cols, alone.cols)
+    assert_triplet_form(undriven)
+    assert_triplet_form(effective_liouvillians(basis, [0.0, 10.0], [2.135, 0.0], [0.0, -0.5]))
+
+
+def test_liouvillian_refuses_triplets_that_are_not_its_form():
+    with pytest.raises(ValueError, match="does not match space dimension 2"):
+        Liouvillian.from_matrix(ONE_QUBIT, np.zeros((16, 16)))
+    for rows, cols in (([1, 0], [0, 0]), ([0, 0], [1, 1]), ([0, 4], [0, 0])):
+        with pytest.raises(ValueError, match="row-major order"):
+            Liouvillian(ONE_QUBIT, rows, cols, [1.0, 1.0])
+    with pytest.raises(ValueError, match="do not match"):
+        Liouvillian(ONE_QUBIT, [0, 1], [0, 1], [1.0])
+
+
+@pytest.mark.parametrize("dims", [(2,), (28,)], ids=["d2", "d28"])
+def test_a_zero_generator_is_degenerate_with_zero_residual(dims):
+    # no triplets at all, so every row of L is empty; side 784 takes the
+    # level route and its nonzeros-only residual
+    space = HilbertSpace(dims)
+    d = space.dim
+    liouv = build_liouvillian(LindbladModel(space, np.zeros((d, d)), ()))
+    assert len(liouv.rows) == 0 and liouv.values.shape == (0,)
+    rng = np.random.default_rng(d)
+    assert stationarity_residuals(liouv, random_density(rng, d)).tolist() == [0.0]
+    with pytest.raises(DegenerateSteadyStateError, match=r"^stationary space is degenerate"):
+        steady_state(liouv)
 
 
 def test_liouvillian_single_qubit_decay():
@@ -214,7 +264,7 @@ def test_stationarity_residuals_reject_a_state_of_another_point():
 @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
 def test_steady_state_does_not_depend_on_the_scale_of_l(scale):
     liouv = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135, 0.6)))
-    scaled = Liouvillian(TWO_QUBITS, scale * liouv.matrix)
+    scaled = Liouvillian.from_matrix(TWO_QUBITS, scale * liouv.matrix)
     assert np.abs(steady_state(scaled).rho.matrix - steady_state(liouv).rho.matrix).max() <= 1e-12
 
 
@@ -237,7 +287,7 @@ def test_one_jump_free_liouvillian_is_degenerate(hamiltonian):
          "driven": build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.5, n_max=2)).hamiltonian}
     liouv = build_liouvillian(LindbladModel(space, h[hamiltonian], ()))
     if hamiltonian == "zero":
-        k, l, entries, largest = lindblad._real_form(liouv.matrix, 12)
+        k, l, entries, largest = lindblad._real_form(liouv)
         assert lindblad._solve_by_levels(k, l, entries[0], 12, largest[0])[1] == 0.0
     with pytest.raises(DegenerateSteadyStateError,
                        match=r"^stationary space is degenerate \(gap 0\.000e\+00 <= 1e-08\)$"):
@@ -249,7 +299,7 @@ def test_levels_search_every_part_of_a_pattern_that_splits():
     # only part of it, and each other part gets levels of its own
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.0, n_max=8)))
     d = liouv.space.dim
-    k, l, entries, largest = lindblad._real_form(liouv.matrix, d)
+    k, l, entries, largest = lindblad._real_form(liouv)
     gap = lindblad._solve_by_levels(k, l, entries[0], d, largest[0])[1]
     keep = (k != 0) & (entries[0] != 0)  # B's pattern below the trace row, as the level route's
     k, l = k[keep], l[keep]
@@ -259,7 +309,7 @@ def test_levels_search_every_part_of_a_pattern_that_splits():
     joined[np.maximum(level[k], level[l])[level[k] != level[l]]] = True
     assert (~joined[1:]).sum() >= 2
     single = steady_state(liouv)
-    dense = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
+    dense = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
     assert single.gap == gap  # the level route's own
     assert np.abs(single.rho.matrix - dense.rho.matrix[0]).max() <= 1e-12
     assert abs(single.gap / dense.gap[0] - 1) <= 1e-9
@@ -288,7 +338,8 @@ def test_bordered_system_is_l_in_the_hermitian_basis(d, count):
     # one sparse L at a time, a stack with an all-zero member, an all-zero stack
     sparse = lm * (rng.random(lm.shape) < 0.2)
     for stack in (lm, sparse, *sparse, np.concatenate([sparse, np.zeros((1, n, n))]), 0 * lm):
-        k, l, entries, largest = lindblad._real_form(stack, d)
+        liouv = Liouvillian.from_matrix(HilbertSpace((d,)), stack)
+        k, l, entries, largest = lindblad._real_form(liouv)
         assert entries.dtype == float and entries.shape == (stack.size // n**2, len(k))
         dense = np.zeros((len(entries), n, n))
         dense[:, k, l] = entries
@@ -304,7 +355,8 @@ def test_degenerate_member_of_a_stack_is_named(degenerate):
     jump = np.sqrt(2) * np.kron(IDENTITY_2, SIGMA_MINUS)
     decay_one = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), (jump,))
     bad = {"zero": np.zeros((16, 16)), "one_qubit_decay": build_liouvillian(decay_one).matrix}
-    stack = Liouvillian(TWO_QUBITS, np.stack([good, good, bad[degenerate], good, bad[degenerate]]))
+    stack = Liouvillian.from_matrix(TWO_QUBITS,
+                                    np.stack([good, good, bad[degenerate], good, bad[degenerate]]))
     with pytest.raises(DegenerateSteadyStateError, match=r"\(Liouvillian 2 of a stack of 5\)"):
         steady_state(stack)
 
@@ -324,7 +376,7 @@ def test_steady_state_keeps_the_small_entries_at_extreme_scale(zeta, xi1, xi2, e
     # zeta 1e200); one 16x16 L is inverted whole, as a stack of one, bit for bit
     liouv = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
     rho = steady_state(liouv).rho.matrix
-    stacked = steady_state(Liouvillian(liouv.space, liouv.matrix[None])).rho.matrix[0]
+    stacked = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None])).rho.matrix[0]
     assert rho.tobytes() == stacked.tobytes()
     exact = closed_form(zeta, xi1, xi2)[0] if exact is None else exact
     assert np.abs(rho - exact).max() <= 1e-12
@@ -335,10 +387,10 @@ def test_a_liouvillian_below_the_level_side_is_inverted_whole():
     # small is a stack of one
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 1e8, n_max=1)))
     d = liouv.space.dim
-    k, l, entries, largest = lindblad._real_form(liouv.matrix, d)
+    k, l, entries, largest = lindblad._real_form(liouv)
     assert lindblad._solve_by_levels(k, l, entries[0], d, largest[0])[1] == 0.0
     single = steady_state(liouv)
-    stacked = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
+    stacked = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
     assert single.rho.matrix.tobytes() == stacked.rho.matrix[0].tobytes()
     assert single.gap == stacked.gap[0]
 
@@ -359,10 +411,27 @@ def test_stationarity_residuals_scale_exactly_and_do_not_overflow():
     assert res > 1.0
     # the defect of 2^1000 L squares to inf; its norm must still be exact
     for k in (-1000, 500, 1000):
-        scaled = Liouvillian(TWO_QUBITS, 2.0**k * liouv.matrix)
+        scaled = Liouvillian.from_matrix(TWO_QUBITS, 2.0**k * liouv.matrix)
         assert stationarity_residuals(scaled, ground)[0] == np.ldexp(res, k)
-    huge = stationarity_residuals(Liouvillian(TWO_QUBITS, 1e300 * liouv.matrix), ground)[0]
+    huge = stationarity_residuals(Liouvillian.from_matrix(TWO_QUBITS, 1e300 * liouv.matrix), ground)[0]
     assert np.isfinite(huge) and abs(huge / (1e300 * res) - 1.0) <= 1e-14
+
+
+def test_the_residual_of_one_large_liouvillian_is_its_dense_product():
+    # side 784 and up: the residual is summed from L's nonzeros, not from the
+    # dense matrix; it agrees with the dense product, and scales exactly
+    p = PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6)
+    liouv = build_liouvillian(build_full_model(p))
+    d = liouv.space.dim
+    assert d * d == lindblad.LEVEL_SIDE
+    rng = np.random.default_rng(6)
+    state = random_density(rng, d)
+    res = stationarity_residuals(liouv, state)[0]
+    assert abs(res / np.linalg.norm(liouv.matrix @ state.ravel(order="F")) - 1) <= 1e-14
+    for k in (-1000, 1000):
+        scaled = Liouvillian(liouv.space, liouv.rows, liouv.cols, 2.0**k * liouv.values)
+        assert stationarity_residuals(scaled, state)[0] == np.ldexp(res, k)
+    assert stationarity_residuals(liouv, steady_state(liouv).rho.matrix)[0] <= 1e-12
 
 
 def _solve_peak(liouv):
@@ -379,7 +448,7 @@ def test_steady_state_memory_stays_near_one_matrix_above_l():
     # complex n^2 matrices; a complex inverse needed 3.0
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6)))
     n = liouv.matrix.shape[-1]
-    assert _solve_peak(Liouvillian(liouv.space, liouv.matrix[None])) <= 1.5 * n * n * 16
+    assert _solve_peak(Liouvillian.from_matrix(liouv.space, liouv.matrix[None])) <= 1.5 * n * n * 16
 
 
 def test_one_liouvillian_is_solved_below_one_real_matrix():
@@ -391,9 +460,25 @@ def test_one_liouvillian_is_solved_below_one_real_matrix():
     assert _solve_peak(liouv) < n * n * 8
 
 
+def test_the_full_model_is_built_and_solved_below_a_dense_l():
+    # n_max 8, side n = 1296: build and solve peak together below 0.6 of one
+    # complex n^2 matrix (26.9 MB), which no step forms; 0.41-0.45 measured
+    # (numpy 2.4), of which the build is 0.05. Building the dense L took 2.0
+    model = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=8))
+    n = model.space.dim**2
+    tracemalloc.start()
+    try:
+        steady_state(build_liouvillian(model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * n * n * 16
+
+
 def test_build_liouvillian_memory_stays_near_two_matrices():
-    # the assembled matrix and the copy Liouvillian keeps, 2.0 complex n^2
-    # matrices; summing dense Kronecker products needed 4.0
+    # the bound of the dense build, the matrix and the copy Liouvillian kept
+    # (2.0 complex n^2 matrices; summing dense Kronecker products needed 4.0);
+    # the triplets stay far below it
     model = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6))
     n = model.space.dim**2
     tracemalloc.start()

@@ -131,8 +131,8 @@ def test_one_liouvillian_matches_the_dense_oracle(p):
     # whole inverse of a stack of one
     liouv = build_liouvillian(build_full_model(p))
     d = liouv.space.dim
-    dense = steady_state(Liouvillian(liouv.space, liouv.matrix[None]))
-    k, l, entries, largest = lindblad._real_form(liouv.matrix, d)
+    dense = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
+    k, l, entries, largest = lindblad._real_form(liouv)
     coords, gap = lindblad._solve_by_levels(k, l, entries[0], d, largest[0])
     assert np.abs(lindblad._from_coordinates(coords[None], d) - dense.rho.matrix).max() <= 1e-12
     assert abs(gap / dense.gap[0] - 1) <= 1e-6
