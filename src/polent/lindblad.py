@@ -5,8 +5,13 @@ the Liouvillian built from the model (stationarity_residuals); the
 closed-form and numeric routes are both checked against it. The solves and
 RK4 read L only through _real_form, in the Hermitian basis of _owners.
 steady_state has one route per input, by L's size (LEVEL_SIDE): levels from
-side 784 on, a whole inverse below it (0.34 against 0.99 ms at side 16) and
+side 784 on, a whole inverse below it (0.44 against 1.5 ms at side 16) and
 for every stack. There is no fallback: a result that fails its checks raises.
+The level route solves in an exchange-adapted basis (_exchange): the full
+model's two qubits are identical and couple alike, so its L commutes with
+their swap, and B falls into an exchange-even block of 10 (n_max + 1)^2
+coordinates and an exchange-odd one of 6 (n_max + 1)^2, factored one after
+the other. The whole inverse and RK4 stay in the plain basis.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho), with
 vec(rho) = rho.ravel(order="F"). With A = -iH - 1/2 sum_j J_j^dagger J_j, the
@@ -41,9 +46,11 @@ DEFAULT_DT = 1e-3
 STRIDE = 128
 STRIDE_BATCH = 32
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
-# levels, and a smaller one whole. Whole inverse against levels, best of 9 in
-# one process on 2 CPUs (OpenBLAS): 0.34 / 0.99 ms at side 16, 0.76 / 2.3 at 64,
-# 1.9 / 3.9 at 144, 13.7 / 18 at 400, 48 / 43 at 784 and 168 / 90 at 1296
+# levels, and a smaller one whole. Whole inverse against levels with the
+# exchange split, steady_state best of 9 in one process, the best of 5 such
+# processes, 2 CPUs (OpenBLAS): 0.44 / 1.5 ms at side 16, 0.52 / 2.3 at 64,
+# 1.3 / 3.6 at 144, 10.2 / 10.7 at 400, 21.6 / 16.0 at 576, 41.5 / 24.5 at 784
+# and 121 / 58 at 1296
 LEVEL_SIDE = 784
 
 
@@ -199,10 +206,11 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     sigma_min(B) <= sigma_{n-1}(L), as B - L has rank one (Horn and Johnson,
     Topics in Matrix Analysis, Thm 3.3.16). B's entries are read once
     (_real_form). One Liouvillian of side LEVEL_SIDE (784) or more is
-    triangularized level by level (_solve_by_levels), the same column and
-    norm without forming B or B^-1, in 43 against 48 ms at 784; every stack,
-    and a smaller Liouvillian as a stack of one, is inverted whole in one
-    batch, 13.7 against 18 ms at 400. There is no fallback: a result raises
+    triangularized level by level (_solve_by_levels), its exchange-even and
+    -odd blocks apart, the same column and norm without forming B or B^-1,
+    in 24.5 against 41.5 ms at 784; every stack, and a smaller Liouvillian as
+    a stack of one, is inverted whole in one batch, 10.2 against 10.7 ms at
+    400. There is no fallback: a result raises
     DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
@@ -210,7 +218,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     d = liouv.space.dim
     k, l, entries, largest = _real_form(liouv)
     if _by_levels(liouv):
-        coords, gap = _solve_by_levels(k, l, entries[0], d, largest[0])
+        coords, gap = _solve_by_levels(k, l, entries[0], liouv.space, largest[0])
         coords, gaps = coords[None], np.array([gap])
     else:
         coords, gaps = _solve_whole(k, l, entries, d)
@@ -334,7 +342,8 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     keys = (owners[rows][:, first] * n + owners[cols][:, second]).ravel()
     unit = (units[rows][:, first].conj() * units[cols][:, second]).ravel()  # 0, +-1 or +-i
     live = np.flatnonzero(unit)  # a zero unit adds nothing
-    live = live[np.argsort(keys[live], kind="stable")]  # each entry's parts together, in order
+    # each entry's parts together, in order: the keys made unique by position sort as a stable sort
+    live = live[np.argsort(keys[live] * len(live) + np.arange(len(live)))]
     keys, unit = keys[live], unit[live]
     new = np.diff(keys, prepend=-1) != 0
     starts, entry = np.flatnonzero(new), np.cumsum(new) - 1
@@ -380,14 +389,76 @@ def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
     return level
 
 
-def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
+def _exchange(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The swap of subsystems 0 and 1 on the coordinates of _owners, k -> sign[k] e_image[k].
+
+    E_ii goes to E_pi(i)pi(i) and a pair to a pair; an imaginary pair
+    coordinate flips its sign where the swap reverses i < j. It is an
+    involution, so sign[image[k]] = sign[k]. With one subsystem, or
+    dims[0] != dims[1], it is the identity. Coordinate 0, E_00, is fixed
+    with sign 1.
+    """
+    d, dims = space.dim, space.dims
+    swap = np.arange(d)
+    if len(dims) > 1 and dims[0] == dims[1]:
+        q = dims[0]
+        swap = swap - swap % (q * q) + swap % q * q + swap // q % q  # subsystem 0 is the fastest index
+    i, j = np.triu_indices(d, 1)
+    pair = np.empty((d, d), dtype=int)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    image = pair[swap[i], swap[j]]
+    image = np.concatenate([swap, d + image, d + len(i) + image])
+    return image, np.concatenate([np.ones(d + len(i)), np.where(swap[i] < swap[j], 1.0, -1.0)])
+
+
+def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray, image: np.ndarray,
+                       sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """O^T B O from B's triplets (k, l, values), O the exchange-adapted basis of (image, sign).
+
+    O's columns are the even (e_k + s e_pi(k))/sqrt(2) at k and the odd
+    (e_k - s e_pi(k))/sqrt(2) at pi(k) for each orbit k < pi(k) of _exchange,
+    and e_k for a fixed k, which keeps the sector of its sign. Rows first,
+    then columns: in one column, an orbit's rows a (at k) and b (at pi(k)),
+    0 where absent, become a + s b and a - s b, and a fixed row stays. Each
+    new entry is one add of two, so where B commutes with the exchange bit
+    for bit, an entry across the sectors is x - x = 0 exactly. The entries
+    are scaled once at the end, by 1, 1/sqrt(2) or 1/2.
+    """
+    n = len(image)
+    for _ in range(2):  # the rows, then the columns: each pass leaves its output transposed
+        low = np.minimum(k, image[k])
+        groups, where = np.unique(low * n + l, return_inverse=True)
+        first = k == low
+        a, b = (np.bincount(where, np.where(mine, values, 0.0), len(groups)) for mine in (first, ~first))
+        low, l = np.divmod(groups, n)
+        high, s = image[low], sign[low]
+        paired = high != low
+        k, l = np.concatenate([l, l[paired]]), np.concatenate([low, high[paired]])
+        values = np.concatenate([a + s * b, (a - s * b)[paired]])
+    paired = image != np.arange(n)
+    scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |O_km O_lm'| by the orbits
+    return k, l, values * scale[paired[k].astype(int) + paired[l]]
+
+
+def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: HilbertSpace,
                      largest: float) -> tuple[np.ndarray, float]:
     """Column 0 of B^-1 and 1/||B^-1||_F, level by level, from one L's _real_form and max|L_ij|.
 
-    _triangularize_by_levels gives DB = QR, Q orthogonal and D the identity
-    but for D_00 = s. So B^-1 = R^-1 Q^T D: its column 0 is x = R^-1 c, with
+    B is first rotated into the exchange-adapted basis O of _exchange,
+    B' = O^T B O (_to_exchange_basis). Row 0 stays the trace row, now the
+    traces of O's columns: sqrt(2) on an even pair of populations, 1 on a
+    fixed population, 0 elsewhere. Where L commutes with the exchange of
+    subsystems 0 and 1 bit for bit, as the full model's L does, every entry
+    across the even and odd sectors is x - x = 0 and dropped, so B' falls
+    into two blocks and _levels gives the odd block levels of its own after
+    the even block's: two narrow problems instead of one wide one. O is
+    orthogonal, so B^-1 = O B'^-1 O^T: x = O x' and ||B^-1||_F = ||B'^-1||_F.
+    Any other L takes the same path, its pattern left connected.
+
+    _triangularize_by_levels gives DB' = QR, Q orthogonal and D the identity
+    but for D_00 = s. So B'^-1 = R^-1 Q^T D: its column 0 is x' = R^-1 c, with
     c = Q^T D e_0, its other columns are those of R^-1 Q^T, and
-    ||B^-1||_F^2 = ||R^-1||_F^2 + (1 - 1/s^2) ||x||^2. R^-1's rows at level k
+    ||B'^-1||_F^2 = ||R^-1||_F^2 + (1 - 1/s^2) ||x'||^2. R^-1's rows at level k
     are X_k = P_k E_k + A_k Z_{k+1}, with P_k = R_kk^-1, E_k the identity's
     rows, A_k = -P_k [R_k,k+1 | R_k,k+2 | f_k] and Z_{k+1} the rows
     [X_{k+1}; X_{k+2}; tau_{k+3}], tau_{k+3} being the trace row times R^-1's
@@ -395,18 +466,28 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
     E_k lives, so X_k X_k^T = P_k P_k^T + A_k G_{k+1} A_k^T and the Gram
     matrix G_k = Z_k Z_k^T follows from G_{k+1} alone. Summing the traces
     from the last level to the root gives ||R^-1||_F^2 from blocks of the
-    levels' sizes, and x is back-substituted alongside. R^-1 and B^-1 are
-    never formed. An exactly singular block, or a failed LAPACK call on a
-    non-finite one, gives gap 0.
+    levels' sizes, and x' is back-substituted alongside. O, B, R^-1 and
+    B^-1 are never formed. An exactly singular block, or a failed LAPACK
+    call on a non-finite one, gives gap 0.
     """
+    d = space.dim
     n = d * d
-    keep = (k != 0) & (values != 0)  # row 0 of B is the trace row
+    image, sign = _exchange(space)
+    k, l, values = _to_exchange_basis(k, l, values, image, sign)
+    keep = (k != 0) & (values != 0)  # row 0 of B' is the trace row
     k, l, values = k[keep], l[keep], values[keep]
+    coordinate = np.arange(n)
+    low, high = np.minimum(coordinate, image), np.maximum(coordinate, image)
+    paired = low != high
+    scale = np.where(paired, 1.0 / np.sqrt(2.0), 1.0)
+    # row 0 of B', the traces of O's columns: a population's orbit is populations of
+    # sign 1, so sqrt(2) at an even pair of them, 1 at a fixed one, 0 elsewhere
+    trace = np.where((coordinate == low) & (coordinate < d), 1.0 + paired, 0.0) * scale
     s = max(1.0, largest)
     try:
-        order, factors = _triangularize_by_levels(k, l, values, d, s)
-        del k, l, values  # B is in the factors now
-        trace = (order < d).astype(float)
+        order, factors = _triangularize_by_levels(k, l, values, trace, s)
+        del k, l, values  # B' is in the factors now
+        trace = trace[order]
         bounds = np.cumsum([0] + [len(fac) for fac in factors] + [0])
         gram, z = np.zeros((1, 1)), np.zeros(1)  # of Z_{k+1}, and [x_{k+1}; x_{k+2}; trace . x]
         total, column = 0.0, np.empty(n)
@@ -429,31 +510,36 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
             z = np.concatenate([column[start:stop], z[:near], [u @ z]])
     except np.linalg.LinAlgError:
         return np.zeros(n), 0.0
-    coords = np.empty(n)
-    coords[order] = column
     total += (1 - (1 / s) ** 2) * np.vdot(column, column)
+    adapted = np.empty(n)
+    adapted[order] = column
+    even, odd = adapted[low], np.where(paired, adapted[high], 0.0)
+    coords = np.where(coordinate == low, even + odd, sign * (even - odd)) * scale  # x = O x'
     return coords, 1.0 / np.sqrt(total) if total > 0 else 0.0
 
 
-def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d: int,
+def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, trace: np.ndarray,
                              s: float) -> tuple[np.ndarray, list]:
     """DB = QR by Householder elimination level by level: the coordinates in level order, and R.
 
-    (k, l, values) are B's nonzero entries below row 0 (_solve_by_levels).
-    In the order of _levels, B is block tridiagonal apart from row 0, the
-    trace row, which is level 0 alone; D scales that row by s, as a
-    reflection loses a row far smaller than the rows it mixes it with. Step k takes
-    the rows carried from step k - 1 and level k + 1's rows of B, the only
-    rows left with entries in level k's columns, and triangularizes them
-    (numpy's qr): reflections pivot across both levels without choosing
-    pivots. The first rows are level k's rows of R, nonzero only at levels
+    (k, l, values) are B's nonzero entries below row 0, and trace is row 0,
+    the trace row (_solve_by_levels). In the order of _levels, B is block
+    tridiagonal apart from the trace row, which is level 0 alone; D scales
+    that row by s, as a reflection loses a row far smaller than the rows it
+    mixes it with. A part of B's pattern that the search from coordinate 0
+    does not reach, such as the odd sector of an exchange-symmetric L,
+    follows in levels of its own, so its steps are as narrow as its levels.
+    Step k takes the rows carried from step k - 1 and level k + 1's rows of
+    B, the only rows left with entries in level k's columns, and
+    triangularizes them (numpy's qr): reflections pivot across both levels
+    without choosing pivots. The first rows are level k's rows of R, nonzero only at levels
     k, k + 1 and k + 2, and the rest are carried. The trace row is carried
     through every step as a coefficient f in each row, whose entries beyond
     level k + 2 are f times the trace row's, and the right-hand side D e_0
     as c = Q^T D e_0. Level k's block row of R is kept as
     [R_kk | R_k,k+1 | R_k,k+2 | f_k | c_k].
     """
-    n = d * d
+    n = len(trace)
     level = _levels(k, l, n)
     order = np.argsort(level, kind="stable")
     bounds = np.searchsorted(level[order], np.arange(level.max() + 4))  # and two empty levels
@@ -462,7 +548,7 @@ def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, d
     by_row = np.argsort(where[k], kind="stable")
     k, l, values = where[k[by_row]], where[l[by_row]], values[by_row]
     split = np.searchsorted(k, bounds)
-    trace = (order < d).astype(float)  # row 0 of B in level order: Tr B_k
+    trace = trace[order]  # row 0 of B in level order
     carried = s * np.concatenate([trace[:bounds[2]], [1.0, 1.0]])[None]  # row 0 of DB: f = c = s
     factors = []
     for depth in range(len(bounds) - 3):

@@ -288,7 +288,7 @@ def test_one_jump_free_liouvillian_is_degenerate(hamiltonian):
     liouv = build_liouvillian(LindbladModel(space, h[hamiltonian], ()))
     if hamiltonian == "zero":
         k, l, entries, largest = lindblad._real_form(liouv)
-        assert lindblad._solve_by_levels(k, l, entries[0], 12, largest[0])[1] == 0.0
+        assert lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])[1] == 0.0
     with pytest.raises(DegenerateSteadyStateError,
                        match=r"^stationary space is degenerate \(gap 0\.000e\+00 <= 1e-08\)$"):
         steady_state(liouv)
@@ -300,7 +300,7 @@ def test_levels_search_every_part_of_a_pattern_that_splits():
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 20.0, 0.01, 0.0, n_max=8)))
     d = liouv.space.dim
     k, l, entries, largest = lindblad._real_form(liouv)
-    gap = lindblad._solve_by_levels(k, l, entries[0], d, largest[0])[1]
+    gap = lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])[1]
     keep = (k != 0) & (entries[0] != 0)  # B's pattern below the trace row, as the level route's
     k, l = k[keep], l[keep]
     level = lindblad._levels(k, l, d * d)
@@ -347,6 +347,155 @@ def test_bordered_system_is_l_in_the_hermitian_basis(d, count):
         assert np.array_equal(largest, np.abs(stack).reshape(-1, n * n).max(axis=-1))
 
 
+def vec_exchange(space):
+    # the swap of subsystems 0 and 1 on vec indices: entry (i, j) goes to
+    # (swap i, swap j), subsystem 0 fastest; the identity with one subsystem
+    # or dims[0] != dims[1]
+    d, dims = space.dim, space.dims
+    swap = np.arange(d)
+    if len(dims) > 1 and dims[0] == dims[1]:
+        swap = swap.reshape(-1, dims[0], dims[0]).swapaxes(1, 2).ravel()
+    return (swap[:, None] + d * swap[None, :]).ravel(order="F")
+
+
+def exchange_sectors(space):
+    # the swap's eigenvalue on each column of O: +1 at the first coordinate of
+    # an orbit k < pi(k), -1 at the second, and a fixed coordinate's sign
+    image, sign = lindblad._exchange(space)
+    k = np.arange(len(image))
+    return np.where(k < image, 1.0, np.where(k > image, -1.0, sign))
+
+
+def dense_exchange_basis(space):
+    # O: the even (e_k + s e_pi(k))/sqrt(2) at k and the odd (e_k - s e_pi(k))/sqrt(2)
+    # at pi(k) for each orbit k < pi(k), and e_k for a fixed k
+    image, sign = lindblad._exchange(space)
+    k = np.arange(len(image))
+    low, high = np.minimum(k, image), np.maximum(k, image)
+    first, paired = k == low, k != image
+    o = np.zeros((len(k), len(k)))
+    o[k, low] = np.where(first, 1.0, sign)
+    o[k[paired], high[paired]] = np.where(first, 1.0, -sign)[paired]
+    o[paired] /= np.sqrt(2.0)
+    return o
+
+
+@pytest.mark.parametrize("dims, even", [((2, 2, 3), 90), ((3, 3), 45), ((2, 2), 10), ((2, 3), 36), ((5,), 25)])
+def test_the_exchange_basis_splits_the_exchange(dims, even):
+    # _exchange is the swap of subsystems 0 and 1 in the Hermitian basis (the
+    # identity for dims[0] != dims[1] or one subsystem), O^T X O is diagonal,
+    # +-1, and _to_exchange_basis gives O^T B O for any B
+    space = HilbertSpace(dims)
+    d, n = space.dim, space.dim**2
+    u = dense_hermitian_basis(d)
+    exchange = (u.conj().T @ u[np.argsort(vec_exchange(space))]).real
+    image, sign = lindblad._exchange(space)
+    signed = np.zeros((n, n))
+    signed[image, np.arange(n)] = sign
+    assert np.abs(exchange - signed).max() <= 1e-15
+    o, sectors = dense_exchange_basis(space), exchange_sectors(space)
+    assert np.abs(o.T @ o - np.eye(n)).max() <= 1e-15
+    assert np.abs(o.T @ exchange @ o - np.diag(sectors)).max() <= 1e-15
+    assert (sectors > 0).sum() == even and sectors[0] == 1.0
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.1)
+    k, l = np.nonzero(b)
+    k, l, values = lindblad._to_exchange_basis(k, l, b[k, l], image, sign)
+    rotated = np.zeros((n, n))
+    rotated[k, l] = values
+    assert np.abs(rotated - o.T @ b @ o).max() <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, delta", [(0.3 - 0.8j, -3.0), (-1.1 + 0.4j, -12.0)])
+def test_the_full_model_commutes_with_the_exchange_bit_for_bit(alpha, delta):
+    # swapping the two qubits maps every entry of L onto an entry with the
+    # same bits; the level route's two sectors rest on this
+    liouv = build_liouvillian(build_full_model(PhysicalParams(0.7, delta, 5.0, 0.2, alpha, n_max=6)))
+    n = liouv.space.dim**2
+    vec = vec_exchange(liouv.space)
+    keys = vec[liouv.rows] * n + vec[liouv.cols]
+    order = np.argsort(keys)
+    assert np.array_equal(keys[order], liouv.rows * n + liouv.cols)
+    assert liouv.values[order].tobytes() == liouv.values.tobytes()
+
+
+def adapted_pattern(liouv):
+    # B' = O^T B O below the trace row, as the level route reads it
+    k, l, entries, _ = lindblad._real_form(liouv)
+    k, l, values = lindblad._to_exchange_basis(k, l, entries[0], *lindblad._exchange(liouv.space))
+    keep = (k != 0) & (values != 0)
+    return k[keep], l[keep]
+
+
+def test_the_adapted_full_model_falls_into_two_narrow_parts():
+    # validate's default rates at n_max 8: no entry of B' joins the sectors,
+    # and the widest level is 140 (224 in the plain basis); this counts work
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=8)))
+    k, l = adapted_pattern(liouv)
+    sectors = exchange_sectors(liouv.space)
+    assert (sectors[k] == sectors[l]).all()
+    assert (sectors > 0).sum() == 10 * 9**2
+    level = lindblad._levels(k, l, liouv.space.dim**2)
+    assert np.bincount(level).max() < 160
+    assert (level[sectors < 0].min() > level[sectors > 0]).all()  # the odd part after the even
+
+
+def test_an_exchange_broken_model_takes_the_same_route():
+    # qubit 2 decays 1.5 times faster: B' stays one part (12 levels, widest
+    # 166), solved as wide as in the plain basis, and agrees with the whole inverse
+    m = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6))
+    broken = LindbladModel(m.space, m.hamiltonian, (m.jumps[0], np.sqrt(1.5) * m.jumps[1], m.jumps[2]))
+    liouv = build_liouvillian(broken)
+    assert liouv.space.dim**2 == lindblad.LEVEL_SIDE
+    k, l = adapted_pattern(liouv)
+    level = lindblad._levels(k, l, liouv.space.dim**2)
+    joined = np.zeros(level.max() + 1, dtype=bool)
+    joined[np.maximum(level[k], level[l])[level[k] != level[l]]] = True
+    assert joined[1:].all()
+    single = steady_state(liouv)
+    dense = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
+    assert np.abs(single.rho.matrix - dense.rho.matrix[0]).max() <= 1e-12
+    assert abs(single.gap / dense.gap[0] - 1) <= 1e-9
+
+
+def test_the_level_solve_of_two_exchanged_qutrits_matches_the_whole_inverse():
+    # with two qubits every coordinate of sign -1 is fixed by the swap; two
+    # three-level emitters sharing a mode have orbits of sign -1 as well
+    rng = np.random.default_rng(9)
+    space = HilbertSpace((3, 3, 2))
+    h1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    lower, mode = np.diag([1.0, np.sqrt(2.0)], 1), np.diag([1.0], 1)
+    eye2, eye3 = np.eye(2), np.eye(3)
+    emitters = [np.kron(eye2, np.kron(eye3, lower)), np.kron(eye2, np.kron(lower, eye3))]
+    a = np.kron(mode, np.eye(9))
+    h = np.kron(eye2, np.kron(eye3, h1 + h1.conj().T) + np.kron(h1 + h1.conj().T, eye3))
+    h = h + sum(0.7 * s @ a.conj().T + 0.7 * s.conj().T @ a for s in emitters) + 0.4 * (a + a.conj().T)
+    liouv = build_liouvillian(LindbladModel(space, h, (*emitters, 1.5 * a)))
+    image, sign = lindblad._exchange(space)
+    assert ((sign < 0) & (image != np.arange(len(image)))).any()
+    k, l, entries, largest = lindblad._real_form(liouv)
+    coords, gap = lindblad._solve_by_levels(k, l, entries[0], space, largest[0])
+    dense = steady_state(Liouvillian.from_matrix(space, liouv.matrix[None]))
+    assert np.abs(lindblad._from_coordinates(coords[None], space.dim) - dense.rho.matrix).max() <= 1e-12
+    assert abs(gap / dense.gap[0] - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("n_max", [6, 8])
+def test_the_real_form_sums_each_entry_in_the_order_of_a_stable_sort(n_max):
+    # _real_form sorts the parts by key * P + position, P their count: each
+    # key is unique, so any sort gives the stable sort's order and the
+    # entries keep their bits
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=n_max)))
+    n = liouv.space.dim**2
+    owners, units, _ = lindblad._owners(liouv.space.dim)
+    first, second = [0, 0, 1, 1], [0, 1, 0, 1]
+    keys = (owners[liouv.rows][:, first] * n + owners[liouv.cols][:, second]).ravel()
+    keys = keys[((units[liouv.rows][:, first].conj() * units[liouv.cols][:, second]) != 0).ravel()]
+    assert np.array_equal(np.argsort(keys * len(keys) + np.arange(len(keys))), np.argsort(keys, kind="stable"))
+    k, l, _, _ = lindblad._real_form(liouv)
+    assert np.array_equal(k * n + l, np.unique(keys))
+
+
 @pytest.mark.parametrize("degenerate", ["zero", "one_qubit_decay"])
 def test_degenerate_member_of_a_stack_is_named(degenerate):
     # the zero Liouvillian makes the bordered system exactly singular, which
@@ -383,14 +532,14 @@ def test_steady_state_keeps_the_small_entries_at_extreme_scale(zeta, xi1, xi2, e
 
 
 def test_a_liouvillian_below_the_level_side_is_inverted_whole():
-    # side 64: the level solve cannot certify this L (gap 0), and one L this
-    # small is a stack of one
+    # side 64: the level solve's state is off here (by 4.3e-3 from the whole
+    # inverse's, its gap passing), and one L this small is a stack of one
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 1e8, n_max=1)))
-    d = liouv.space.dim
     k, l, entries, largest = lindblad._real_form(liouv)
-    assert lindblad._solve_by_levels(k, l, entries[0], d, largest[0])[1] == 0.0
+    coords = lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])[0]
     single = steady_state(liouv)
     stacked = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
+    assert np.abs(lindblad._from_coordinates(coords[None], liouv.space.dim) - stacked.rho.matrix).max() > 1e-4
     assert single.rho.matrix.tobytes() == stacked.rho.matrix[0].tobytes()
     assert single.gap == stacked.gap[0]
 
@@ -453,8 +602,9 @@ def test_steady_state_memory_stays_near_one_matrix_above_l():
 
 def test_one_liouvillian_is_solved_below_one_real_matrix():
     # n_max 8, side n = 1296, one real n^2 array 13.4 MB: the level route
-    # peaked at 11.2 MB (0.83 of it, numpy 2.4), the dense route, which a
-    # stack of one takes, at 26.9 MB (2.00: B and B^-1), so it would fail
+    # peaks at 6.0 MB (0.45 of it, numpy 2.4; 0.88 before the exchange
+    # split), the dense route, which a stack of one takes, at 26.9 MB (2.00:
+    # B and B^-1), so it would fail
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=8)))
     n = liouv.matrix.shape[-1]
     assert _solve_peak(liouv) < n * n * 8
@@ -462,8 +612,9 @@ def test_one_liouvillian_is_solved_below_one_real_matrix():
 
 def test_the_full_model_is_built_and_solved_below_a_dense_l():
     # n_max 8, side n = 1296: build and solve peak together below 0.6 of one
-    # complex n^2 matrix (26.9 MB), which no step forms; 0.41-0.45 measured
-    # (numpy 2.4), of which the build is 0.05. Building the dense L took 2.0
+    # complex n^2 matrix (26.9 MB), which no step forms; 0.24 measured (numpy
+    # 2.4; 0.41 before the exchange split), of which the build is 0.05.
+    # Building the dense L took 2.0
     model = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=8))
     n = model.space.dim**2
     tracemalloc.start()

@@ -133,7 +133,7 @@ def test_one_liouvillian_matches_the_dense_oracle(p):
     d = liouv.space.dim
     dense = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
     k, l, entries, largest = lindblad._real_form(liouv)
-    coords, gap = lindblad._solve_by_levels(k, l, entries[0], d, largest[0])
+    coords, gap = lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])
     assert np.abs(lindblad._from_coordinates(coords[None], d) - dense.rho.matrix).max() <= 1e-12
     assert abs(gap / dense.gap[0] - 1) <= 1e-6
 
