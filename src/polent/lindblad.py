@@ -1,9 +1,11 @@
 """Liouvillian assembly, steady-state solving, and fixed-step time evolution.
 
 The stationarity of any state is judged here only, as ||L vec(rho)|| with
-the Liouvillian built from the model (stationarity_residuals); the
-closed-form and numeric routes are both checked against it. The solves and
-RK4 read L only through _real_form, in the Hermitian basis of _owners.
+the Liouvillian built from the model (stationarity_residuals), summed from
+L's nonzero triplets for every L and every stack; the closed-form and
+numeric routes are both checked against it, and no check forms a dense L.
+The solves and RK4 read L only through _real_form, in the Hermitian basis
+of _owners.
 steady_state has one route per input, by L's size (LEVEL_SIDE): levels from
 side 784 on, a whole inverse below it (0.44 against 1.5 ms at side 16) and
 for every stack. There is no fallback: a result that fails its checks raises.
@@ -29,6 +31,7 @@ model has about 9.4 nonzeros per row of L.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +194,6 @@ def effective_liouvillians(basis: Liouvillian, zeta, xi1, xi2) -> Liouvillian:
     return Liouvillian(basis.space, basis.rows[live], basis.cols[live], values[:, live])
 
 
-def _by_levels(liouv: Liouvillian) -> bool:
-    """One L of side LEVEL_SIDE or more: solved by levels, its residual read from its nonzeros."""
-    return liouv.values.ndim == 1 and liouv.space.dim**2 >= LEVEL_SIDE
-
-
 def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """Solve L vec(rho) = 0 with Tr rho = 1, for one Liouvillian or a stack.
 
@@ -217,7 +215,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """
     d = liouv.space.dim
     k, l, entries, largest = _real_form(liouv)
-    if _by_levels(liouv):
+    if liouv.values.ndim == 1 and d * d >= LEVEL_SIDE:
         coords, gap = _solve_by_levels(k, l, entries[0], liouv.space, largest[0])
         coords, gaps = coords[None], np.array([gap])
     else:
@@ -248,7 +246,7 @@ def _solve_whole(k: np.ndarray, l: np.ndarray, entries: np.ndarray,
                  d: int) -> tuple[np.ndarray, np.ndarray]:
     """Column 0 of each B^-1 and 1/||B^-1||_F, from a stack's _real_form, each B inverted whole.
 
-    Column 0 is copied, so B^-1 is freed before the residual forms the dense L.
+    Column 0 is copied, so B^-1 is freed on return.
     """
     bordered = np.zeros((len(entries), d * d, d * d))
     bordered[:, k, l] = entries
@@ -271,18 +269,18 @@ def stationarity_residuals(liouv: Liouvillian, states: np.ndarray) -> np.ndarray
     ``states`` is an (N, d, d) stack for a stack of N Liouvillians, or one
     (d, d) matrix for one Liouvillian; the result is an (N,) array. This is
     the one stationarity residual: steady_state checks its solutions with
-    it, and the closed form is checked with it against the same L. One L of
-    side LEVEL_SIDE or more is applied from its nonzeros, O(nnz); a smaller
-    one and a stack through the dense matrix, in one batched product.
+    it, and the closed form is checked with it against the same L. Every L
+    and every stack is applied from its nonzero triplets, O(nnz) per member:
+    one bincount sums each member's products into its rows, in the order of
+    the triplets and from 0, so an explicit zero that another member puts in
+    a stack's pattern cannot move a row's bits.
     """
     n = liouv.space.dim**2
-    vecs = np.asarray(states).swapaxes(-1, -2).reshape(-1, n, 1)  # column-stacked
-    if _by_levels(liouv):
-        terms = liouv.values * vecs[0, liouv.cols, 0]
-        parts = [np.bincount(liouv.rows, part, n)[None] for part in (terms.real, terms.imag)]
-    else:
-        defect = (liouv.matrix.reshape(-1, n, n) @ vecs)[..., 0]
-        parts = [defect.real, defect.imag]
+    vecs = np.asarray(states).swapaxes(-1, -2).reshape(-1, n)  # column-stacked
+    terms = liouv.values * vecs[:, liouv.cols]
+    slots = (liouv.rows + n * np.arange(len(terms))[:, None]).ravel()  # row + n member
+    parts = [np.bincount(slots, part.ravel(), n * len(terms)).reshape(-1, n)
+             for part in (terms.real, terms.imag)]
     # an exact power-of-two scaling before squaring keeps a finite defect's norm finite
     exponent = np.frexp(np.maximum(abs(parts[0]), abs(parts[1])).max(axis=-1))[1]
     re, im = (np.ldexp(part, -exponent[:, None]) for part in parts)
@@ -293,6 +291,7 @@ def _which(k: int, n: int) -> str:
     return f" (Liouvillian {k} of a stack of {n})" if n > 1 else ""
 
 
+@functools.cache
 def _owners(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The basis B_k: the two coordinates owning each vec index, their units and their values.
 
@@ -302,7 +301,8 @@ def _owners(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are (d^2, 2); a value is its unit times 1 (k < d) or 1/sqrt(2). The pair
     i < j owns (i, j) with units (1, i) and (j, i) with units (1, -i), in
     its real and imaginary coordinates; E_ii owns (i, i) with unit 1, and
-    its second slot repeats it with unit 0.
+    its second slot repeats it with unit 0. Computed once per d; the arrays
+    are read-only.
     """
     i, j, diag = *np.triu_indices(d, 1), np.arange(d)
     owners = np.empty((d, d, 2), dtype=int)
@@ -312,7 +312,10 @@ def _owners(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     units[i, j], units[j, i] = (1.0, 1j), (1.0, -1j)
     # entry (i, j) has vec index i + j d
     owners, units = owners.swapaxes(0, 1).reshape(d * d, 2), units.swapaxes(0, 1).reshape(d * d, 2)
-    return owners, units, units * np.where(owners < d, 1.0, 1.0 / np.sqrt(2.0))
+    tables = owners, units, units * np.where(owners < d, 1.0, 1.0 / np.sqrt(2.0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _from_coordinates(r: np.ndarray, d: int) -> np.ndarray:

@@ -6,6 +6,11 @@ the two-qubit basis {|ee>, |ge>, |eg>, |gg>}, the first letter being qubit 1,
 and an operator acting on qubit 1 alone is np.kron(identity, op). An operator
 is a plain ndarray; DensityMatrix, the one wrapper, ties a validated state to
 its HilbertSpace.
+
+Positivity is certified by one batched Cholesky factorization of each state
+less PSD_FLOOR/2 times the identity: its backward error, about n^2 u (1e-14
+at n = 28), is far inside the 5e-9 margin, so a block that factors needs no
+spectrum, and only one that fails takes eigvalsh (DensityMatrix).
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-8
+# entries per block of DensityMatrix's check (4,096 states of 4x4): its
+# temporaries follow the block, not the stack
+CHECK_ELEMENTS = 1 << 16
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,8 +69,21 @@ class DensityMatrix:
     """Validated quantum state, or stack of states along the leading axis.
 
     Each state is Hermitian, has unit trace, and is positive within
-    PSD_FLOOR. A stack is checked in one batched pass; the error names the
-    first failing state and its first failing check.
+    PSD_FLOOR. A stack is checked in blocks of CHECK_ELEMENTS entries, each
+    in one batched pass; the error names the first failing state by its
+    index in the whole stack, and its first failing check.
+
+    Positivity is decided on the Hermitian part, sym, by one batched
+    Cholesky factorization of sym - (PSD_FLOOR/2) I per block. If it
+    succeeds, sym + dE - (PSD_FLOOR/2) I = L L^dagger for a backward error
+    ||dE|| of about n^2 u ||sym||, about 1e-14 for a trace-1 state of side
+    n <= 28 and 1e-11 at a few hundred (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 10.1). That is far below the margin
+    |PSD_FLOOR|/2 = 5e-9, so lambda_min(sym) > PSD_FLOOR and eigvalsh
+    would have passed every state of the block: the block needs no
+    spectrum. If the factorization fails, the block's eigvalsh decides, by
+    the rule and with the message it always had. A state that is not
+    Hermitian, or whose trace is wrong, fails with its own message first.
     """
 
     space: HilbertSpace
@@ -73,27 +94,40 @@ class DensityMatrix:
         if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
             raise InvalidStateError(f"matrix shape {m.shape} does not match space dimension {d}")
         states = m.reshape((-1,) + m.shape[-2:])
-        herm = _frobenius(states - _dagger(states))
-        tr = np.trace(states, axis1=-2, axis2=-1)
-        # "not <=" so that NaN fails; a failed (maybe non-finite) state skips the spectrum
-        herm_bad = ~(herm <= HERMITICITY_TOL)
-        trace_bad = ~(abs(tr - 1.0) <= TRACE_TOL)
-        sym = np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + _dagger(states)))
-        lo = np.linalg.eigvalsh(sym)[:, 0]
-        bad = herm_bad | trace_bad | (lo < PSD_FLOOR)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if herm_bad[k]:
-                message = "density matrix is not Hermitian within tolerance"
-            elif trace_bad[k]:
-                message = f"trace {tr[k]:.6g} differs from 1 beyond tolerance"
-            else:
-                message = f"negative eigenvalue {lo[k]:.3e} below the PSD floor"
-            if len(states) > 1:
-                message += f" (state {k} of a stack of {len(states)})"
-            raise InvalidStateError(message)
+        size = max(1, CHECK_ELEMENTS // (d * d))
+        for start in range(0, len(states), size):
+            failure = _first_failure(states[start:start + size])
+            if failure:
+                k, message = failure
+                if len(states) > 1:
+                    message += f" (state {start + k} of a stack of {len(states)})"
+                raise InvalidStateError(message)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def _first_failure(states: np.ndarray) -> tuple[int, str] | None:
+    """The first state of a block that is not a density matrix, and its first failing check."""
+    herm = _frobenius(states - _dagger(states))
+    tr = np.trace(states, axis1=-2, axis2=-1)
+    # "not <=" so that NaN fails; a failed (maybe non-finite) state is not factored
+    herm_bad = ~(herm <= HERMITICITY_TOL)
+    trace_bad = ~(abs(tr - 1.0) <= TRACE_TOL)
+    sym = np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + _dagger(states)))
+    bad = herm_bad | trace_bad
+    try:
+        np.linalg.cholesky(sym - 0.5 * PSD_FLOOR * np.eye(states.shape[-1]))
+    except np.linalg.LinAlgError:  # some state may be below the floor: its spectrum decides
+        lo = np.linalg.eigvalsh(sym)[:, 0]
+        bad |= lo < PSD_FLOOR
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if herm_bad[k]:
+        return k, "density matrix is not Hermitian within tolerance"
+    if trace_bad[k]:
+        return k, f"trace {tr[k]:.6g} differs from 1 beyond tolerance"
+    return k, f"negative eigenvalue {lo[k]:.3e} below the PSD floor"
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

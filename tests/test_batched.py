@@ -89,3 +89,21 @@ def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):
     named = re.search(r"at \(zeta, xi1, xi2\) = \((\S+), (\S+), (\S+)\)", err)
     assert tuple(map(float, named.groups())) == (zeta[first], xi1[first], 0.0)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_no_check_forms_a_dense_liouvillian(monkeypatch, tmp_path, capsys):
+    basis = effective_basis()  # its one dense round trip, before the patch
+    monkeypatch.setattr(cli, "effective_basis", lambda: basis)
+
+    def dense(liouv):
+        raise AssertionError("a dense Liouvillian was formed")
+
+    monkeypatch.setattr(lindblad.Liouvillian, "matrix", property(dense))
+    points = grid_points(0.3)
+    for solver in ("analytic", "numeric", "both"):
+        assert cli._sweep_rows(*points, solver).shape == (81, 11)
+    assert cli.cmd_steady(10.0, 2.135, 0.3, "both") == 0
+    assert cli.cmd_witness(10.0, 2.135, 0.0) == 0
+    assert cli.cmd_dynamics(10.0, 2.135, 0.0, 1.0, 1e-3, 100, str(tmp_path / "d.csv")) == 0
+    assert cli.cmd_validate(1.0, 10.0, 10.0, 0.01, 0.5, 0.0, 4, 2.0) == 0
+    capsys.readouterr()

@@ -499,3 +499,40 @@ def test_unusable_paths_are_one_usage_line(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot ") and err.count("\n") == 1
+
+
+def test_one_parser_answers_every_call_as_a_fresh_one_does(tmp_path, monkeypatch, capsys):
+    csv = tmp_path / "x.csv"
+    calls = [["steady", "--zeta", "10", "--xi1", "2.135"],
+             ["sweep", "--grid", "0:10:3,0:4:3", "--solver", "both", "--out", str(csv)],
+             ["steady", "--no-such-flag", "1"],
+             ["validate", "--nmax", "21"]] * 2
+
+    def run():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, csv.read_bytes() if csv.exists() else None))
+            csv.unlink(missing_ok=True)
+        return results
+
+    reused = run()
+    assert cli._build_parser() is cli._build_parser()
+    assert [r[0] for r in reused] == [0, 0, 2, 2] * 2
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+    assert run() == reused
+
+
+def test_csv_bytes_are_those_of_savetxt(tmp_path):
+    # the special values, then enough rows to cross the 1,024-row chunks
+    special = [[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1.7976931348623157e308],
+               [-5e-324, -1.7976931348623157e308, 0.1], [1 / 3, -2.0, 1e-300]]
+    rows = np.concatenate([special, np.random.default_rng(4).normal(size=(2500, 3)) * 10.0**np.arange(-3, 6, 4)])
+    cli._write_csv(str(tmp_path / "rows.csv"), ("a", "b", "c"), rows)
+    with open(tmp_path / "savetxt.csv", "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

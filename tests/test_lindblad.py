@@ -567,8 +567,8 @@ def test_stationarity_residuals_scale_exactly_and_do_not_overflow():
 
 
 def test_the_residual_of_one_large_liouvillian_is_its_dense_product():
-    # side 784 and up: the residual is summed from L's nonzeros, not from the
-    # dense matrix; it agrees with the dense product, and scales exactly
+    # the residual is summed from L's nonzeros, not from the dense matrix; it
+    # agrees with the dense product, and scales exactly
     p = PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6)
     liouv = build_liouvillian(build_full_model(p))
     d = liouv.space.dim
@@ -581,6 +581,22 @@ def test_the_residual_of_one_large_liouvillian_is_its_dense_product():
         scaled = Liouvillian(liouv.space, liouv.rows, liouv.cols, 2.0**k * liouv.values)
         assert stationarity_residuals(scaled, state)[0] == np.ldexp(res, k)
     assert stationarity_residuals(liouv, steady_state(liouv).rho.matrix)[0] <= 1e-12
+
+
+def test_the_residual_of_a_random_stack_is_its_dense_product():
+    # 16x16 stacks on one pattern, each member zero at about half of it: its
+    # explicit zeros add nothing, and each member's residual is its dense product
+    rng = np.random.default_rng(19)
+    dense = rng.normal(size=(64, 16, 16)) + 1j * rng.normal(size=(64, 16, 16))
+    dense[rng.random(dense.shape) < 0.5] = 0.0
+    liouv = Liouvillian.from_matrix(TWO_QUBITS, dense)
+    states = np.stack([random_density(rng, 4) for _ in range(64)])
+    res = stationarity_residuals(liouv, states)
+    product = dense @ states.swapaxes(-1, -2).reshape(64, 16, 1)  # column-stacked
+    assert np.abs(res / np.linalg.norm(product, axis=(1, 2)) - 1).max() <= 1e-14
+    for k in (-1000, 1000):
+        scaled = Liouvillian(liouv.space, liouv.rows, liouv.cols, 2.0**k * liouv.values)
+        assert np.array_equal(stationarity_residuals(scaled, states), np.ldexp(res, k))
 
 
 def _solve_peak(liouv):

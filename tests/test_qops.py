@@ -1,9 +1,16 @@
 """Tests for the dense operator primitives."""
 
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from polent import qops
 from polent.qops import (
     IDENTITY_2,
     SIGMA_MINUS,
@@ -163,3 +170,116 @@ def test_trace_distance():
     assert_allclose(trace_distance(ee, gg), 1.0, atol=1e-15)
     assert_allclose(trace_distance(ee, DensityMatrix(space, np.eye(2) / 2)), 0.5, atol=1e-15)
     assert_allclose(trace_distance(ee, gg), trace_distance(gg, ee), atol=1e-15)
+
+
+# the smallest eigenvalues placed about the floor, PSD_FLOOR = -1e-8, and the
+# certificate's shift, -PSD_FLOOR/2 = 5e-9
+PLACED_MINIMA = (-2e-8, -1.0000001e-8, -1e-8, -7e-9, -5e-9, 0.0, 1e-12)
+# None leaves a state as drawn; a flaw breaks its trace or its Hermiticity
+FLAWS = (None,) * 8 + ("trace", "hermiticity")
+# a stack draws its states' minima from one tail of PLACED_MINIMA, so that
+# whole stacks above the floor, which only the certificate clears, are common
+stacks = st.integers(0, len(PLACED_MINIMA) - 1).flatmap(lambda i: st.lists(
+    st.tuples(st.sampled_from(PLACED_MINIMA[i:]), st.sampled_from(FLAWS)), min_size=1, max_size=8))
+
+
+def state_with_smallest_eigenvalue(rng, d, lowest):
+    """A random Hermitian trace-1 state whose spectrum holds ``lowest``."""
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    spectrum = np.concatenate([[lowest], (1.0 - lowest) * rng.dirichlet(np.ones(d - 1))])
+    return (q * spectrum) @ q.conj().T
+
+
+def spectrum_rule(m, d):
+    """The message of the check before the certificate: eigvalsh of every state; None if all pass."""
+    states = m.reshape(-1, d, d)
+    dagger = states.conj().swapaxes(-1, -2)
+    diff = states - dagger
+    herm_bad = ~(np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(-2, -1))) <= qops.HERMITICITY_TOL)
+    tr = np.trace(states, axis1=-2, axis2=-1)
+    trace_bad = ~(abs(tr - 1.0) <= qops.TRACE_TOL)
+    lo = np.linalg.eigvalsh(np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + dagger)))[:, 0]
+    bad = herm_bad | trace_bad | (lo < qops.PSD_FLOOR)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if herm_bad[k]:
+        message = "density matrix is not Hermitian within tolerance"
+    elif trace_bad[k]:
+        message = f"trace {tr[k]:.6g} differs from 1 beyond tolerance"
+    else:
+        message = f"negative eigenvalue {lo[k]:.3e} below the PSD floor"
+    return message + (f" (state {k} of a stack of {len(states)})" if len(states) > 1 else "")
+
+
+def density_matrix_verdict(space, m):
+    try:
+        DensityMatrix(space, m)
+    except InvalidStateError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.sampled_from([HilbertSpace((2, 2)), HilbertSpace((2, 2, 7))]), stacks,
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 3, None]))
+def test_the_certificate_decides_as_the_spectrum_does(space, placed, seed, block):
+    rng = np.random.default_rng(seed)
+    d = space.dim
+    states = []
+    for lowest, flaw in placed:
+        state = state_with_smallest_eigenvalue(rng, d, lowest)
+        if flaw == "trace":
+            state = state * (1.0 + 1e-9)
+        elif flaw == "hermiticity":
+            state[0, 1] += 1e-9
+        states.append(state)
+    m = np.stack(states) if len(states) > 1 or rng.random() < 0.5 else states[0]
+    elements = qops.CHECK_ELEMENTS if block is None else block * d * d
+    with mock.patch.object(qops, "CHECK_ELEMENTS", elements):
+        assert density_matrix_verdict(space, m) == spectrum_rule(m, d)
+
+
+def test_a_stack_the_certificate_clears_takes_no_spectrum(monkeypatch):
+    rng = np.random.default_rng(19)
+    stack = np.stack([state_with_smallest_eigenvalue(rng, 4, lowest) for lowest in (0.0, 1e-12, 0.1)])
+
+    def no_spectrum(m):
+        raise AssertionError("eigvalsh was called for a stack the certificate clears")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    assert DensityMatrix(TWO_QUBITS, stack).matrix.shape == (3, 4, 4)
+
+
+def test_a_block_the_certificate_cannot_clear_is_judged_by_its_spectrum(monkeypatch):
+    rng = np.random.default_rng(19)
+    # blocks of two: state 3, at -2e-8, is the first to fail, in the second block
+    minima = (0.0, 1e-12, -7e-9, -2e-8, 0.0)
+    stack = np.stack([state_with_smallest_eigenvalue(rng, 4, lowest) for lowest in minima])
+    monkeypatch.setattr(qops, "CHECK_ELEMENTS", 2 * 16)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+    # -7e-9 is below the shift, so its block is factored in vain, but above the floor
+    DensityMatrix(TWO_QUBITS, stack[:3])
+    assert calls == [1]  # the second block, state 2 alone
+    with pytest.raises(InvalidStateError) as exc:
+        DensityMatrix(TWO_QUBITS, stack)
+    assert calls == [1, 2]  # the first block is cleared again; the second fails to factor
+    assert re.fullmatch(r"negative eigenvalue -2\.000e-08 below the PSD floor \(state 3 of a stack of 5\)",
+                        str(exc.value))
+    assert str(exc.value) == spectrum_rule(stack, 4)
+
+
+def test_the_check_of_a_large_stack_holds_one_block_of_temporaries():
+    # 50,000 states of 4x4 are 12.8 MB; the stored copy is one of them, and
+    # the check's temporaries follow the 4,096-state block (1 MB each), where
+    # checking the stack at once held about four more copies
+    stack = np.tile(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), (50_000, 1, 1))
+    tracemalloc.start()
+    try:
+        DensityMatrix(TWO_QUBITS, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stack.nbytes + 10 * 2**20
