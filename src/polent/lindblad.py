@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qops
 from .model import DimensionlessParams, LindbladModel, build_effective_model
 from .qops import TWO_QUBITS, DensityMatrix, HilbertSpace, InvalidStateError
 
@@ -44,10 +45,8 @@ RESIDUAL_TOL = 1e-9
 DRIFT_ABORT = 1e-6
 STABILITY_SLACK = 1e-9
 DEFAULT_DT = 1e-3
-# evolve's steps per anchor, and strides checked per batch: 4,096 states, a
-# working set of 0.8 MB at d = 4 that does not grow with the run
+# evolve's steps per anchor
 STRIDE = 128
-STRIDE_BATCH = 32
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
 # levels, and a smaller one whole. Whole inverse against levels with the
 # exchange split, steady_state best of 9 in one process, the best of 5 such
@@ -602,20 +601,22 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     X_S r_{bS}; the states between are r_{bS+j} = r_{bS} + X_j r_{bS}, all
     of a stride from one matrix-vector product with the stacked X_j. So a
     state does not depend on the length of the run, and a run is a prefix of
-    any longer one bit for bit. The states are formed STRIDE_BATCH strides
-    at a time, so memory beyond the samples and the drift does not grow
-    with the run. The trace of every step is checked and never
-    renormalized; drift beyond DRIFT_ABORT, or a NaN trace, aborts the run
-    at the first failing step. A spectral radius of P above
-    1 + STABILITY_SLACK aborts it before the first step, as the drift shows
-    a growing mode only after a growth of ~1e10. The run takes
+    any longer one bit for bit. The states are formed one block of
+    DensityMatrix's check at a time (qops.CHECK_ELEMENTS entries, read at
+    each call: 32 strides of 4x4 states), so memory beyond the samples and
+    the drift does not grow with the run. The trace of every step is
+    checked and never renormalized; drift beyond DRIFT_ABORT, or a NaN
+    trace, aborts the run at the first failing step. A spectral radius of P
+    above 1 + STABILITY_SLACK aborts it before the first step, as the drift
+    shows a growing mode only after a growth of ~1e10. The run takes
     round(t_final / dt) steps, at least one when t_final > 0; a non-finite
     t_final, dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0,
     k, 2k, ... and the last step for k = sample_every (0 and the last step for
     None or k beyond the run), ``rho`` the stack of the states there, rho0
     first, and ``drift`` |Tr rho - 1| after every step, step 0 first. RK4
-    does not keep positivity: a sample that is not a density matrix (checked
-    in one batch) raises an IntegrationError that names its t and dt.
+    does not keep positivity: the samples are checked as one DensityMatrix,
+    and the first that is not a density matrix, steps[exc.index], raises an
+    IntegrationError that names its t, its reason and dt.
     """
     if rho0.space.dims != m.space.dims:
         raise ValueError("initial state lives on a different space than the model")
@@ -647,7 +648,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     drift = np.empty(nsteps + 1)
     drift[0] = abs(r[:d].sum() - 1.0)
     powers = _step_powers(increment, STRIDE).reshape(STRIDE * n, n)
-    span = STRIDE * min(STRIDE_BATCH, nsteps // STRIDE + 1)  # steps per batch
+    strides = max(1, qops.CHECK_ELEMENTS // (STRIDE * d * d))
+    span = STRIDE * min(strides, nsteps // STRIDE + 1)  # steps per batch
     batch = np.empty((span // STRIDE, STRIDE, n))
     for start in range(0, nsteps, span):  # steps start + 1 .. stop
         stop = min(nsteps, start + span)
@@ -667,14 +669,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
             )
         first, last = np.searchsorted(steps, [start + 1, stop + 1])
         samples[first:last] = coords[steps[first:last] - start - 1]
-    mats = _from_coordinates(samples, d)  # elementwise, so row-independent
     try:
-        return steps, DensityMatrix(m.space, mats), drift
-    except InvalidStateError:  # a stable step can still overshoot a fast transient
-        for step, mat in zip(steps, mats):  # the first failing sample, as in a run of one
-            try:
-                DensityMatrix(m.space, mat)
-            except InvalidStateError as exc:
-                raise IntegrationError(f"state at t = {step * dt:.6g} is not a density matrix "
-                                       f"({exc}); reduce dt below {dt:g}") from exc
-        raise
+        return steps, DensityMatrix(m.space, _from_coordinates(samples, d)), drift
+    except InvalidStateError as exc:  # a stable step can still overshoot a fast transient
+        raise IntegrationError(f"state at t = {steps[exc.index] * dt:.6g} is not a density matrix "
+                               f"({exc.reason}); reduce dt below {dt:g}") from exc

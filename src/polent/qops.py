@@ -5,7 +5,9 @@ composite basis. With the single-qubit basis ordered {|e>, |g>} this makes
 the two-qubit basis {|ee>, |ge>, |eg>, |gg>}, the first letter being qubit 1,
 and an operator acting on qubit 1 alone is np.kron(identity, op). An operator
 is a plain ndarray; DensityMatrix, the one wrapper, ties a validated state to
-its HilbertSpace.
+its HilbertSpace, and it is the one judge of a state: a failure raises
+InvalidStateError, which names the failing state of a stack by ``index`` and
+gives its own message as ``reason``.
 
 Positivity is certified by one batched Cholesky factorization of each state
 less PSD_FLOOR/2 times the identity: its backward error, about n^2 u (1e-14
@@ -16,7 +18,6 @@ spectrum, and only one that fails takes eigvalsh (DensityMatrix).
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,16 @@ del _m
 
 
 class InvalidStateError(Exception):
-    """A density-matrix invariant (shape, Hermiticity, trace, positivity) failed."""
+    """A density-matrix invariant (shape, finiteness, Hermiticity, trace, positivity) failed.
+
+    ``reason`` is the message the failing state gives on its own, and
+    ``index`` its place in the stack (0 for one state, None for a shape
+    error). The message adds "(state index of a stack of size)" for a stack.
+    """
+
+    def __init__(self, reason: str, index: int | None = None, size: int = 1):
+        super().__init__(reason + (f" (state {index} of a stack of {size})" if size > 1 else ""))
+        self.reason, self.index = reason, index
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,8 @@ class DensityMatrix:
     Each state is Hermitian, has unit trace, and is positive within
     PSD_FLOOR. A stack is checked in blocks of CHECK_ELEMENTS entries, each
     in one batched pass; the error names the first failing state by its
-    index in the whole stack, and its first failing check.
+    index in the whole stack (InvalidStateError.index), and its first
+    failing check (InvalidStateError.reason), as the state alone would.
 
     Positivity is decided on the Hermitian part, sym, by one batched
     Cholesky factorization of sym - (PSD_FLOOR/2) I per block. If it
@@ -82,8 +93,9 @@ class DensityMatrix:
     |PSD_FLOOR|/2 = 5e-9, so lambda_min(sym) > PSD_FLOOR and eigvalsh
     would have passed every state of the block: the block needs no
     spectrum. If the factorization fails, the block's eigvalsh decides, by
-    the rule and with the message it always had. A state that is not
-    Hermitian, or whose trace is wrong, fails with its own message first.
+    the rule and with the message it always had. A state with a non-finite
+    entry, one that is not Hermitian, or one whose trace is wrong fails
+    with its own message first, in that order.
     """
 
     space: HilbertSpace
@@ -98,23 +110,22 @@ class DensityMatrix:
         for start in range(0, len(states), size):
             failure = _first_failure(states[start:start + size])
             if failure:
-                k, message = failure
-                if len(states) > 1:
-                    message += f" (state {start + k} of a stack of {len(states)})"
-                raise InvalidStateError(message)
+                k, reason = failure
+                raise InvalidStateError(reason, start + k, len(states))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
 def _first_failure(states: np.ndarray) -> tuple[int, str] | None:
     """The first state of a block that is not a density matrix, and its first failing check."""
+    finite_bad = ~np.isfinite(states).all(axis=(-2, -1))
     herm = _frobenius(states - _dagger(states))
     tr = np.trace(states, axis1=-2, axis2=-1)
     # "not <=" so that NaN fails; a failed (maybe non-finite) state is not factored
     herm_bad = ~(herm <= HERMITICITY_TOL)
     trace_bad = ~(abs(tr - 1.0) <= TRACE_TOL)
     sym = np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + _dagger(states)))
-    bad = herm_bad | trace_bad
+    bad = finite_bad | herm_bad | trace_bad
     try:
         np.linalg.cholesky(sym - 0.5 * PSD_FLOOR * np.eye(states.shape[-1]))
     except np.linalg.LinAlgError:  # some state may be below the floor: its spectrum decides
@@ -123,10 +134,13 @@ def _first_failure(states: np.ndarray) -> tuple[int, str] | None:
     if not bad.any():
         return None
     k = int(np.argmax(bad))
+    if finite_bad[k]:
+        return k, "density matrix has non-finite entries"
     if herm_bad[k]:
         return k, "density matrix is not Hermitian within tolerance"
     if trace_bad[k]:
-        return k, f"trace {tr[k]:.6g} differs from 1 beyond tolerance"
+        imag = f"{tr[k].imag:+.17g}j" if tr[k].imag else ""
+        return k, f"trace {tr[k].real:.17g}{imag} differs from 1 beyond tolerance"
     return k, f"negative eigenvalue {lo[k]:.3e} below the PSD floor"
 
 
@@ -170,17 +184,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep indices {kept} outside 0..{n - 1}")
     rev = dims[::-1]
     t = rho.matrix.reshape(rev + rev)
-    letters = iter(string.ascii_lowercase)
-    row, col = {}, {}
-    for k in range(n):
-        if k in kept:
-            row[k] = next(letters)
-            col[k] = next(letters)
-        else:
-            row[k] = col[k] = next(letters)  # repeated letter contracts the pair
-    src = "".join(row[k] for k in reversed(range(n))) + "".join(col[k] for k in reversed(range(n)))
-    dst = "".join(row[k] for k in reversed(kept)) + "".join(col[k] for k in reversed(kept))
-    out = np.einsum(f"{src}->{dst}", t)
+    # subsystem k's row axis is label k, its column axis k + n if kept and k
+    # (contracting the pair) if traced; the axes run from subsystem n - 1 down
+    cols = [k + n if k in kept else k for k in range(n)]
+    out = np.einsum(t, [*reversed(range(n)), *reversed(cols)],
+                    [*reversed(kept), *(k + n for k in reversed(kept))])
     d = math.prod(dims[k] for k in kept)
     return DensityMatrix(HilbertSpace(tuple(dims[k] for k in kept)), out.reshape(d, d))
 

@@ -108,6 +108,13 @@ def test_overflow_is_one_error_line(tmp_path, capsys):
     assert float(re.search(r"concurrence = (\S+)", capsys.readouterr().out).group(1)) <= 1e-12
 
 
+def test_an_overflowed_closed_form_is_named_as_non_finite(capsys):
+    # D = zeta^2 + (1 + 2 xi1^2)^2 overflows at xi1 = 1e100, and the state is NaN
+    assert main(["steady", "--zeta", "0", "--xi1", "1e100", "--solver", "analytic"]) == 3
+    assert capsys.readouterr().err == ("numerical failure: at (zeta, xi1, xi2) = (0, 1e+100, 0): "
+                                       "density matrix has non-finite entries\n")
+
+
 def test_steady_writes_report_file(tmp_path, capsys):
     report = tmp_path / "steady.txt"
     assert main(["steady", "--zeta", "10", "--xi1", "2.135", "--out", str(report)]) == 0
@@ -199,6 +206,9 @@ def test_sweep_usage_errors(tmp_path, capsys, recwarn):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--grid", "0:10:3,0:4:3"]) == 2  # missing --out
     assert main(["sweep", "--grid", "0:10", "--out", out]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--grid", "0:1,0:4:3", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: grid range must be MIN:MAX:STEPS, got '0:1'\n"
     assert main(["sweep", "--grid", "0:10:0,0:4:3", "--out", out]) == 2
     assert main(["sweep", "--grid", "10:0:3,0:4:3", "--out", out]) == 2
     # a complex drive is not a usage error: the closed-form rows match the numeric ones
@@ -499,6 +509,12 @@ def test_unusable_paths_are_one_usage_line(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot ") and err.count("\n") == 1
+    # a report is printed before its file is written: the file's failure is the last line
+    missing = tmp_path / "no-such-dir" / "x.txt"
+    assert main(["steady", "--zeta", "10", "--xi1", "2", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("steady state at zeta = 10, xi1 = 2")
+    assert captured.err.startswith(f"error: cannot write {missing}: ") and captured.err.count("\n") == 1
 
 
 def test_one_parser_answers_every_call_as_a_fresh_one_does(tmp_path, monkeypatch, capsys):

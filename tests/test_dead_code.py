@@ -1,8 +1,10 @@
 """Every top-level function and class of the package is used inside the package,
-no module imports another module's private names, and no public function
-takes a private parameter."""
+every module-level UPPER_CASE constant is read there, no module imports
+another module's private names, and no public function takes a private
+parameter."""
 
 import ast
+import re
 from pathlib import Path
 
 import polent
@@ -10,34 +12,53 @@ import polent
 SOURCES = sorted(Path(polent.__file__).parent.glob("*.py"))
 
 
-def _unused_definitions(private: bool) -> list[str]:
-    defined, used = {}, set()
+def _unread(names) -> list[str]:
+    """module:name for each top-level name, as names(node) lists them, that no polent code reads."""
+    defined, read = {}, set()
     for path in SOURCES:
         if path.name == "__init__.py":
             continue  # a re-export is not a use
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            is_definition = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if is_definition and node.name.startswith("_") == private:
-                defined[node.name] = path.name
+            for name in names(node):
+                defined[name] = path.name
         # names in code only: docstrings are constants and comments are not parsed
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+                read.add(node.attr)
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in read)
+
+
+def _definitions(private: bool):
+    def names(node):
+        is_definition = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        return [node.name] if is_definition and node.name.startswith("_") == private else []
+    return names
+
+
+def _constants(node) -> list[str]:
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
 
 
 def test_every_public_definition_is_used_by_polent_code():
-    unused = _unused_definitions(private=False)
+    unused = _unread(_definitions(private=False))
     assert not unused, f"public definitions no polent code uses: {unused}"
 
 
 def test_every_private_definition_is_used_by_polent_code():
     # a helper kept in the package only for the tests is an oracle: it belongs under tests/
-    unused = _unused_definitions(private=True)
+    unused = _unread(_definitions(private=True))
     assert not unused, f"private definitions no polent code uses: {unused}"
+
+
+def test_every_constant_is_read_by_polent_code():
+    # a constant that no code reads is a setting that sets nothing
+    unread = _unread(_constants)
+    assert not unread, f"constants no polent code reads: {unread}"
 
 
 def test_no_module_imports_a_private_name():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polent import lindblad
+from polent import lindblad, qops
 from polent.analytic import closed_form
 from polent.lindblad import (
     DegenerateSteadyStateError,
@@ -496,6 +496,18 @@ def test_the_real_form_sums_each_entry_in_the_order_of_a_stable_sort(n_max):
     assert np.array_equal(k * n + l, np.unique(keys))
 
 
+def test_a_residual_beyond_its_bound_is_named(monkeypatch):
+    # RESIDUAL_TOL = 0 refuses any nonzero residual; the undriven member's is exactly 0
+    liouv = effective_liouvillians(effective_basis(), [0.0, 10.0, 5.0], [0.0, 2.135, 1.0], [0.0] * 3)
+    one = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135)))
+    monkeypatch.setattr(lindblad, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"^steady-state residual \S+ exceeds 0 \(Liouvillian 1 of a stack of 3\)$"):
+        steady_state(liouv)
+    with pytest.raises(DegenerateSteadyStateError, match=r"^steady-state residual \S+ exceeds 0$"):
+        steady_state(one)
+
+
 @pytest.mark.parametrize("degenerate", ["zero", "one_qubit_decay"])
 def test_degenerate_member_of_a_stack_is_named(degenerate):
     # the zero Liouvillian makes the bordered system exactly singular, which
@@ -733,10 +745,11 @@ def test_evolve_matches_the_four_stage_step_around_an_anchor(space, nsteps):
 
 @pytest.mark.parametrize("batch", [1, 10**6])
 def test_evolve_does_not_depend_on_the_batch_size(monkeypatch, batch):
-    # 10,000 steps: three batches of the default size, the last one partial
+    # 10,000 steps: three batches of the default size, the last one partial;
+    # a batch is one block of DensityMatrix's check, so this moves both
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     reference = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
-    monkeypatch.setattr(lindblad, "STRIDE_BATCH", batch)
+    monkeypatch.setattr(qops, "CHECK_ELEMENTS", batch * lindblad.STRIDE * 16)
     steps, rho, drift = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
     assert np.array_equal(steps, reference[0])
     assert np.array_equal(rho.matrix, reference[1].matrix)
@@ -840,6 +853,25 @@ def test_evolve_names_t_and_dt_when_a_state_is_not_a_density_matrix():
         evolve(m, ground_pair(), t_final=0.1, dt=0.1)  # the final state
     with pytest.raises(IntegrationError, match=message):
         evolve(m, ground_pair(), t_final=30.0, dt=0.1, sample_every=1)
+
+
+def test_evolve_names_the_failing_sample_from_one_check(monkeypatch):
+    # the samples are checked once, as one stack: the error's index is the
+    # failing sample, so no state is checked again to find it
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    ground = ground_pair()
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return DensityMatrix(*args)
+
+    monkeypatch.setattr(lindblad, "DensityMatrix", counted)
+    message = r"^state at t = 0\.1 is not a density matrix \(negative eigenvalue .*\); reduce dt below 0\.1$"
+    with pytest.raises(IntegrationError, match=message) as exc:
+        evolve(m, ground, t_final=30, dt=0.1, sample_every=1)
+    assert len(built) == 1 and len(built[0][1]) == 301
+    assert exc.value.__cause__.index == 1  # step 1: t = 0.1
 
 
 def test_evolve_aborts_on_a_nan_trace():

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import (
     DimensionlessParams,
+    LindbladModel,
     PhysicalParams,
     adiabatic_amplitude,
     build_effective_model,
@@ -14,7 +15,7 @@ from polent.model import (
     map_physical,
     mode_lowering,
 )
-from polent.qops import IDENTITY_2, SIGMA_MINUS
+from polent.qops import IDENTITY_2, SIGMA_MINUS, TWO_QUBITS
 
 PHYS = PhysicalParams(j=1.0, delta=10.0, kappa=10.0, gamma=0.01, alpha=0.5, n_max=4)
 
@@ -33,6 +34,13 @@ def test_dimensionless_params_validation():
         DimensionlessParams(np.inf, 0.0)
     with pytest.raises(ValueError):
         DimensionlessParams(0.0, np.nan)
+
+
+def test_lindblad_model_refuses_operators_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^Hamiltonian shape \(2, 2\) does not match dimension 4$"):
+        LindbladModel(TWO_QUBITS, np.eye(2), ())
+    with pytest.raises(ValueError, match=r"^jump shape \(4, 2\) does not match dimension 4$"):
+        LindbladModel(TWO_QUBITS, np.eye(4), (np.eye(4), np.ones((4, 2))))
 
 
 def test_full_model_shapes_and_hermiticity():

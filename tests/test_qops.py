@@ -1,5 +1,6 @@
 """Tests for the dense operator primitives."""
 
+import pickle
 import re
 import tracemalloc
 from unittest import mock
@@ -86,6 +87,45 @@ def test_density_matrix_rejects_bad_states():
         DensityMatrix(HilbertSpace((2,)), np.diag([0.6, 0.6]))
     with pytest.raises(InvalidStateError):
         DensityMatrix(TWO_QUBITS, np.diag([1.5, -0.5, 0.0, 0.0]))
+
+
+def test_a_wrong_trace_is_printed_to_its_last_digit():
+    # 1 + 1e-9 is beyond TRACE_TOL, but six digits would print it as 1+0j
+    with pytest.raises(InvalidStateError) as exc:
+        DensityMatrix(TWO_QUBITS, np.eye(4) / 4 * (1 + 1e-9))
+    assert str(exc.value) == "trace 1.0000000010000001 differs from 1 beyond tolerance"
+    # Hermitian within HERMITICITY_TOL leaves room for a small imaginary trace, printed too
+    with pytest.raises(InvalidStateError) as exc:
+        DensityMatrix(HilbertSpace((2,)), np.diag([0.5 + 1e-9, 0.5 + 3e-11j]))
+    assert str(exc.value) == "trace 1.0000000010000001+3e-11j differs from 1 beyond tolerance"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.25, np.inf)])
+def test_a_non_finite_state_is_named_as_such(value):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 1] = value
+    # inf - inf in the Hermiticity check warns, as numpy does for any such input
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidStateError, match="^density matrix has non-finite entries$"):
+        DensityMatrix(TWO_QUBITS, m)
+
+
+def test_the_error_names_the_failing_state_and_its_own_reason():
+    good = np.eye(4) / 4
+    bad = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(InvalidStateError) as alone:
+        DensityMatrix(TWO_QUBITS, bad)
+    assert (alone.value.index, alone.value.reason) == (0, str(alone.value))
+    with pytest.raises(InvalidStateError) as stacked:
+        DensityMatrix(TWO_QUBITS, np.stack([good, good, bad, bad]))
+    assert (stacked.value.index, stacked.value.reason) == (2, alone.value.reason)
+    assert str(stacked.value) == f"{alone.value.reason} (state 2 of a stack of 4)"
+    # the attributes survive pickling, as a sweep worker's error crosses processes
+    copy = pickle.loads(pickle.dumps(stacked.value))
+    assert (str(copy), copy.index, copy.reason) == (str(stacked.value), 2, alone.value.reason)
+    with pytest.raises(InvalidStateError) as shape:
+        DensityMatrix(TWO_QUBITS, np.eye(2))
+    assert shape.value.index is None and shape.value.reason == str(shape.value)
 
 
 def test_partial_transpose_involution_and_trace():
@@ -199,14 +239,18 @@ def spectrum_rule(m, d):
     tr = np.trace(states, axis1=-2, axis2=-1)
     trace_bad = ~(abs(tr - 1.0) <= qops.TRACE_TOL)
     lo = np.linalg.eigvalsh(np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + dagger)))[:, 0]
-    bad = herm_bad | trace_bad | (lo < qops.PSD_FLOOR)
+    finite_bad = ~np.isfinite(states).all(axis=(-2, -1))
+    bad = finite_bad | herm_bad | trace_bad | (lo < qops.PSD_FLOOR)
     if not bad.any():
         return None
     k = int(np.argmax(bad))
-    if herm_bad[k]:
+    if finite_bad[k]:
+        message = "density matrix has non-finite entries"
+    elif herm_bad[k]:
         message = "density matrix is not Hermitian within tolerance"
     elif trace_bad[k]:
-        message = f"trace {tr[k]:.6g} differs from 1 beyond tolerance"
+        imag = f"{tr[k].imag:+.17g}j" if tr[k].imag else ""
+        message = f"trace {tr[k].real:.17g}{imag} differs from 1 beyond tolerance"
     else:
         message = f"negative eigenvalue {lo[k]:.3e} below the PSD floor"
     return message + (f" (state {k} of a stack of {len(states)})" if len(states) > 1 else "")
