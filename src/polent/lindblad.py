@@ -3,7 +3,7 @@
 The stationarity of any state is judged here only, as ||L vec(rho)|| with
 the Liouvillian built from the model (stationarity_residuals), summed from
 L's nonzero triplets for every L and every stack; the closed-form and
-numeric routes are both checked against it, and no check forms a dense L.
+numeric routes are both checked against it, and no library code forms a dense L.
 The solves and RK4 read L only through _real_form, in the Hermitian basis
 of _owners.
 steady_state has one route per input, by L's size (LEVEL_SIDE): levels from
@@ -68,10 +68,10 @@ class IntegrationError(Exception):
 class Liouvillian:
     """Superoperator on column-stacked density matrices, as its nonzero entries.
 
-    L[rows[t], cols[t]] = values[..., t], and every other entry is 0. The
-    (row, col) pairs are distinct and in row-major order. ``values`` is
-    (nnz,) for one L, and (N, nnz) for a stack of N on one pattern, where
-    each position is nonzero in some member.
+    L[rows[t], cols[t]] = values[..., t], and every other entry is 0. The (row, col)
+    pairs are distinct and in row-major order. ``values`` is (nnz,) for one L, and
+    (N, nnz) for a stack of N on one pattern, where each position is nonzero in some
+    member. Every L is made from triplets; none is read back from a dense matrix.
     """
 
     space: HilbertSpace
@@ -93,19 +93,10 @@ class Liouvillian:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    @classmethod
-    def from_matrix(cls, space: HilbertSpace, m) -> Liouvillian:
-        """The Liouvillian of one dense (d^2, d^2) matrix, or of an (N, d^2, d^2) stack."""
-        d = space.dim
-        m = np.asarray(m, dtype=complex)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (d * d, d * d):
-            raise ValueError(f"matrix shape {m.shape} does not match space dimension {d}")
-        rows, cols = np.nonzero(m if m.ndim == 2 else (m != 0).any(axis=0))
-        return cls(space, rows, cols, m[..., rows, cols])
-
     @property
     def matrix(self) -> np.ndarray:
-        """The dense (d^2, d^2) matrix, or (N, d^2, d^2) stack, formed anew on each access."""
+        """The dense (d^2, d^2) matrix, or (N, d^2, d^2) stack, formed anew on each access:
+        read by no library code, only by the tests and the benchmark's tracer."""
         n = self.space.dim**2
         out = np.zeros(self.values.shape[:-1] + (n, n), dtype=complex)
         out[..., self.rows, self.cols] = self.values
@@ -169,16 +160,22 @@ def effective_basis() -> Liouvillian:
     L0 is build_liouvillian of the undriven, uncoupled model; each other
     term is -i[H, .], the Kronecker sum of -iH, with the model's Hamiltonian
     at one unit parameter, so build_effective_model stays the only source of
-    the model and both share build_liouvillian's assembly.
-    Each entry of L depends on at most one parameter, so the affine sum
-    equals build_liouvillian at every point bit for bit.
+    the model and both share build_liouvillian's assembly. The terms are
+    joined by triplet key, each copied (never summed) into the union of
+    their positions. Each entry of L depends on at most one parameter, so
+    the affine sum equals build_liouvillian at every point bit for bit.
     """
     units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     terms = [build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0)))] + [
         _assemble(TWO_QUBITS, -1j * build_effective_model(DimensionlessParams(*u)).hamiltonian, ())
         for u in units
     ]
-    return Liouvillian.from_matrix(TWO_QUBITS, np.stack([term.matrix for term in terms]))
+    n = TWO_QUBITS.dim**2
+    keys, where = np.unique(np.concatenate([t.rows * n + t.cols for t in terms]), return_inverse=True)
+    owner = np.repeat(np.arange(len(terms)), [len(t.rows) for t in terms])
+    values = np.zeros((len(terms), len(keys)), dtype=complex)
+    values[owner, where] = np.concatenate([t.values for t in terms])
+    return Liouvillian(TWO_QUBITS, keys // n, keys % n, values)
 
 
 def effective_liouvillians(basis: Liouvillian, zeta, xi1, xi2) -> Liouvillian:

@@ -119,6 +119,8 @@ class DensityMatrix:
 def _first_failure(states: np.ndarray) -> tuple[int, str] | None:
     """The first state of a block that is not a density matrix, and its first failing check."""
     finite_bad = ~np.isfinite(states).all(axis=(-2, -1))
+    if finite_bad.any():  # zeroed: they fail first anyway, and inf - inf below would warn
+        states = np.where(finite_bad[:, None, None], 0.0, states)
     herm = _frobenius(states - _dagger(states))
     tr = np.trace(states, axis1=-2, axis2=-1)
     # "not <=" so that NaN fails; a failed (maybe non-finite) state is not factored

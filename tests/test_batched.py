@@ -92,9 +92,7 @@ def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):
 
 
 def test_no_check_forms_a_dense_liouvillian(monkeypatch, tmp_path, capsys):
-    basis = effective_basis()  # its one dense round trip, before the patch
-    monkeypatch.setattr(cli, "effective_basis", lambda: basis)
-
+    # every command builds its own effective_basis under the patch, so it is covered too
     def dense(liouv):
         raise AssertionError("a dense Liouvillian was formed")
 

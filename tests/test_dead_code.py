@@ -1,7 +1,7 @@
 """Every top-level function and class of the package is used inside the package,
-every module-level UPPER_CASE constant is read there, no module imports
-another module's private names, and no public function takes a private
-parameter."""
+every module-level UPPER_CASE constant and every public method, property and
+classmethod of a class is read there, no module imports another module's
+private names, and no public function takes a private parameter."""
 
 import ast
 import re
@@ -44,6 +44,11 @@ def _constants(node) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
 
 
+def _methods(node) -> list[str]:
+    body = node.body if isinstance(node, ast.ClassDef) else []
+    return [f.name for f in body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
 def test_every_public_definition_is_used_by_polent_code():
     unused = _unread(_definitions(private=False))
     assert not unused, f"public definitions no polent code uses: {unused}"
@@ -59,6 +64,13 @@ def test_every_constant_is_read_by_polent_code():
     # a constant that no code reads is a setting that sets nothing
     unread = _unread(_constants)
     assert not unread, f"constants no polent code reads: {unread}"
+
+
+def test_every_public_method_is_read_by_polent_code():
+    # by name, as methods, properties and classmethods are read as attributes:
+    # one that only the tests call is a test helper, and belongs under tests/
+    unread = _unread(_methods)
+    assert not unread, f"public methods no polent code reads: {unread}"
 
 
 def test_no_module_imports_a_private_name():

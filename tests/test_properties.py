@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_round_trip import liouvillian_from_dense
 from stationarity_oracle import _matrices, _vectors, equation_residuals
 
 from polent import cli, lindblad
@@ -17,7 +18,6 @@ from polent.cli import main
 from polent.entangle import concurrence, negativity
 from polent.lindblad import (
     IntegrationError,
-    Liouvillian,
     build_liouvillian,
     effective_basis,
     effective_liouvillians,
@@ -131,7 +131,7 @@ def test_one_liouvillian_matches_the_dense_oracle(p):
     # whole inverse of a stack of one
     liouv = build_liouvillian(build_full_model(p))
     d = liouv.space.dim
-    dense = steady_state(Liouvillian.from_matrix(liouv.space, liouv.matrix[None]))
+    dense = steady_state(liouvillian_from_dense(liouv.space, liouv.matrix[None]))
     k, l, entries, largest = lindblad._real_form(liouv)
     coords, gap = lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])
     assert np.abs(lindblad._from_coordinates(coords[None], d) - dense.rho.matrix).max() <= 1e-12

@@ -102,12 +102,17 @@ def test_a_wrong_trace_is_printed_to_its_last_digit():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.25, np.inf)])
 def test_a_non_finite_state_is_named_as_such(value):
+    # any warning is an error here, so the refusal must come without one
     m = np.eye(4, dtype=complex) / 4
     m[1, 1] = value
-    # inf - inf in the Hermiticity check warns, as numpy does for any such input
-    with np.errstate(invalid="ignore"), pytest.raises(
-            InvalidStateError, match="^density matrix has non-finite entries$"):
+    with pytest.raises(InvalidStateError, match="^density matrix has non-finite entries$"):
         DensityMatrix(TWO_QUBITS, m)
+    off = np.eye(4, dtype=complex) / 4
+    off[0, 1] = value
+    with pytest.raises(InvalidStateError) as exc:
+        DensityMatrix(TWO_QUBITS, np.stack([np.eye(4) / 4, np.eye(4) / 4, off]))
+    assert (exc.value.index, exc.value.reason) == (2, "density matrix has non-finite entries")
+    assert str(exc.value) == "density matrix has non-finite entries (state 2 of a stack of 3)"
 
 
 def test_the_error_names_the_failing_state_and_its_own_reason():
