@@ -24,8 +24,6 @@ from .lindblad import (
     Liouvillian,
     SteadyStateResult,
     build_liouvillian,
-    effective_basis,
-    effective_liouvillians,
     evolve,
     stationarity_residuals,
     steady_state,
@@ -86,8 +84,6 @@ __all__ = [
     "closed_form",
     "concurrence",
     "construct_witness",
-    "effective_basis",
-    "effective_liouvillians",
     "evolve",
     "map_physical",
     "mode_lowering",

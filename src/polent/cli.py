@@ -42,8 +42,6 @@ from .lindblad import (
     DegenerateSteadyStateError,
     IntegrationError,
     build_liouvillian,
-    effective_basis,
-    effective_liouvillians,
     evolve,
     stationarity_residuals,
     steady_state,
@@ -144,9 +142,9 @@ _RESIDUAL_COLUMN = {
 }
 
 
-def _evaluate_stack(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
+def _evaluate_stack(zeta, xi1, xi2, solver: str) -> dict[str, np.ndarray]:
     out = {}
-    liouv = effective_liouvillians(basis, zeta, xi1, xi2)
+    liouv = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
     if solver != "numeric":
         rho = exact = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1, xi2))
         out["equation_residual"] = stationarity_residuals(liouv, exact.matrix)
@@ -165,19 +163,19 @@ def _evaluate_stack(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]
     return out
 
 
-def _evaluate(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
+def _evaluate(zeta, xi1, xi2, solver: str) -> dict[str, np.ndarray]:
     """States and diagnostics at one block of points, with every per-point check.
 
-    ``basis`` is effective_basis(); every solver's residual is taken against
-    the Liouvillians built from it. A failure names the first failing point,
-    as it would in blocks of one.
+    The block's Liouvillians are one stacked build_liouvillian of the reduced
+    model at its points, and every solver's residual is taken against them. A
+    failure names the first failing point, as it would in blocks of one.
     """
     try:
-        return _evaluate_stack(zeta, xi1, xi2, solver, basis)
+        return _evaluate_stack(zeta, xi1, xi2, solver)
     except _POINT_FAILURES as exc:
         if len(zeta) > 1:
             for k in range(len(zeta)):
-                _evaluate(zeta[k:k + 1], xi1[k:k + 1], xi2[k:k + 1], solver, basis)
+                _evaluate(zeta[k:k + 1], xi1[k:k + 1], xi2[k:k + 1], solver)
             raise
         point = f"({zeta[0]:.17g}, {xi1[0]:.17g}, {xi2[0]:.17g})"
         raise type(exc)(f"at (zeta, xi1, xi2) = {point}: {exc}") from exc
@@ -185,11 +183,10 @@ def _evaluate(zeta, xi1, xi2, solver: str, basis) -> dict[str, np.ndarray]:
 
 def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
     """CSV rows of a contiguous run of grid points, BLOCK_SIZE points at a time."""
-    basis = effective_basis()
     blocks = []
     for start in range(0, len(zeta), BLOCK_SIZE):
         z, x1, x2 = (v[start:start + BLOCK_SIZE] for v in (zeta, xi1, xi2))
-        ev = _evaluate(z, x1, x2, solver, basis)
+        ev = _evaluate(z, x1, x2, solver)
         blocks.append(np.column_stack([
             z, x1, x2, ev["concurrence"], ev["negativity"], ev["purity"], ev["pops"],
             ev[_RESIDUAL_COLUMN[solver]],
@@ -197,13 +194,8 @@ def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _evaluate_point(zeta: float, xi1: float, xi2: float, solver: str) -> dict[str, np.ndarray]:
-    return _evaluate(np.array([zeta]), np.array([xi1]), np.array([xi2]), solver,
-                     effective_basis())
-
-
 def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
-    ev = _evaluate_point(zeta, xi1, xi2, solver)
+    ev = _evaluate(*np.atleast_1d(zeta, xi1, xi2), solver)
     lines = [f"steady state at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g} (solver: {solver})"]
     if "equation_residual" in ev:
         lines.append(f"equation residual = {ev['equation_residual'][0]:.17g}")
@@ -245,7 +237,7 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
 
 
 def cmd_witness(zeta: float, xi1: float, xi2: float, out: str | None = None) -> int:
-    rho = DensityMatrix(TWO_QUBITS, _evaluate_point(zeta, xi1, xi2, "numeric")["rho"][0])
+    rho = DensityMatrix(TWO_QUBITS, _evaluate(*np.atleast_1d(zeta, xi1, xi2), "numeric")["rho"][0])
     wit = construct_witness(rho)
     floor = separable_floor(wit, N_PURE_SAMPLES, N_MIXED_SAMPLES)
     c = wit.coefficients
@@ -301,7 +293,7 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
             f"rerun with --nmax {p.n_max + 2} or larger"
         )
     dp = map_physical(p)
-    eff = DensityMatrix(TWO_QUBITS, _evaluate_point(dp.zeta, dp.xi1, dp.xi2, "numeric")["rho"][0])
+    eff = DensityMatrix(TWO_QUBITS, _evaluate(*np.atleast_1d(dp.zeta, dp.xi1, dp.xi2), "numeric")["rho"][0])
     td = trace_distance(reduced, eff)
     predicted = adiabatic_amplitude(sig1, sig2, p)
     evolved = evolve(build_effective_model(dp), _ground_state(), t_final)[1].matrix[-1]

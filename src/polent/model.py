@@ -4,6 +4,8 @@ The full model couples two lossy qubits symmetrically to one driven, lossy
 bosonic mode. When the mode is fast (large kappa) it can be eliminated,
 leaving a two-qubit model governed by a single hopping strength zeta and a
 complex drive xi, with time measured in units of the inverse qubit decay rate.
+The reduced model is built at one point or, from array parameters, at a stack
+of points: a stack of Hamiltonians on shared jumps, one L each in build_liouvillian.
 """
 
 from __future__ import annotations
@@ -42,21 +44,22 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """Reduced-model parameters: hopping zeta and drive xi = xi1 + i xi2."""
+    """Reduced-model parameters: hopping zeta and drive xi = xi1 + i xi2, floats or broadcast arrays."""
 
-    zeta: float
-    xi1: float
-    xi2: float = 0.0
+    zeta: float | np.ndarray
+    xi1: float | np.ndarray
+    xi2: float | np.ndarray = 0.0
 
     def __post_init__(self):
         for name in ("zeta", "xi1", "xi2"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        np.broadcast_shapes(np.shape(self.zeta), np.shape(self.xi1), np.shape(self.xi2))  # ValueError if not
 
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
-    """Hamiltonian plus jump operators on a common space."""
+    """Hamiltonian, (d, d) or a stack (N, d, d), plus shared (d, d) jump operators on a common space."""
 
     space: HilbertSpace
     hamiltonian: np.ndarray
@@ -65,7 +68,7 @@ class LindbladModel:
     def __post_init__(self):
         d = self.space.dim
         h = np.array(self.hamiltonian, dtype=complex)
-        if h.shape != (d, d):
+        if h.ndim not in (2, 3) or h.shape[-2:] != (d, d):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dimension {d}")
         js = tuple(np.array(j, dtype=complex) for j in self.jumps)
         for j in js:
@@ -115,12 +118,13 @@ def build_full_model(p: PhysicalParams) -> LindbladModel:
 
 
 def build_effective_model(d: DimensionlessParams) -> LindbladModel:
-    """Reduced two-qubit model with unit qubit decay (jumps sqrt(2) sigma_j)."""
+    """Reduced two-qubit model with unit qubit decay (jumps sqrt(2) sigma_j); a stack for arrays."""
     s1 = np.kron(IDENTITY_2, SIGMA_MINUS)
     s2 = np.kron(SIGMA_MINUS, IDENTITY_2)
-    xi = d.xi1 + 1j * d.xi2
-    h = d.zeta * (s1 @ s2.conj().T + s1.conj().T @ s2)
-    h += xi * (s1.conj().T + s2.conj().T) + np.conj(xi) * (s1 + s2)
+    zeta, xi1, xi2 = (np.asarray(v, dtype=float)[..., None, None] for v in (d.zeta, d.xi1, d.xi2))
+    xi = xi1 + 1j * xi2
+    h = zeta * (s1 @ s2.conj().T + s1.conj().T @ s2)
+    h = h + (xi * (s1.conj().T + s2.conj().T) + np.conj(xi) * (s1 + s2))
     jumps = (math.sqrt(2) * s1, math.sqrt(2) * s2)
     return LindbladModel(TWO_QUBITS, h, jumps)
 

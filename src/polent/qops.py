@@ -92,7 +92,8 @@ class DensityMatrix:
     Numerical Algorithms, 2nd ed., sec. 10.1). That is far below the margin
     |PSD_FLOOR|/2 = 5e-9, so lambda_min(sym) > PSD_FLOOR and eigvalsh
     would have passed every state of the block: the block needs no
-    spectrum. If the factorization fails, the block's eigvalsh decides, by
+    spectrum. If the factorization fails, or gives a factor that is not
+    finite (sym near overflow), the block's eigvalsh decides, by
     the rule and with the message it always had. A state with a non-finite
     entry, one that is not Hermitian, or one whose trace is wrong fails
     with its own message first, in that order.
@@ -126,10 +127,14 @@ def _first_failure(states: np.ndarray) -> tuple[int, str] | None:
     # "not <=" so that NaN fails; a failed (maybe non-finite) state is not factored
     herm_bad = ~(herm <= HERMITICITY_TOL)
     trace_bad = ~(abs(tr - 1.0) <= TRACE_TOL)
-    sym = np.where(herm_bad[:, None, None], 0.0, 0.5 * (states + _dagger(states)))
+    # halved before the sum, so entries near the largest float cannot overflow; else as 0.5 (a + b)
+    sym = 0.5 * _dagger(states)
+    sym += 0.5 * states
+    sym[herm_bad] = 0.0
     bad = finite_bad | herm_bad | trace_bad
     try:
-        np.linalg.cholesky(sym - 0.5 * PSD_FLOOR * np.eye(states.shape[-1]))
+        if not np.isfinite(np.linalg.cholesky(sym - 0.5 * PSD_FLOOR * np.eye(states.shape[-1]))).all():
+            raise np.linalg.LinAlgError  # a factor of inf or NaN, of a sym near overflow, certifies nothing
     except np.linalg.LinAlgError:  # some state may be below the floor: its spectrum decides
         lo = np.linalg.eigvalsh(sym)[:, 0]
         bad |= lo < PSD_FLOOR

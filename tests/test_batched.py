@@ -10,7 +10,7 @@ from stationarity_oracle import solve_linear_system
 from polent import cli, lindblad
 from polent.cli import main
 from polent.entangle import negativity
-from polent.lindblad import build_liouvillian, effective_basis, effective_liouvillians, steady_state
+from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
 from polent.qops import TWO_QUBITS, DensityMatrix
 
@@ -34,7 +34,7 @@ def exact_concurrence(zeta, xi1):
 
 def test_stacked_liouvillian_equals_per_point_build():
     pts = random_points(200, 1)
-    stack = effective_liouvillians(effective_basis(), *pts.T).matrix
+    stack = build_liouvillian(build_effective_model(DimensionlessParams(*pts.T))).matrix
     for (zeta, xi1, xi2), lm in zip(pts, stack):
         single = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
         assert np.array_equal(lm, single.matrix)
@@ -74,7 +74,7 @@ def test_rows_match_independent_references(solver):
 def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):
     zs, xs = np.linspace(2.5, 10.0, 7), np.linspace(0.0, 4.0, 9)
     zeta, xi1 = np.repeat(zs, 9), np.tile(xs, 7)
-    stack = effective_liouvillians(effective_basis(), zeta, xi1, np.zeros_like(zeta))
+    stack = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1)))
     gaps = steady_state(stack).gap
     floor = 0.51  # certified gaps along zeta = 2.5 are 0.5145, 0.5093, 0.5204, ...
     first = int(np.argmax(gaps <= floor))
@@ -92,7 +92,6 @@ def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):
 
 
 def test_no_check_forms_a_dense_liouvillian(monkeypatch, tmp_path, capsys):
-    # every command builds its own effective_basis under the patch, so it is covered too
     def dense(liouv):
         raise AssertionError("a dense Liouvillian was formed")
 

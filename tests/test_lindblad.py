@@ -15,8 +15,6 @@ from polent.lindblad import (
     IntegrationError,
     Liouvillian,
     build_liouvillian,
-    effective_basis,
-    effective_liouvillians,
     evolve,
     stationarity_residuals,
     steady_state,
@@ -143,17 +141,19 @@ def test_liouvillian_zero_model():
     assert_allclose(lv.matrix, np.zeros((4, 4)), atol=1e-15)
 
 
+def effective_stack(zeta, xi1, xi2):
+    return build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
+
+
 def test_effective_stacks_keep_their_triplet_form():
     # zeta = xi = 0 in every member: the hopping and drive positions hold
     # only zeros and leave the pattern, as they leave the dense pattern
-    basis = effective_basis()
-    assert basis.values.shape[0] == 4
-    assert_triplet_form(basis)
-    undriven = effective_liouvillians(basis, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    undriven = effective_stack([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
     alone = build_liouvillian(build_effective_model(DimensionlessParams(0.0, 0.0)))
+    assert undriven.values.shape == (2, len(alone.rows))
     assert np.array_equal(undriven.rows, alone.rows) and np.array_equal(undriven.cols, alone.cols)
     assert_triplet_form(undriven)
-    assert_triplet_form(effective_liouvillians(basis, [0.0, 10.0], [2.135, 0.0], [0.0, -0.5]))
+    assert_triplet_form(effective_stack([0.0, 10.0], [2.135, 0.0], [0.0, -0.5]))
 
 
 def test_liouvillian_refuses_triplets_that_are_not_its_form():
@@ -242,7 +242,7 @@ def test_steady_state_qubit_swap_invariance():
 
 def test_stationarity_residuals_are_the_solver_residuals():
     zeta, xi1, xi2 = np.linspace(0.0, 10.0, 7), np.linspace(0.0, 4.0, 7), np.full(7, -0.3)
-    liouv = effective_liouvillians(effective_basis(), zeta, xi1, xi2)
+    liouv = effective_stack(zeta, xi1, xi2)
     result = steady_state(liouv)
     residuals = stationarity_residuals(liouv, result.rho.matrix)
     assert residuals.shape == (7,)
@@ -255,7 +255,7 @@ def test_stationarity_residuals_are_the_solver_residuals():
 
 def test_stationarity_residuals_reject_a_state_of_another_point():
     # the state at zeta = 5 against the Liouvillians at zeta = 5 and 10
-    liouv = effective_liouvillians(effective_basis(), [5.0, 10.0], [2.135] * 2, [0.0] * 2)
+    liouv = effective_stack([5.0, 10.0], 2.135, 0.0)
     own, other = stationarity_residuals(liouv, closed_form([5.0] * 2, 2.135))
     assert own <= 1e-14
     assert other >= 1e-3
@@ -498,7 +498,7 @@ def test_the_real_form_sums_each_entry_in_the_order_of_a_stable_sort(n_max):
 
 def test_a_residual_beyond_its_bound_is_named(monkeypatch):
     # RESIDUAL_TOL = 0 refuses any nonzero residual; the undriven member's is exactly 0
-    liouv = effective_liouvillians(effective_basis(), [0.0, 10.0, 5.0], [0.0, 2.135, 1.0], [0.0] * 3)
+    liouv = effective_stack([0.0, 10.0, 5.0], [0.0, 2.135, 1.0], 0.0)
     one = build_liouvillian(build_effective_model(DimensionlessParams(10.0, 2.135)))
     monkeypatch.setattr(lindblad, "RESIDUAL_TOL", 0.0)
     with pytest.raises(DegenerateSteadyStateError,
@@ -901,3 +901,10 @@ def test_evolve_input_validation():
     for every in (0, -5):
         with pytest.raises(ValueError, match="sample_every must be at least 1"):
             evolve(m, ground_pair(), t_final=0.01, dt=1e-3, sample_every=every)
+
+
+def test_evolve_refuses_a_stacked_model():
+    # it propagates one state under one L; a stack is not integrated member by member
+    stack = build_effective_model(DimensionlessParams([10.0, 5.0, 0.0], 2.135))
+    with pytest.raises(ValueError, match=r"^evolve takes one model, not a stack of 3$"):
+        evolve(stack, ground_pair(), t_final=1.0)

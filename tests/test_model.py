@@ -1,5 +1,7 @@
 """Tests for the physical and reduced Lindblad model builders."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -41,6 +43,25 @@ def test_lindblad_model_refuses_operators_of_the_wrong_shape():
         LindbladModel(TWO_QUBITS, np.eye(2), ())
     with pytest.raises(ValueError, match=r"^jump shape \(4, 2\) does not match dimension 4$"):
         LindbladModel(TWO_QUBITS, np.eye(4), (np.eye(4), np.ones((4, 2))))
+    # a stack is (N, d, d) on shared (d, d) jumps; any other rank or trailing shape is refused
+    for shape in [(4,), (2, 3, 4, 4), (3, 4, 2), (3, 2, 4), ()]:
+        with pytest.raises(ValueError, match=rf"^Hamiltonian shape {re.escape(str(shape))} does not match"):
+            LindbladModel(TWO_QUBITS, np.zeros(shape), ())
+    with pytest.raises(ValueError, match=r"^jump shape \(3, 4, 4\) does not match dimension 4$"):
+        LindbladModel(TWO_QUBITS, np.zeros((3, 4, 4)), (np.zeros((3, 4, 4)),))
+    assert LindbladModel(TWO_QUBITS, np.zeros((3, 4, 4)), (np.eye(4),)).hamiltonian.shape == (3, 4, 4)
+
+
+def test_effective_model_stacks_on_broadcast_parameters():
+    # a member of a stack is the model at its own point, bit for bit
+    stack = build_effective_model(DimensionlessParams(np.array([10.0, -0.0, 1e3]), 2.135, [0.0, -0.5, 3.0]))
+    assert stack.hamiltonian.shape == (3, 4, 4)
+    for h, point in zip(stack.hamiltonian, [(10.0, 2.135, 0.0), (-0.0, 2.135, -0.5), (1e3, 2.135, 3.0)]):
+        assert h.tobytes() == build_effective_model(DimensionlessParams(*point)).hamiltonian.tobytes()
+    with pytest.raises(ValueError, match="^xi2 must be finite$"):
+        DimensionlessParams([1.0, 2.0], 0.0, [0.0, np.inf])
+    with pytest.raises(ValueError, match="cannot be broadcast"):
+        DimensionlessParams([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_full_model_shapes_and_hermiticity():

@@ -19,8 +19,6 @@ from polent.entangle import concurrence, negativity
 from polent.lindblad import (
     IntegrationError,
     build_liouvillian,
-    effective_basis,
-    effective_liouvillians,
     evolve,
     stationarity_residuals,
     steady_state,
@@ -29,7 +27,6 @@ from polent.model import DimensionlessParams, PhysicalParams, build_effective_mo
 from polent.qops import TWO_QUBITS, DensityMatrix
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
-BASIS = effective_basis()
 
 zetas = st.floats(-1e3, 1e3)
 # each drive component is exactly zero often, so both real axes are covered
@@ -37,12 +34,38 @@ components = st.just(0.0) | st.floats(-30.0, 30.0)
 points = st.lists(st.tuples(zetas, components, components), min_size=1, max_size=16)
 
 
+def effective_stack(zeta, xi1, xi2):
+    return build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
+
+
+# a zero of either sign often, where a stacked build keeps a position for another member
+signed_components = st.sampled_from([0.0, -0.0]) | st.floats(-30.0, 30.0)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(zetas, signed_components, signed_components), min_size=1, max_size=16),
+       st.integers(0, 16))
+def test_each_member_of_a_stacked_build_is_its_own_build(pts, at):
+    pts.insert(at % (len(pts) + 1), (0.0, 0.0, 0.0))  # undriven and uncoupled: the fewest nonzeros
+    zeta, xi1, xi2 = np.array(pts).T
+    stack = effective_stack(zeta, xi1, xi2)
+    keys = stack.rows * 16 + stack.cols
+    assert (stack.values != 0).any(axis=0).all()  # each position nonzero in some member
+    for values, point in zip(stack.values, pts):
+        own = build_liouvillian(build_effective_model(DimensionlessParams(*point)))
+        mine = np.isin(keys, own.rows * 16 + own.cols)
+        assert np.array_equal(keys[mine], own.rows * 16 + own.cols)
+        assert values[mine].tobytes() == own.values.tobytes()
+        # +0.0, sign bits included, where only other members need a position
+        assert values[~mine].tobytes() == np.zeros((~mine).sum(), dtype=complex).tobytes()
+
+
 @SETTINGS
 @given(points)
 def test_closed_form_is_the_stationary_state(pts):
     zeta, xi1, xi2 = np.array(pts).T
     exact = closed_form(zeta, xi1, xi2)
-    liouv = effective_liouvillians(BASIS, zeta, xi1, xi2)
+    liouv = effective_stack(zeta, xi1, xi2)
     assert np.abs(exact - steady_state(liouv).rho.matrix).max() <= 1e-12
     # the Liouvillian and the hand-written rows: two encodings of one equation
     assert stationarity_residuals(liouv, exact).max() <= 1e-12
@@ -74,7 +97,7 @@ def test_entanglement_depends_on_the_drive_modulus_only(pts):
 def test_steady_state_is_swap_symmetric(pts):
     # both qubits see the same hopping, drive and decay
     zeta, xi1, xi2 = np.array(pts).T
-    rho = steady_state(effective_liouvillians(BASIS, zeta, xi1, xi2)).rho.matrix
+    rho = steady_state(effective_stack(zeta, xi1, xi2)).rho.matrix
     swap = np.eye(4)[[0, 2, 1, 3]]
     assert np.abs(swap @ rho @ swap - rho).max() <= 1e-12
 
@@ -103,7 +126,7 @@ def test_concurrence_is_invariant_under_local_unitaries(pts, seed):
 @given(points)
 def test_gap_bounds_the_second_singular_value_of_effective_stacks(pts):
     zeta, xi1, xi2 = np.array(pts).T
-    liouv = effective_liouvillians(BASIS, zeta, xi1, xi2)
+    liouv = effective_stack(zeta, xi1, xi2)
     second = np.linalg.svd(liouv.matrix, compute_uv=False)[:, -2]
     assert (steady_state(liouv).gap <= second * (1 + 1e-12)).all()
 

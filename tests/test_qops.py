@@ -115,6 +115,21 @@ def test_a_non_finite_state_is_named_as_such(value):
     assert str(exc.value) == "density matrix has non-finite entries (state 2 of a stack of 3)"
 
 
+@pytest.mark.parametrize("value", [1e308, np.finfo(float).max])
+def test_a_state_whose_hermitian_part_nears_overflow_is_judged_by_its_spectrum(value):
+    # trace 1 and Hermitian, with eigenvalue -value: the Hermitian part must not
+    # overflow, and a Cholesky factor of inf or NaN must not certify it; any
+    # warning is an error here, so the refusal must come without one
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = m[1, 0] = value
+    with pytest.raises(InvalidStateError) as alone:
+        DensityMatrix(TWO_QUBITS, m)
+    assert str(alone.value) == f"negative eigenvalue {-value:.3e} below the PSD floor"
+    with np.errstate(all="ignore"), pytest.raises(InvalidStateError) as exc:  # as the command line runs
+        DensityMatrix(TWO_QUBITS, np.stack([np.eye(4) / 4, m]))
+    assert exc.value.index == 1
+
+
 def test_the_error_names_the_failing_state_and_its_own_reason():
     good = np.eye(4) / 4
     bad = np.diag([1.5, -0.5, 0.0, 0.0])
