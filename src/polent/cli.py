@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import multiprocessing
 import os
 import sys
 
@@ -225,6 +224,8 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
     parts = min(workers, os.cpu_count() or 1, len(points[0]))
     runs = [(*run, solver) for run in zip(*(np.array_split(v, parts) for v in points))]
     if len(runs) > 1:
+        import multiprocessing  # here only: importing it costs every fresh interpreter about 4.5 ms
+
         with multiprocessing.get_context("spawn").Pool(len(runs)) as pool:
             rows = np.concatenate(pool.starmap(_sweep_rows, runs))
     else:

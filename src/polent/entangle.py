@@ -10,11 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qops
 from .qops import (
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TWO_QUBITS,
     DensityMatrix,
     partial_transpose,
 )
@@ -87,6 +89,17 @@ def _per_state(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _in_blocks(f, m: np.ndarray):
+    """f of one state, or of a stack qops.CHECK_ELEMENTS entries at a time (read at each call), joined.
+
+    f acts on each state alone, so the temporaries follow the block and the values do not.
+    """
+    if m.ndim == 2:
+        return _per_state(f(m))
+    size = max(1, qops.CHECK_ELEMENTS // (m.shape[-1] ** 2))
+    return np.concatenate([f(m[start:start + size]) for start in range(0, max(len(m), 1), size)])
+
+
 def concurrence(rho: DensityMatrix):
     """Wootters concurrence of a two-qubit state, or of each state in a stack.
 
@@ -94,25 +107,35 @@ def concurrence(rho: DensityMatrix):
     (eigenvalues clipped at 0), tau = W^T (sigma_y sigma_y) W, and
     C = max(0, s1 - s2 - s3 - s4) over the descending singular values of
     tau, which are the square roots of the spectrum of rho rho~. Returns a
-    float for one state and an array for a stack.
+    float for one state and an array for a stack, evaluated 4,096 states
+    (qops.CHECK_ELEMENTS entries) at a time, so memory follows the block.
     """
     _check_two_qubits(rho, "concurrence")
-    w, v = np.linalg.eigh(rho.matrix)
+    return _in_blocks(_concurrence, rho.matrix)
+
+
+def _concurrence(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
     roots = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     tau = roots.swapaxes(-1, -2) @ (_FLIP @ roots)
     s = np.linalg.svd(tau, compute_uv=False)
     c = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
-    return _per_state(np.clip(c, 0.0, 1.0) + 0.0)  # + 0.0 normalizes -0.0
+    return np.clip(c, 0.0, 1.0) + 0.0  # + 0.0 normalizes -0.0
 
 
 def negativity(rho: DensityMatrix):
     """Total weight of the negative partial-transpose spectrum; 0 iff separable here.
 
-    Returns a float for one state and an array for a stack.
+    Returns a float for one state and an array for a stack, evaluated in
+    blocks as concurrence is.
     """
     _check_two_qubits(rho, "negativity")
-    w = np.linalg.eigvalsh(partial_transpose(rho, _PT_SIDE))
-    return _per_state(-np.minimum(w, 0.0).sum(axis=-1) + 0.0)  # + 0.0 normalizes -0.0 when PPT
+    return _in_blocks(_negativity, rho.matrix)
+
+
+def _negativity(m: np.ndarray) -> np.ndarray:
+    w = np.linalg.eigvalsh(qops._partial_transpose(m, TWO_QUBITS.dims, _PT_SIDE))
+    return -np.minimum(w, 0.0).sum(axis=-1) + 0.0  # + 0.0 normalizes -0.0 when PPT
 
 
 def construct_witness(rho: DensityMatrix) -> Witness:

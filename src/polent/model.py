@@ -42,7 +42,7 @@ class PhysicalParams:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DimensionlessParams:
     """Reduced-model parameters: hopping zeta and drive xi = xi1 + i xi2, floats or broadcast arrays."""
 

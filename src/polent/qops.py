@@ -167,11 +167,14 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     Preserves trace and Hermiticity exactly (index moves only); the result
     need not be positive, which is the point of the map.
     """
-    dims = rho.space.dims
+    return _partial_transpose(rho.matrix, rho.space.dims, subsystem)
+
+
+def _partial_transpose(m: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
+    """partial_transpose of the matrix or stack m on the space of dims, for a block of a state's stack."""
     n = len(dims)
     if not 0 <= subsystem < n:
         raise ValueError(f"subsystem index {subsystem} outside 0..{n - 1}")
-    m = rho.matrix
     lead = m.shape[:-2]  # stack axes, if any
     rev = dims[::-1]
     t = m.reshape(lead + rev + rev)

@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import itertools
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +195,7 @@ def test_sweep_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
     grid = "0:10:4,0:4:4"
     assert main(["sweep", "--grid", grid, "--out", str(paths[0])]) == 0
     context = _InlineContext()
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert main(["sweep", "--grid", grid, "--workers", "10000", "--out", str(paths[1])]) == 0
     assert context.sizes == [3]
@@ -200,6 +204,15 @@ def test_sweep_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert main(["sweep", "--grid", grid, "--workers", "8", "--out", str(paths[1])]) == 0
     assert context.sizes == [3]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a sweep with more than one worker imports it, so no other command pays for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, polent.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_sweep_usage_errors(tmp_path, capsys, recwarn):

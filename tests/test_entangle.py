@@ -1,10 +1,12 @@
 """Tests for concurrence, negativity, and witness construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polent import entangle
+from polent import entangle, qops
 from polent.entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -115,6 +117,46 @@ def test_negativity_values():
     assert negativity(pure([0, 1, 0, 0])) == 0.0
     assert_allclose(negativity(werner(0.8)), 0.35, atol=1e-12)
     assert negativity(werner(0.2)) == 0.0
+
+
+def random_stack(rng, size):
+    g = rng.normal(size=(size, 4, 4)) + 1j * rng.normal(size=(size, 4, 4))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return DensityMatrix(TWO_QUBITS, m / np.trace(m, axis1=-2, axis2=-1)[:, None, None])
+
+
+@pytest.mark.parametrize("measure", [concurrence, negativity])
+def test_a_stack_is_measured_alike_in_any_blocks(monkeypatch, measure):
+    # a stack is evaluated one block of CHECK_ELEMENTS entries at a time; no
+    # value depends on where the blocks start, and each is its state's own
+    rng = np.random.default_rng(1201)
+    stack = random_stack(rng, 1000)
+    stack = DensityMatrix(TWO_QUBITS, np.concatenate([[BELL_RHO.matrix, werner(0.2).matrix], stack.matrix]))
+    reference = measure(stack)
+    assert reference.shape == (1002,)
+    assert reference[0] > 0.0 and reference[1] == 0.0  # Bell, and a separable Werner state
+    for block in (1, 7, 4096, 10**6):
+        monkeypatch.setattr(qops, "CHECK_ELEMENTS", block * 16)
+        assert measure(stack).tobytes() == reference.tobytes()
+    assert [measure(DensityMatrix(TWO_QUBITS, m)) for m in stack.matrix[:20]] == reference[:20].tolist()
+    assert measure(DensityMatrix(TWO_QUBITS, np.zeros((0, 4, 4)))).shape == (0,)
+
+
+def test_concurrence_memory_does_not_grow_with_the_stack():
+    # only the values grow, 8 bytes a state (twice, joined from the blocks);
+    # the eigh and svd temporaries of the whole stack were about 1 kB a state
+    rng = np.random.default_rng(1202)
+    small, large = random_stack(rng, 8192), random_stack(rng, 32768)
+    peaks = []
+    for stack in (small, large):
+        tracemalloc.start()
+        try:
+            concurrence(stack)
+            negativity(stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * np.empty(32768 - 8192).nbytes
 
 
 def test_concurrence_negativity_agree_on_detection():

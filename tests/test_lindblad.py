@@ -743,6 +743,54 @@ def test_evolve_matches_the_four_stage_step_around_an_anchor(space, nsteps):
         assert np.abs(out.matrix - rk4_reference(m, rho0, nsteps, 1e-3)).max() <= 1e-12
 
 
+def record_stepped_coordinates(monkeypatch):
+    # the side of each P - I that evolve steps with
+    sides = []
+    step_powers = lindblad._step_powers
+
+    def recorded(increment, count):
+        sides.append(len(increment))
+        return step_powers(increment, count)
+
+    monkeypatch.setattr(lindblad, "_step_powers", recorded)
+    return sides
+
+
+@pytest.mark.parametrize("case, stepped", [("ground", 10), ("random_state", 16), ("unequal_decay", 16)])
+def test_evolve_steps_only_the_sectors_that_hold_the_state(monkeypatch, case, stepped):
+    # the reduced model commutes with the qubit swap, so from |gg> the state
+    # stays in the 10 exchange-even coordinates; a state with an odd part, or
+    # a model that breaks the swap, takes all 16. Each matches the plain step
+    rng = np.random.default_rng(823)
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    rho0 = ground_pair()
+    if case == "random_state":
+        rho0 = DensityMatrix(TWO_QUBITS, random_density(rng, 4))
+    elif case == "unequal_decay":
+        m = LindbladModel(TWO_QUBITS, m.hamiltonian, (m.jumps[0], 1.5 * m.jumps[1]))
+    sides = record_stepped_coordinates(monkeypatch)
+    out = evolve_final(m, rho0, 0.3, 1e-3)
+    assert sides == [stepped]
+    assert np.abs(out.matrix - rk4_reference(m, rho0, 300, 1e-3)).max() <= 1e-12
+    if case == "ground":  # no odd coordinate is stepped, so the swap leaves every bit in place
+        swap = [0, 2, 1, 3]
+        assert np.array_equal(out.matrix[np.ix_(swap, swap)], out.matrix)
+
+
+@pytest.mark.parametrize("diagonal, stepped", [((0.0, 0.0, 0.0, 1.0), 1), ((0.1, 0.25, 0.25, 0.4), 3),
+                                               ((0.1, 0.2, 0.3, 0.4), 4)])
+def test_a_zero_generator_steps_only_the_support_of_the_state(monkeypatch, diagonal, stepped):
+    # no pair links two coordinates, so each nonzero coordinate of rho0 in the
+    # exchange-adapted basis is a part of its own: |ge><ge| and |eg><eg| with
+    # equal weight have no exchange-odd coordinate
+    m = LindbladModel(TWO_QUBITS, np.zeros((4, 4)), ())
+    rho0 = DensityMatrix(TWO_QUBITS, np.diag(diagonal))
+    sides = record_stepped_coordinates(monkeypatch)
+    out = evolve_final(m, rho0, t_final=1.0, dt=1e-2)
+    assert sides == [stepped]
+    assert np.abs(out.matrix - rho0.matrix).max() <= 1e-16
+
+
 @pytest.mark.parametrize("batch", [1, 10**6])
 def test_evolve_does_not_depend_on_the_batch_size(monkeypatch, batch):
     # 10,000 steps: three batches of the default size, the last one partial;

@@ -64,6 +64,16 @@ def test_effective_model_stacks_on_broadcast_parameters():
         DimensionlessParams([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def test_stacked_parameters_compare_by_identity_and_hash():
+    # array fields make a field-wise == ambiguous and the fields unhashable, so
+    # parameters compare and hash by identity, as LindbladModel and DensityMatrix do
+    stack = DimensionlessParams(np.array([1.0, 2.0]), 0.5)
+    same = DimensionlessParams(np.array([1.0, 2.0]), 0.5)
+    assert stack == stack and stack != same
+    assert hash(stack) != hash(same) and {stack: 1}[stack] == 1
+    assert DimensionlessParams(1.0, 0.5) != DimensionlessParams(1.0, 0.5)
+
+
 def test_full_model_shapes_and_hermiticity():
     m = build_full_model(PHYS)
     d = 4 * (PHYS.n_max + 1)
