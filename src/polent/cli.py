@@ -334,14 +334,14 @@ def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
 # check; a converter's ValueError is a usage error (exit 2)
 
 # validate's cutoff, set by time: no L is stored densely, and the level solve's
-# R factors set the memory. It was set as the largest n_max within the 3.0-4.2 s
-# that the old cap of 16 took when L was dense (1.06 GiB), while the level solve
-# was one wide problem: 20 then took 3.4-4.0 s and 200 MiB. Split into its
-# exchange-even and -odd blocks, wall time and max RSS, one fresh process each,
-# getrusage, 2 CPUs (OpenBLAS): 1.1-1.2 s and 81 MiB at n_max = 16, 1.5-1.6 s
-# and 101 MiB at 18, 1.8-2.0 s and 111 MiB at 20, and beyond the cap 2.5-2.6 s
-# and 134 MiB at 22, 3.2-3.5 s and 159 MiB at 24, 4.4 s and 174 MiB at 26
-MAX_NMAX = 20
+# R factors set the memory. It is the largest n_max within the 3.0-4.2 s that
+# the old cap of 16 took when L was dense (1.06 GiB). With the exchange split
+# and the blocked elimination, wall time and max RSS, one fresh process each,
+# getrusage, 2 CPUs (OpenBLAS; tools/solve_costs.py): 1.0 s and 77 MiB at
+# n_max = 16, 1.8-1.9 s and 106 MiB at 20, 3.0-3.1 s and 146 MiB at 24,
+# 3.7-4.0 s and 168 MiB at 26, and beyond the cap 4.1-4.9 s and 183 MiB at 27
+# and 4.5-4.6 s and 197 MiB at 28
+MAX_NMAX = 26
 
 
 def _finite(text) -> float:

@@ -7,7 +7,7 @@ numeric routes are both checked against it, and no library code forms a dense L.
 The solves and RK4 read L only through _real_form, in the Hermitian basis
 of _owners.
 steady_state has one route per input, by L's size (LEVEL_SIDE): levels from
-side 784 on, a whole inverse below it (0.44 against 1.5 ms at side 16) and
+side 784 on, a whole inverse below it (0.29 against 1.7 ms at side 16) and
 for every stack. There is no fallback: a result that fails its checks raises.
 The level route solves in an exchange-adapted basis (_exchange): the full
 model's two qubits are identical and couple alike, so its L commutes with
@@ -51,12 +51,22 @@ DEFAULT_DT = 1e-3
 # evolve's steps per anchor
 STRIDE = 128
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
-# levels, and a smaller one whole. Whole inverse against levels with the
-# exchange split, steady_state best of 9 in one process, the best of 5 such
-# processes, 2 CPUs (OpenBLAS): 0.44 / 1.5 ms at side 16, 0.52 / 2.3 at 64,
-# 1.3 / 3.6 at 144, 10.2 / 10.7 at 400, 21.6 / 16.0 at 576, 41.5 / 24.5 at 784
-# and 121 / 58 at 1296
+# levels, and a smaller one whole. Whole inverse against levels, steady_state
+# best of 9 in one process, the best of 3 such processes, 2 CPUs (OpenBLAS;
+# tools/solve_costs.py): 0.29 / 1.7 ms at side 16, 0.48 / 2.8 at 64, 1.4 / 4.3
+# at 144, 5.0 / 6.9 at 256, 12.4 / 10.0 at 400, 26.7 / 14.1 at 576, 52.1 / 21.0
+# at 784 and 138 / 40 at 1296. Levels are faster from 400 on, but the whole
+# inverse keeps the sides below 784, at most 1.9 times as slow there: it is
+# the more accurate route where the rates span many orders, as a reflection
+# of the level route pivots across two levels only (test_lindblad's side-64
+# case at alpha = 1e8 is 4.3e-3 off by levels)
 LEVEL_SIDE = 784
+# columns per Householder block of _eliminate. steady_state by levels at side
+# 784 / 1296 by block width, best of 9 in one process, the best of 3 such
+# processes (tools/solve_costs.py): 30.2 / 56.2 ms at 8, 23.8 / 48.6 at 16,
+# 23.2 / 45.5 at 24, 22.1 / 43.9 at 32, 22.3 / 44.9 at 48, 23.8 / 46.4 at 64,
+# and 25.6 / 52.9 as one block per level
+BLOCK = 32
 
 
 class DegenerateSteadyStateError(Exception):
@@ -180,10 +190,10 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     (_real_form). One Liouvillian of side LEVEL_SIDE (784) or more is
     triangularized level by level (_solve_by_levels), its exchange-even and
     -odd blocks apart, the same column and norm without forming B or B^-1,
-    in 24.5 against 41.5 ms at 784; every stack, and a smaller Liouvillian as
-    a stack of one, is inverted whole in one batch, 10.2 against 10.7 ms at
-    400. There is no fallback: a result raises
-    DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
+    in 21.0 against 52.1 ms at 784; every stack, and a smaller Liouvillian as
+    a stack of one, is inverted whole in one batch, the more accurate route
+    at extreme rates (26.7 against 14.1 ms at 576). There is no fallback: a
+    result raises DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
     """
@@ -466,8 +476,10 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
     Any other L takes the same path, its pattern left connected.
 
     _triangularize_by_levels gives DB' = QR, Q orthogonal and D the identity
-    but for D_00 = s. So B'^-1 = R^-1 Q^T D: its column 0 is x' = R^-1 c, with
-    c = Q^T D e_0, its other columns are those of R^-1 Q^T, and
+    but for D_00 = s, one level's rows of R at a time, each by blocked
+    Householder QR of that level's columns alone (_eliminate). So
+    B'^-1 = R^-1 Q^T D: its column 0 is x' = R^-1 c, with c = Q^T D e_0,
+    its other columns are those of R^-1 Q^T, and
     ||B'^-1||_F^2 = ||R^-1||_F^2 + (1 - 1/s^2) ||x'||^2. R^-1's rows at level k
     are X_k = P_k E_k + A_k Z_{k+1}, with P_k = R_kk^-1, E_k the identity's
     rows, A_k = -P_k [R_k,k+1 | R_k,k+2 | f_k] and Z_{k+1} the rows
@@ -538,10 +550,12 @@ def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, t
     does not reach, such as the odd sector of an exchange-symmetric L,
     follows in levels of its own, so its steps are as narrow as its levels.
     Step k takes the rows carried from step k - 1 and level k + 1's rows of
-    B, the only rows left with entries in level k's columns, and
-    triangularizes them (numpy's qr): reflections pivot across both levels
-    without choosing pivots. The first rows are level k's rows of R, nonzero only at levels
-    k, k + 1 and k + 2, and the rest are carried. The trace row is carried
+    B, the only rows left with entries in level k's columns, and eliminates
+    level k's columns alone, by blocked Householder QR with compact-WY
+    updates (_eliminate): reflections pivot across both levels without
+    choosing pivots. The first rows are level k's rows of R, nonzero only at
+    levels k, k + 1 and k + 2, and the rest are carried as they are, not
+    triangular, since step k + 1 factors them anyway. The trace row is carried
     through every step as a coefficient f in each row, whose entries beyond
     level k + 2 are f times the trace row's, and the right-hand side D e_0
     as c = Q^T D e_0. Level k's block row of R is kept as
@@ -567,12 +581,46 @@ def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, t
         panel[:len(carried), -2:] = carried[:, -2:]
         mine = slice(split[depth + 1], split[depth + 2])
         panel[len(carried) + k[mine] - stop, l[mine] - start] = values[mine]
-        h = np.linalg.qr(panel, mode="raw")[0].T  # R above the diagonal, the reflectors below
+        width = stop - start
+        _eliminate(panel, width)
+        factors.append(panel[:width].copy())
+        carried = panel[width:, width:].copy()
         del panel  # each step's temporaries are freed before the next step's
-        factors.append(np.triu(h[:stop - start]))
-        carried = np.triu(h[stop - start:, stop - start:])
-        del h
     return order, factors
+
+
+def _eliminate(panel: np.ndarray, width: int) -> None:
+    """Q^T panel in place, for Householder QR of panel's first width columns, BLOCK at a time.
+
+    Those columns become R, zero below its diagonal; the columns after them
+    become Q^T times theirs, their rows from width on left full. A block's
+    reflectors H_i = I - tau_i v_i v_i^T, those with tau_i = 0 (the
+    identity) left out, make Q_b = I - V T V^T (compact WY; Schreiber and
+    Van Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)), with
+    T^-1 = diag(1/tau) + striu(V^T V) (Joffrain, Low, Quintana-Orti and van
+    de Geijn, ACM TOMS 32, 169 (2006)), so Q_b^T reaches the columns after
+    the block by three matrix products.
+    """
+    for first in range(0, width, BLOCK):
+        last = min(width, first + BLOCK)
+        rows = panel[first:]
+        h, tau = np.linalg.qr(rows[:, first:last], mode="raw")
+        h = h.T  # R above the diagonal, the reflectors below
+        rows[:, first:last] = np.triu(h)
+        v = np.tril(h, -1)
+        np.fill_diagonal(v, 1.0)
+        v, tau = v[:, tau != 0], tau[tau != 0]
+        t = np.linalg.inv(np.diag(1.0 / tau) + np.triu(v.T @ v, 1))
+        rest = rows[:, last:]
+        rest -= v @ (t.T @ (v.T @ rest))
+
+
+def _held_matrices(coords: np.ndarray, held: np.ndarray, image: np.ndarray, sign: np.ndarray,
+                   d: int) -> np.ndarray:
+    """The (N, d, d) matrices of N states from their exchange-adapted coordinates at held, 0 elsewhere."""
+    full = np.zeros((len(coords), d * d))
+    full[:, held] = coords
+    return _from_coordinates(_exchange_rotation(full, image, sign, back=True), d)
 
 
 def _row_traces(coords: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -648,8 +696,9 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     None or k beyond the run), ``rho`` the stack of the states there, rho0
     first, and ``drift`` |Tr rho - 1| after every step, step 0 first. RK4
     does not keep positivity: the samples are checked as one DensityMatrix,
-    and the first that is not a density matrix, steps[exc.index], raises an
-    IntegrationError that names its t, its reason and dt.
+    which keeps their stack uncopied, and the first that is not a density
+    matrix, steps[exc.index], raises an IntegrationError that names its t,
+    its reason and dt.
     """
     if m.hamiltonian.ndim > 2:
         raise ValueError(f"evolve takes one model, not a stack of {len(m.hamiltonian)}")
@@ -685,8 +734,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     steps = np.append(np.arange(0, nsteps, every), nsteps)
     w = len(held)
-    samples = np.empty((len(steps), w))
-    samples[0] = r
+    mats = np.empty((len(steps), d, d), dtype=complex)
+    mats[0] = _held_matrices(r[None], held, image, sign, d)[0]
     drift = np.empty(nsteps + 1)
     drift[0] = abs(_row_traces(r, trace) - 1.0)
     # X_1 .. X_S side by side, (w, S w): r @ powers is one gemv along its rows, about
@@ -714,13 +763,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
                 f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
             )
         first, last = np.searchsorted(steps, [start + 1, stop + 1])
-        samples[first:last] = coords[steps[first:last] - start - 1]
-    mats = np.empty((len(steps), d, d), dtype=complex)
-    size = max(1, qops.CHECK_ELEMENTS // n)
-    for start in range(0, len(steps), size):  # a block at a time, so no temporary grows with the run
-        full = np.zeros((len(samples[start:start + size]), n))  # the coordinates never held stay 0
-        full[:, held] = samples[start:start + size]
-        mats[start:start + size] = _from_coordinates(_exchange_rotation(full, image, sign, back=True), d)
+        mats[first:last] = _held_matrices(coords[steps[first:last] - start - 1], held, image, sign, d)
+    mats.setflags(write=False)  # handed over to DensityMatrix, which keeps it uncopied
     try:
         return steps, DensityMatrix(m.space, mats), drift
     except InvalidStateError as exc:  # a stable step can still overshoot a fast transient

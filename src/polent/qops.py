@@ -97,13 +97,19 @@ class DensityMatrix:
     the rule and with the message it always had. A state with a non-finite
     entry, one that is not Hermitian, or one whose trace is wrong fails
     with its own message first, in that order.
+
+    The matrix is copied, unless it is a read-only complex ndarray that owns
+    its data: that one is handed over and kept as it is, as evolve hands
+    over its samples.
     """
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        m, d = np.array(self.matrix, dtype=complex), self.space.dim
+        m, d = self.matrix, self.space.dim
+        if not (type(m) is np.ndarray and m.dtype == complex and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
             raise InvalidStateError(f"matrix shape {m.shape} does not match space dimension {d}")
         states = m.reshape((-1,) + m.shape[-2:])

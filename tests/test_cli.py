@@ -450,7 +450,7 @@ BAD_VALUES = {
     "steady": [("zeta", "abc"), ("solver", "bogus")],
     "sweep": [("grid", "0:10:0,0:4:3"), ("xi2", "nan"), ("solver", "fast"), ("workers", "0")],
     "witness": [("xi1", "inf")],
-    "validate": [("j", "x"), ("kappa", "0"), ("nmax", "21"), ("t_final", "-1")],
+    "validate": [("j", "x"), ("kappa", "0"), ("nmax", str(cli.MAX_NMAX + 1)), ("t_final", "-1")],
     "dynamics": [("xi2", "1e400"), ("dt", "-0.1"), ("sample_every", "1.5")],
 }
 
@@ -535,7 +535,7 @@ def test_one_parser_answers_every_call_as_a_fresh_one_does(tmp_path, monkeypatch
     calls = [["steady", "--zeta", "10", "--xi1", "2.135"],
              ["sweep", "--grid", "0:10:3,0:4:3", "--solver", "both", "--out", str(csv)],
              ["steady", "--no-such-flag", "1"],
-             ["validate", "--nmax", "21"]] * 2
+             ["validate", "--nmax", str(cli.MAX_NMAX + 1)]] * 2
 
     def run():
         results = []

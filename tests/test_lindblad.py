@@ -556,6 +556,52 @@ def test_a_liouvillian_below_the_level_side_is_inverted_whole():
     assert single.gap == stacked.gap[0]
 
 
+@pytest.mark.parametrize("rows, width", [
+    (60, lindblad.BLOCK - 7), (70, lindblad.BLOCK), (90, lindblad.BLOCK + 13),
+    (2 * lindblad.BLOCK + 5,) * 2,
+])
+def test_the_level_elimination_is_householder_qr_of_the_level_columns(rows, width):
+    # a level's rows of R are those of the panel's QR, up to row signs; the
+    # carried rows, left full, have the Gram matrix of the QR's trailing rows.
+    # Exactly zero columns give reflectors with tau = 0, and rows == width
+    # leaves nothing to carry, as at a part's last level
+    rng = np.random.default_rng(rows + width)
+    panel = rng.normal(size=(rows, width + 40))
+    panel[:, [0, width // 2, width - 1, width + 3]] = 0.0
+    full = np.linalg.qr(panel, mode="r")
+    eliminated = panel.copy()
+    lindblad._eliminate(eliminated, width)
+    scale = np.linalg.norm(panel)
+    mine, theirs = eliminated[:width], full[:width]
+    largest = np.argmax(np.abs(theirs), axis=1)[:, None]
+    signs = np.sign(np.take_along_axis(theirs, largest, 1) * np.take_along_axis(mine, largest, 1))
+    assert np.abs(signs * mine - theirs).max() <= 1e-13 * scale
+    assert not np.tril(mine[:, :width], -1).any()
+    carried, trailing = eliminated[width:, width:], full[width:, width:]
+    assert len(carried) == rows - width
+    assert np.abs(carried.T @ carried - trailing.T @ trailing).max() <= 1e-13 * scale**2
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["driven", "undriven", "broken"])
+def test_the_level_solve_agrees_with_the_whole_inverse(case, n_max):
+    # the undriven pattern falls into many parts, with reflectors of tau = 0
+    # (8 to 14 of them); the broken one, qubit 2 decaying 1.5 times faster,
+    # stays one part. The agreement the README states: 5e-14 and 1e-13 relative
+    alpha = 0.0 if case == "undriven" else 0.5
+    m = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, alpha, n_max=n_max))
+    if case == "broken":
+        m = LindbladModel(m.space, m.hamiltonian, (m.jumps[0], np.sqrt(1.5) * m.jumps[1], m.jumps[2]))
+    liouv = build_liouvillian(m)
+    d = liouv.space.dim
+    k, l, entries, largest = lindblad._real_form(liouv)
+    coords, gap = lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])
+    whole, gaps = lindblad._solve_whole(k, l, entries, d)
+    states = lindblad._from_coordinates(np.stack([coords, whole[0]]), d)
+    assert np.abs(states[0] - states[1]).max() <= 5e-14
+    assert abs(gap / gaps[0] - 1) <= 1e-13
+
+
 def test_a_level_result_that_fails_its_checks_raises():
     # side 784 is solved by levels, whose gap is 5.5e-11 here; the whole
     # inverse would certify this L, but no second route takes over
@@ -630,7 +676,7 @@ def test_steady_state_memory_stays_near_one_matrix_above_l():
 
 def test_one_liouvillian_is_solved_below_one_real_matrix():
     # n_max 8, side n = 1296, one real n^2 array 13.4 MB: the level route
-    # peaks at 6.0 MB (0.45 of it, numpy 2.4; 0.88 before the exchange
+    # peaks at 5.0 MB (0.37 of it, numpy 2.4; 0.88 before the exchange
     # split), the dense route, which a stack of one takes, at 26.9 MB (2.00:
     # B and B^-1), so it would fail
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=8)))
@@ -816,6 +862,22 @@ def test_evolve_memory_does_not_grow_with_the_run():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= np.empty(200_001).nbytes
+
+
+def test_evolve_holds_its_sample_stack_once():
+    # dynamics --zeta 10 --xi1 2.135 --sample-every 1: 50,001 states, 12.8 MB.
+    # DensityMatrix keeps evolve's read-only stack as it is, and the samples
+    # become matrices batch by batch: the peak is 18.8 MB, 1.47 stacks; it was
+    # 34.2 MB (2.67) when the stack was copied and its coordinates kept to the end
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    tracemalloc.start()
+    try:
+        rho = evolve(m, ground_pair(), 50.0, 1e-3, sample_every=1)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rho.matrix) == 50_001
+    assert peak < 1.6 * rho.matrix.nbytes
 
 
 def test_evolve_names_the_first_step_whose_trace_drifts():

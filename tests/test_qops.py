@@ -347,3 +347,25 @@ def test_the_check_of_a_large_stack_holds_one_block_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= stack.nbytes + 10 * 2**20
+
+
+def test_a_read_only_array_that_owns_its_data_is_kept_uncopied():
+    stack = np.tile(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), (3, 1, 1)).copy()
+    stack.setflags(write=False)
+    assert DensityMatrix(TWO_QUBITS, stack).matrix is stack
+
+
+@pytest.mark.parametrize("kind", ["writable", "view", "real", "subclass"])
+def test_any_other_input_is_copied(kind):
+    # a writable array could change under the state, a view's base could, a
+    # real array is not the stored dtype, and a subclass is not a plain array
+    base = np.tile(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), (3, 1, 1)).copy()
+    given = {"writable": base, "view": base[1:], "real": base.real.copy(),
+             "subclass": np.ma.MaskedArray(base)}[kind]
+    if kind != "writable":
+        given.setflags(write=False)
+    rho = DensityMatrix(TWO_QUBITS, given)
+    assert rho.matrix is not given and not np.shares_memory(rho.matrix, base)
+    assert type(rho.matrix) is np.ndarray and rho.matrix.dtype == complex
+    assert not rho.matrix.flags.writeable
+    assert np.array_equal(rho.matrix, given)
