@@ -334,13 +334,15 @@ def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
 # check; a converter's ValueError is a usage error (exit 2)
 
 # validate's cutoff, set by time: no L is stored densely, and the level solve's
-# R factors set the memory. It is the largest n_max within the 3.0-4.2 s that
-# the old cap of 16 took when L was dense (1.06 GiB). With the exchange split
-# and the blocked elimination, wall time and max RSS, one fresh process each,
-# getrusage, 2 CPUs (OpenBLAS; tools/solve_costs.py): 1.0 s and 77 MiB at
-# n_max = 16, 1.8-1.9 s and 106 MiB at 20, 3.0-3.1 s and 146 MiB at 24,
-# 3.7-4.0 s and 168 MiB at 26, and beyond the cap 4.1-4.9 s and 183 MiB at 27
-# and 4.5-4.6 s and 197 MiB at 28
+# R factors set the memory. It is the largest n_max whose validate takes at
+# most 4.2 nominal seconds, the top of the 3.0-4.2 s that the old cap of 16
+# took when L was dense (1.06 GiB). A nominal second is a wall second scaled
+# by a fixed LAPACK-bound yardstick timed around the run, about a wall second
+# on a quiet machine, as the machine's speed moves 1.4 times within minutes.
+# tools/solve_costs.py prints the ladder, one fresh process a run, 2 CPUs
+# (OpenBLAS): three ladders read 3.8-3.9 nominal s at n_max 25 and 4.0-4.7 at
+# 26 (3.3-3.8 at 24, 4.3-4.9 at 27), so 25, 26 and 25 by the rule; the value
+# moves only when three ladders agree, and stays 26 (177 MiB max RSS there)
 MAX_NMAX = 26
 
 

@@ -186,13 +186,14 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     QuTiP; Johansson, Nation and Nori, CPC 183, 1760 (2012)). Column 0 of
     B^-1 gives rho, Hermitian by construction; gap = 1/||B^-1||_F <=
     sigma_min(B) <= sigma_{n-1}(L), as B - L has rank one (Horn and Johnson,
-    Topics in Matrix Analysis, Thm 3.3.16). B's entries are read once
-    (_real_form). One Liouvillian of side LEVEL_SIDE (784) or more is
-    triangularized level by level (_solve_by_levels), its exchange-even and
-    -odd blocks apart, the same column and norm without forming B or B^-1,
-    in 21.0 against 52.1 ms at 784; every stack, and a smaller Liouvillian as
-    a stack of one, is inverted whole in one batch, the more accurate route
-    at extreme rates (26.7 against 14.1 ms at 576). There is no fallback: a
+    Topics in Matrix Analysis, Thm 3.3.16). B's entries are read once, by
+    one sort of L's triplets (_real_form). One Liouvillian of side
+    LEVEL_SIDE (784) or more is triangularized level by level
+    (_solve_by_levels), its exchange-even and -odd blocks apart, the same
+    column and norm without forming B or B^-1, in 21.0 against 52.1 ms at
+    784; every stack, and a smaller Liouvillian as a stack of one, is
+    inverted whole in one batch, the more accurate route at extreme rates
+    (26.7 against 14.1 ms at 576). There is no fallback: a
     result raises DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
@@ -314,42 +315,103 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """L in the basis of _owners, Re(U^dagger L U) with vec(B_k) in column k of U; and max|L_ij|.
 
     For one L or a stack: the rows k and columns l of the entries that L's
-    nonzero pattern reaches, an (N, len(k)) array of their values, and each
-    L's largest |L_ij|. An entry is a +-sum of real or imaginary parts of up
-    to four entries of L, exact, scaled once by 1, 1/sqrt(2) or 1/2: scaling
-    first would leave rounding of the largest entries (1e183 at zeta 1e200)
-    where they cancel.
+    nonzero pattern reaches, in row-major order, an (N, len(k)) array of
+    their values, and each L's largest |L_ij|. The triplets are read in
+    blocks, by one sort of their keys: a block holds the at most 4 triplets
+    whose rows have first owner p and whose columns have first owner q, in
+    slots 2 [row is (i, j), i < j] + [column is], which is their order in L.
+    The block gives the entries at rows p and p's second owner and columns q
+    and q's second owner, each a +-sum of real or imaginary parts of the
+    block's triplets, added slot by slot from +0, exact, and scaled once by
+    1, 1/sqrt(2) or 1/2: scaling first would leave rounding of the largest
+    entries (1e183 at zeta 1e200) where they cancel.
     """
     d = liouv.space.dim
-    n = d * d
+    n, nnz = d * d, len(liouv.rows)
     rows, cols = liouv.rows, liouv.cols
     values = np.atleast_2d(liouv.values)
     owners, units, _ = _owners(d)
-    first, second = [0, 0, 1, 1], [0, 1, 0, 1]
-    keys = (owners[rows][:, first] * n + owners[cols][:, second]).ravel()
-    unit = (units[rows][:, first].conj() * units[cols][:, second]).ravel()  # 0, +-1 or +-i
-    live = np.flatnonzero(unit)  # a zero unit adds nothing
-    # each entry's parts together, in order: the keys made unique by position sort as a stable sort
-    live = live[np.argsort(keys[live] * len(live) + np.arange(len(live)))]
-    keys, unit = keys[live], unit[live]
-    new = np.diff(keys, prepend=-1) != 0
-    starts, entry = np.flatnonzero(new), np.cumsum(new) - 1
-    # an entry's parts are summed in order, as layers; a shorter entry's last add
-    # 0 Re L_00 (the last float of parts), as when L was read dense, so no sign of zero moves
-    layer = np.arange(len(keys)) - starts[entry]
-    at_00 = len(rows) and rows[0] == cols[0] == 0
-    parts = np.concatenate([values.view(float),
-                            values[:, :1].real if at_00 else np.zeros((len(values), 1))], axis=1)
-    pick = np.full((layer.max(initial=0) + 1, len(starts)), parts.shape[1] - 1)
-    sign = np.zeros(pick.shape)
-    # Re(unit L_ij) is +-Re L_ij or +-Im L_ij: float 2t or 2t + 1 of its triplet t, times a sign
-    pick[layer, entry] = 2 * (live // 4) + (unit.imag != 0)
-    sign[layer, entry] = unit.real - unit.imag
-    k, l = np.divmod(keys[starts], n)
-    scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units
-    entries = (parts[:, pick] * sign).sum(axis=1)
-    entries *= scale[(k >= d).astype(int) + (l >= d)]
-    return k, l, entries, np.abs(values).max(axis=-1, initial=0.0)
+    first, upper = owners[:, 0], units[:, 1].imag > 0  # upper: entry (i, j) with i < j
+    key = first[rows] * n + first[cols]
+    slot = 2 * upper[rows] + upper[cols]
+    # one key per triplet, so that a block's triplets come by slot. L's triplets come row by row,
+    # so the keys come in runs, which a stable sort merges: faster than np.argsort here
+    order = np.argsort(key * 4 + slot, kind="stable")
+    key = key[order]
+    starts, block = _runs(key)
+    layer = np.arange(nnz) - starts[block]
+    count = len(starts)
+    table = np.full((layer.max(initial=0) + 1, count), nnz)  # layer, block; triplet nnz reads +0
+    table.reshape(-1)[layer * count + block] = order
+    # entry (a, b) of block j = (p, q) is at row p or p's second owner (a = 1, pairs only) and
+    # column q or q's second owner. A pair's second owners follow all first owners, in the same
+    # order, so the entries sort as (a, p, b, q), and entry (0, 0) of block j has before it the
+    # blocks before j and the pair-column blocks before row p begins; entry (0, 1) all blocks up
+    # to row p's end and the pair-column blocks before j. The entries with a = 1 come after all
+    # those with a = 0, counted alike from the first pair row
+    p = key[starts] // n
+    q = key[starts] - p * n
+    pair_row, pair_column = p >= d, q >= d
+    begin, row = _runs(p)
+    begin, end = begin[row], np.append(begin[1:], count)[row]
+    before = np.concatenate([[0], np.cumsum(pair_column)])  # blocks with a pair column before each
+    j = np.arange(count)
+    pairs = np.searchsorted(p, d)  # the first block with a pair row
+    lower = count + before[-1] - pairs - before[pairs]  # where the entries with a = 1 start, less that
+    at = np.stack([j + before[begin], end + before[:-1], lower + j + before[begin],
+                   lower + end + before[:-1]], axis=1).reshape(-1)
+    live = np.stack([q >= 0, pair_column, pair_row, pair_row & pair_column], axis=1).reshape(-1)
+    where = np.empty(np.count_nonzero(live), dtype=int)
+    where[at.compress(live)] = np.flatnonzero(live)  # 4 j + entry 2 a + b
+    second = np.arange(n)
+    second[first] = owners[:, 1]
+    k = np.stack([p, p, second[p], second[p]], axis=1).take(where)
+    l = np.stack([q, second[q], q, second[q]], axis=1).take(where)
+    # entry (a, b) of a triplet t is Re(conj(row unit a) column unit b L_t): +-Re L_t or +-Im L_t,
+    # float 2t or 2t + 1 of L's floats or of their negations, by its slot, as a first owner's unit
+    # is 1 and a second's is i at an upper entry and -i at a lower
+    imag = np.array([0, 1, 1, 0])
+    negative = np.array([[0, 0, 1, 0], [0, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0]])  # slot, entry
+    offset = imag + (2 * nnz + 2) * negative
+    index = offset.take(np.append(slot, 0), axis=0) + 2 * np.arange(nnz + 1)[:, None]  # triplet, entry
+    pick = index.reshape(-1).take(4 * table.take(where >> 2, axis=1) + (where & 3))  # layer, entry
+    # one row per float of L: the floats, 2 zeros, their negations, 2 zeros; a row holds the members
+    parts = np.empty((4 * nnz + 4, len(values)))
+    parts[:2 * nnz] = values.view(float).T
+    np.multiply(parts[:2 * nnz], -1.0, out=parts[2 * nnz + 2:-2])
+    parts[2 * nnz:2 * nnz + 2] = parts[-2:] = 0.0
+    entries = parts.take(pick[0], axis=0)
+    entries += 0.0  # summed from +0, so a -0 first part leaves +0
+    for part in pick[1:]:
+        entries += parts.take(part, axis=0)
+    if nnz and rows[0] == cols[0] == 0:
+        # the sorted read this replaces added 0 Re L_00 to each entry of fewer parts than the
+        # most: no finite value moves, but a non-finite L_00 makes those entries NaN, as before
+        pad = values[:, 0].real * 0.0
+        if np.isnan(pad).any():
+            entries[(pick % (2 * nnz + 2) >= 2 * nnz).any(axis=0)] += pad
+    scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units, a block's alike
+    entries *= scale[pair_row.astype(int) + pair_column][where >> 2, None]
+    return k, l, entries.T, np.abs(values).max(axis=-1, initial=0.0)
+
+
+def _order(key: np.ndarray) -> np.ndarray:
+    """np.argsort(key, kind="stable") for non-negative integers, by one sort of key * len + position.
+
+    For keys in no order a sort of values is about twice as fast as an
+    argsort (numpy 2.4, x86-64); a key too large to pack is argsorted.
+    """
+    m = len(key)
+    if m and key.max() >= np.iinfo(np.int64).max // m:
+        return np.argsort(key, kind="stable")
+    return np.sort(key * m + np.arange(m)) % m
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal keys of a sorted array starts, and the run of each key."""
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
@@ -358,21 +420,27 @@ def _levels(k: np.ndarray, l: np.ndarray, n: int) -> np.ndarray:
     The search follows each pair both ways, so an edge joins levels that
     differ by at most 1. A part of the pattern the search does not reach
     gets its own levels after the last one, from its smallest coordinate.
+    Each front is grown as a mask over the coordinates, in order.
     """
     edges = np.sort(np.concatenate([k * n + l, l * n + k]))
-    source, target = np.divmod(edges, n)
+    source = edges // n
+    target = edges - source * n
     first = np.searchsorted(source, np.arange(n + 1))
+    first, last = first[:-1], first[1:]
     level = np.full(n, -1)
+    unseen = np.ones(n, dtype=bool)
     depth, front = 0, np.zeros(0, dtype=int)
-    while (level < 0).any():
+    while len(front) or unseen.any():
         if not len(front):
-            front = np.flatnonzero(level < 0)[:1]
-        level[front] = depth
+            front = np.flatnonzero(unseen)[:1]
+        level[front], unseen[front] = depth, False
         depth += 1
-        counts = first[front + 1] - first[front]
-        reach = np.repeat(first[front] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        front = np.unique(target[reach])
-        front = front[level[front] < 0]
+        start = first[front]
+        counts = last[front] - start
+        reach = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        grown = np.zeros(n, dtype=bool)
+        grown[target[reach]] = True
+        front = np.flatnonzero(grown & unseen)
     return level
 
 
@@ -418,27 +486,51 @@ def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray, image: 
 
     O's columns are the even (e_k + s e_pi(k))/sqrt(2) at k and the odd
     (e_k - s e_pi(k))/sqrt(2) at pi(k) for each orbit k < pi(k) of _exchange,
-    and e_k for a fixed k, which keeps the sector of its sign. Rows first,
-    then columns: in one column, an orbit's rows a (at k) and b (at pi(k)),
-    0 where absent, become a + s b and a - s b, and a fixed row stays. Each
-    new entry is one add of two, so where B commutes with the exchange bit
-    for bit, an entry across the sectors is x - x = 0 exactly. The entries
-    are scaled once at the end, by 1, 1/sqrt(2) or 1/2.
+    and e_k for a fixed k, which keeps the sector of its sign. B's entries
+    are read in blocks, by one sort of their keys: a block holds the at
+    most 4 entries whose rows lie in one orbit and whose columns lie in
+    another, 0 where absent. Rows first, then columns: an orbit's rows a (at
+    k) and b (at pi(k)) become a + s b and a - s b, and a fixed row stays;
+    each summand is summed from +0 first. Each new entry is one add of two,
+    so where B commutes with the exchange bit for bit, an entry across the
+    sectors is x - x = 0 exactly. The entries are scaled once at the end,
+    by 1, 1/sqrt(2) or 1/2, and come column orbit by column orbit, rows in
+    order: first at the orbits' first columns, then at the pairs' second.
     """
     n = len(image)
-    for _ in range(2):  # the rows, then the columns: each pass leaves its output transposed
-        low = np.minimum(k, image[k])
-        groups, where = np.unique(low * n + l, return_inverse=True)
-        first = k == low
-        a, b = (np.bincount(where, np.where(mine, values, 0.0), len(groups)) for mine in (first, ~first))
-        low, l = np.divmod(groups, n)
-        high, s = image[low], sign[low]
-        paired = high != low
-        k, l = np.concatenate([l, l[paired]]), np.concatenate([low, high[paired]])
-        values = np.concatenate([a + s * b, (a - s * b)[paired]])
+    low = np.minimum(np.arange(n), image)
+    top, left = low[k], low[l]
+    slot = 2 * (k != top) + (l != left)  # at (k, l), (k, pi(l)), (pi(k), l) or (pi(k), pi(l))
+    key = top * n + left
+    order = np.argsort(key, kind="stable")  # B's entries come in runs of rows, as L's in _real_form
+    key = key[order]
+    starts, block = _runs(key)
+    top = key[starts] // n
+    left = key[starts] - top * n
+    count = len(starts)
+    grid = np.zeros((4, count))  # slot, block
+    grid.reshape(-1)[slot[order] * count + block] = values[order]
+    grid += 0.0  # each entry summed from +0, as a bincount sums it, so that no sum below is -0
+    # rows, then columns, in place: the first row or column of an orbit takes a + s b, the second a - s b
+    for first, second, s in ((slice(0, 2), slice(2, 4), sign[top]),
+                             (slice(0, 4, 2), slice(1, 4, 2), sign[left])):
+        b = s * grid[second]
+        np.subtract(grid[first], b, out=grid[second])
+        grid[first] += b
     paired = image != np.arange(n)
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |O_km O_lm'| by the orbits
-    return k, l, values * scale[paired[k].astype(int) + paired[l]]
+    grid *= scale[paired[top].astype(int) + paired[left]]
+    # the blocks' rows, both of a paired row orbit's, by column orbit and then row
+    half = np.flatnonzero(paired[top])
+    record = np.concatenate([np.arange(count), 2 * count + half])  # slot 2 [row at pi(k)], block
+    rows = np.concatenate([top, image[top[half]]])
+    columns = np.concatenate([left, left[half]])
+    by_column = _order(columns * n + rows)
+    record, rows, columns = record[by_column], rows[by_column], columns[by_column]
+    odd = paired[columns]
+    k = np.concatenate([rows, rows.compress(odd)])
+    l = np.concatenate([columns, image[columns.compress(odd)]])
+    return k, l, grid.reshape(-1)[np.concatenate([record, count + record.compress(odd)])]
 
 
 def _exchange_rotation(x: np.ndarray, image: np.ndarray, sign: np.ndarray, back: bool) -> np.ndarray:
@@ -490,14 +582,19 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
     from the last level to the root gives ||R^-1||_F^2 from blocks of the
     levels' sizes, and x' is back-substituted alongside. O, B, R^-1 and
     B^-1 are never formed. An exactly singular block, or a failed LAPACK
-    call on a non-finite one, gives gap 0.
+    call on a non-finite one, gives gap 0. Each G_k is written by blocks
+    into one array. The stages at sides 784 / 1296, ms, best of 9 in a
+    process and of 9 processes, 2 CPUs (tools/solve_costs.py, stages):
+    _real_form 1.06 / 1.64, _to_exchange_basis 1.59 / 2.67, _levels 0.55 /
+    0.80, the elimination 9.3 / 21.6, the Gram recursion 5.8 / 11.4, the
+    residual and checks 0.21 / 0.31; steady_state 20.8 / 40.0 in all.
     """
     d = space.dim
     n = d * d
     image, sign = _exchange(space)
     k, l, values = _to_exchange_basis(k, l, values, image, sign)
     keep = (k != 0) & (values != 0)  # row 0 of B' is the trace row
-    k, l, values = k[keep], l[keep], values[keep]
+    k, l, values = k.compress(keep), l.compress(keep), values.compress(keep)
     trace = _adapted_trace(image, sign, d)
     s = max(1.0, largest)
     try:
@@ -520,9 +617,14 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
             near = ahead - stop
             u = np.concatenate([np.zeros(near), trace[ahead:ahead + span - 1 - near], [1.0]])
             gu, hu = gram @ u, h @ u
-            gram = np.block([[own, h[:, :near], hu[:, None]],
-                             [h[:, :near].T, gram[:near, :near], gu[:near, None]],
-                             [hu[None], gu[None, :near], np.array([[u @ gu]])]])
+            grown = np.empty((width + near + 1,) * 2)  # G_k, written by blocks
+            grown[:width, :width] = own
+            grown[:width, width:-1], grown[width:-1, :width] = h[:, :near], h[:, :near].T
+            grown[width:-1, width:-1] = gram[:near, :near]
+            grown[:width, -1] = grown[-1, :width] = hu
+            grown[width:-1, -1] = grown[-1, width:-1] = gu[:near]
+            grown[-1, -1] = u @ gu
+            gram = grown
             z = np.concatenate([column[start:stop], z[:near], [u @ z]])
     except np.linalg.LinAlgError:
         return np.zeros(n), 0.0
@@ -567,9 +669,10 @@ def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, t
     bounds = np.searchsorted(level[order], np.arange(level.max() + 4))  # and two empty levels
     where = np.empty(n, dtype=int)
     where[order] = np.arange(n)
-    by_row = np.argsort(where[k], kind="stable")
+    # the entries by the level of their row, in any order within a level, as each has its own place
+    by_row = _order(level[k])
+    split = np.searchsorted(level[k[by_row]], np.arange(len(bounds)))
     k, l, values = where[k[by_row]], where[l[by_row]], values[by_row]
-    split = np.searchsorted(k, bounds)
     trace = trace[order]  # row 0 of B in level order
     carried = s * np.concatenate([trace[:bounds[2]], [1.0, 1.0]])[None]  # row 0 of DB: f = c = s
     factors = []

@@ -37,13 +37,23 @@ def _matrices(v) -> np.ndarray:
 
 
 def _vectors(m: np.ndarray) -> np.ndarray:
-    """Inverse of _matrices; drops the redundant gg entry."""
+    """Inverse of _matrices; drops the redundant gg entry.
+
+    A coherence's parts are those that re + 1j im and re - 1j im (in
+    _matrices and in closed_form) were given, so _matrices rebuilds both
+    entries bit for bit: both add 0 im - 0 to re, so a zero re shows its
+    sign -0 in one entry only, and an im of -0 shows only as a re of -0
+    above the diagonal.
+    """
     v = np.empty(m.shape[:-2] + (15,))
     for k, i in _DIAGONAL:
         v[..., i] = m[..., k, k].real
     for r, c, i in _UPPER:
-        v[..., i] = m[..., r, c].real
-        v[..., i + 1] = m[..., r, c].imag
+        upper, lower = m[..., r, c], m[..., c, r]
+        negative = np.signbit(upper.real) | np.signbit(lower.real)
+        v[..., i] = np.where(upper.real == 0, np.where(negative, -0.0, 0.0), upper.real)
+        minus_zero = (upper.imag == 0) & (upper.real == 0) & np.signbit(upper.real)
+        v[..., i + 1] = np.where(minus_zero, -0.0, upper.imag)
     return v
 
 

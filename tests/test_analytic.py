@@ -76,6 +76,17 @@ def test_oracle_matrix_is_the_hermitian_completion():
     assert_allclose(m, m.conj().T, atol=1e-15)
 
 
+def test_oracle_round_trip_keeps_every_bit():
+    # at (0, 0) and (3, 0) closed_form holds zeros of both signs in the coherences' real
+    # parts, -0 above the diagonal at (ge, gg) and below it at (gg, ee)
+    grid = [0.0, -0.0, 1e-300, 0.5, -0.5, 2.135, 3.0, -3.0, 1e3]
+    zeta, xi1, xi2 = (axis.ravel() for axis in np.meshgrid(grid, grid, grid))
+    m = closed_form(zeta, xi1, xi2)
+    assert np.signbit(m.real[(zeta == 0) & (xi1 == 0) & (xi2 == 0)]).any()
+    for state in m:
+        assert _matrices(_vectors(state)).tobytes() == state.tobytes()
+
+
 def test_density_matrix_rejects_oracle_populations_outside_0_1():
     # DensityMatrix rejects a negative population and populations beyond 1
     with pytest.raises(InvalidStateError):

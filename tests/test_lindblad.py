@@ -482,9 +482,10 @@ def test_the_level_solve_of_two_exchanged_qutrits_matches_the_whole_inverse():
 
 @pytest.mark.parametrize("n_max", [6, 8])
 def test_the_real_form_sums_each_entry_in_the_order_of_a_stable_sort(n_max):
-    # _real_form sorts the parts by key * P + position, P their count: each
-    # key is unique, so any sort gives the stable sort's order and the
-    # entries keep their bits
+    # the read _real_form replaced (tests/level_reference.py) sorted the parts
+    # by key * P + position, P their count: each key is unique, so any sort
+    # gives the stable sort's order; _real_form writes the same entries, one
+    # per distinct key of a part with a nonzero unit
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=n_max)))
     n = liouv.space.dim**2
     owners, units, _ = lindblad._owners(liouv.space.dim)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Costs of polent's steady-state solve, as quoted in lindblad.py, cli.py and the README.
 
-Prints three tables, the ladder first:
+Prints four tables, the ladder first:
 
 - routes: steady_state's two routes on one Liouvillian, the whole inverse
   against levels, best of 9 in this one process, at side 16 (the reduced
@@ -9,12 +9,17 @@ Prints three tables, the ladder first:
   n_max 1 (side 64) to 8 (side 1296); lindblad.LEVEL_SIDE picks between them;
 - blocks: the level route at sides 784 and 1296 for each block width of its
   Householder elimination (lindblad.BLOCK), best of 9 in this one process;
+- stages: one level solve at sides 784 and 1296 by stage (_real_form,
+  _to_exchange_basis, _levels, the elimination, the Gram recursion, and the
+  residual with the state's checks) and in all, best of 9 in one process,
+  the best of 3 fresh processes;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
-  lifted, its wall time and its max RSS (getrusage of that child);
-  cli.MAX_NMAX is set from it.
+  lifted, its wall time, its time in nominal seconds (the wall time over a
+  yardstick's, timed just before and after the run) and its max RSS
+  (getrusage of that child); cli.MAX_NMAX is set from the nominal seconds.
 
     python tools/solve_costs.py                     # every table, n_max 16..28
-    python tools/solve_costs.py --nmax 20:28 --runs 3 --skip routes,blocks
+    python tools/solve_costs.py --nmax 20:28 --runs 3 --skip routes,blocks,stages
 
 polent is imported from ``src/`` next to this file. Run it on an otherwise
 idle machine: the tables are times, and the tests do not run this script.
@@ -23,45 +28,90 @@ idle machine: the tables are times, and the tests do not run this script.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from polent import lindblad  # noqa: E402
-from polent.lindblad import build_liouvillian, steady_state  # noqa: E402
+from polent.lindblad import build_liouvillian, stationarity_residuals, steady_state  # noqa: E402
 from polent.model import (  # noqa: E402
     DimensionlessParams,
     PhysicalParams,
     build_effective_model,
     build_full_model,
 )
+from polent.qops import DensityMatrix  # noqa: E402
 
 REPEATS = 9
 BLOCKS = (8, 16, 24, 32, 48, 64, 1 << 30)  # the last is one block per level
 VALIDATE = PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5)  # validate's default rates
+PROCESSES = 3  # fresh processes of the stage table
+STAGES = ("_real_form", "_to_exchange_basis", "_levels", "elimination", "Gram recursion",
+          "residual and checks", "steady_state")
+# the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
+# OpenBLAS 0.3.31): there a nominal second is about a wall second
+YARD_NOMINAL_S = 0.050
+_YARD = np.random.default_rng(0).standard_normal((600, 300))
+
+
+def yardstick_seconds() -> float:
+    """Time of a fixed computation that uses no polent code: the machine-speed yardstick.
+
+    Copied from perfbench's reference_seconds, the median of five short
+    timings so that one preempted timing does not count, but LAPACK-bound like
+    the ladder's level solves: a Householder QR of a fixed 600 x 300 matrix, a
+    triangular inverse and two products. Eight runs of validate --nmax 22
+    spread 1.19 times in wall seconds, 1.18 times scaled by this yardstick
+    and 1.55 times scaled by perfbench's interpreter-bound one.
+    """
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(2):
+            q, r = np.linalg.qr(_YARD)
+            np.linalg.inv(r[:200, :200]) @ (q.T @ _YARD)[:200]
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+@contextlib.contextmanager
+def _patched(**names):
+    """lindblad's names set as given, and restored on exit."""
+    saved = {name: getattr(lindblad, name) for name in names}
+    try:
+        for name, value in names.items():
+            setattr(lindblad, name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(lindblad, name, value)
+
+
+def _min_ms(call) -> float:
+    """Best of REPEATS calls, in ms, after one call that warms the caches."""
+    call()
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
 
 
 def _best(liouv, **settings) -> float:
     """Best of REPEATS steady_state calls on liouv, in ms, with lindblad's constants set as given."""
-    saved = {name: getattr(lindblad, name) for name in settings}
-    try:
-        for name, value in settings.items():
-            setattr(lindblad, name, value)
-        steady_state(liouv)  # warm the caches
-        times = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            steady_state(liouv)
-            times.append(time.perf_counter() - start)
-        return 1e3 * min(times)
-    finally:
-        for name, value in saved.items():
-            setattr(lindblad, name, value)
+    with _patched(**settings):
+        return _min_ms(lambda: steady_state(liouv))
 
 
 def _full(n_max: int):
@@ -85,21 +135,76 @@ def blocks() -> None:
         print(f"  {'per level' if width == BLOCKS[-1] else width:>9} {times}")
 
 
+def stage_times() -> dict[str, list[float]]:
+    """Each stage of one level solve at sides 784 and 1296, best of REPEATS in this process, ms.
+
+    A stage is timed on its inputs from the stages before it; the
+    elimination and the Gram recursion are timed through the functions that
+    run them, with the stages before them given as their results.
+    """
+    times = {name: [] for name in STAGES}
+    for n_max in (6, 8):
+        liouv = _full(n_max)
+        space, n = liouv.space, liouv.space.dim**2
+        k, l, entries, largest = lindblad._real_form(liouv)
+        image, sign = lindblad._exchange(space)
+        adapted = lindblad._to_exchange_basis(k, l, entries[0], image, sign)
+        keep = (adapted[0] != 0) & (adapted[2] != 0)
+        kk, ll, vv = (part[keep] for part in adapted)
+        level = lindblad._levels(kk, ll, n)
+        trace, s = lindblad._adapted_trace(image, sign, space.dim), max(1.0, largest[0])
+        with _patched(_levels=lambda *_: level):
+            order, factors = lindblad._triangularize_by_levels(kk, ll, vv, trace, s)
+            elimination = _min_ms(lambda: lindblad._triangularize_by_levels(kk, ll, vv, trace, s))
+        with _patched(_to_exchange_basis=lambda *_: adapted,
+                      _triangularize_by_levels=lambda *_: (order, list(factors))):
+            gram = _min_ms(lambda: lindblad._solve_by_levels(k, l, entries[0], space, largest[0]))
+        coords, _ = lindblad._solve_by_levels(k, l, entries[0], space, largest[0])
+
+        def check():
+            mats = lindblad._from_coordinates(coords[None], space.dim)
+            stationarity_residuals(liouv, mats)
+            DensityMatrix(space, mats[0])
+
+        stage = (_min_ms(lambda: lindblad._real_form(liouv)),
+                 _min_ms(lambda: lindblad._to_exchange_basis(k, l, entries[0], image, sign)),
+                 _min_ms(lambda: lindblad._levels(kk, ll, n)), elimination, gram, _min_ms(check),
+                 _min_ms(lambda: steady_state(liouv)))
+        for name, ms in zip(STAGES, stage):
+            times[name].append(ms)
+    return times
+
+
+def stages() -> None:
+    print(f"stages: one level solve by stage, ms (best of 9 in a process, best of {PROCESSES} processes)")
+    here = Path(__file__)
+    code = (f"import json, sys; sys.path.insert(0, {str(here.parent)!r}); "
+            f"from {here.stem} import stage_times; print(json.dumps(stage_times()))")
+    runs = [json.loads(subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                                      text=True).stdout) for _ in range(PROCESSES)]
+    print(f"  {'':20s} {'side 784':>9s} {'side 1296':>9s}")
+    for name in STAGES:
+        best = [min(run[name][i] for run in runs) for i in range(2)]
+        print(f"  {name:20s} {best[0]:9.2f} {best[1]:9.2f}")
+
+
 def ladder(first: int, last: int, runs: int) -> None:
-    print("ladder: validate --nmax N, one fresh interpreter each: wall s, max RSS MiB")
+    print("ladder: validate --nmax N, one fresh interpreter each: wall s, nominal s, max RSS MiB")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     # the cap is lifted in the child, so that the rungs beyond it are timed too
     code = "import sys; from polent import cli; cli.MAX_NMAX = 1 << 30; sys.exit(cli.main(sys.argv[1:]))"
     for n_max in range(first, last + 1):
         cells = []
         for _ in range(runs):
+            yard = yardstick_seconds()
             start = time.perf_counter()
             child = subprocess.Popen([sys.executable, "-c", code, "validate", "--nmax", str(n_max)],
                                      env=env, stdout=subprocess.DEVNULL)
             _, status, usage = os.wait4(child.pid, 0)  # this child's own usage
             wall = time.perf_counter() - start
+            nominal = wall * YARD_NOMINAL_S / ((yard + yardstick_seconds()) / 2)
             child.returncode = os.waitstatus_to_exitcode(status)
-            cells.append(f"{wall:5.2f} s {usage.ru_maxrss / 1024:6.1f} MiB"
+            cells.append(f"{wall:5.2f} s {nominal:5.2f} nominal s {usage.ru_maxrss / 1024:6.1f} MiB"
                          + (f" (exit {child.returncode})" if child.returncode else ""))
         print(f"  n_max {n_max:2d}  " + "  ".join(cells))
 
@@ -108,7 +213,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nmax", default="16:28", help="the ladder's first:last n_max (default 16:28)")
     parser.add_argument("--runs", type=int, default=1, help="fresh interpreters per ladder rung (default 1)")
-    parser.add_argument("--skip", default="", help="tables to leave out, comma-separated: ladder, routes, blocks")
+    parser.add_argument("--skip", default="",
+                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages")
     args = parser.parse_args()
     skip = set(filter(None, args.skip.split(",")))
     first, last = (int(part) for part in args.nmax.split(":"))
@@ -118,6 +224,8 @@ def main() -> None:
         routes()
     if "blocks" not in skip:
         blocks()
+    if "stages" not in skip:
+        stages()
 
 
 if __name__ == "__main__":
