@@ -48,7 +48,13 @@ RESIDUAL_TOL = 1e-9
 DRIFT_ABORT = 1e-6
 STABILITY_SLACK = 1e-9
 DEFAULT_DT = 1e-3
-# evolve's steps per anchor
+# evolve's steps per anchor, and anchors per super-anchor (every STRIDE^2 steps). One evolve to
+# t = 50 at dt = 1e-3 from |gg> at (5.210641, 1.107693), sampled every 100 steps, by STRIDE 64 /
+# 128 / 256, ms, best of 9 in each of 5 rounds over the widths, the best round, 2 CPUs
+# (tools/solve_costs.py): set-up 1.28 / 1.16 / 1.40, anchor level 0.12 / 0.10 / 0.13, batch
+# products 0.79 / 0.77 / 0.76, drift 0.59 / 0.41 / 0.30, sample matrices 0.15 / 0.15 / 0.15,
+# check 0.37 / 0.37 / 0.37, and in all 3.57 / 3.59 / 4.72. Timed call by call in turn, 300 calls
+# each in one process, 128 was faster than 64 in 263 and 300 of 300 pairs of two such processes
 STRIDE = 128
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
 # levels, and a smaller one whole. Whole inverse against levels, steady_state
@@ -384,12 +390,6 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     entries += 0.0  # summed from +0, so a -0 first part leaves +0
     for part in pick[1:]:
         entries += parts.take(part, axis=0)
-    if nnz and rows[0] == cols[0] == 0:
-        # the sorted read this replaces added 0 Re L_00 to each entry of fewer parts than the
-        # most: no finite value moves, but a non-finite L_00 makes those entries NaN, as before
-        pad = values[:, 0].real * 0.0
-        if np.isnan(pad).any():
-            entries[(pick % (2 * nnz + 2) >= 2 * nnz).any(axis=0)] += pad
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units, a block's alike
     entries *= scale[pair_row.astype(int) + pair_column][where >> 2, None]
     return k, l, entries.T, np.abs(values).max(axis=-1, initial=0.0)
@@ -755,6 +755,46 @@ def _step_powers(increment: np.ndarray, count: int) -> np.ndarray:
     return powers
 
 
+def _batches(increment: np.ndarray, r: np.ndarray, nsteps: int, strides: int):
+    """The states after steps 1..nsteps of r -> r + increment r, ``strides`` strides of STRIDE a batch.
+
+    Yields (start, states) for the steps from start + 1: states is a
+    (strides, S, w) view, fewer strides in the last batch, that the next
+    batch overwrites, with state start + b S + j at [b, j - 1]. The two
+    doubling levels, X_j = P^j - I and Y_b = P^(bS) - I, are evolve's. A
+    one-row product is a gemv, whose bits differ from gemm's (numpy 2.4,
+    OpenBLAS), so a batch's product always takes at least two rows, and the
+    anchors' product always has one shape: no bit depends on the batch size
+    or on the length of the run.
+    """
+    w = len(r)
+    # Y_1 .. Y_S side by side, (w, S w), and X_1 .. X_S as (w, w S), by coordinate and then j: a
+    # super-anchor's anchors, or a stride's states by coordinate, are one row of a product with them
+    powers = _step_powers(increment, STRIDE)
+    lift = np.ascontiguousarray(_step_powers(powers[-1], STRIDE).reshape(STRIDE * w, w).T)
+    powers = np.ascontiguousarray(powers.transpose(2, 1, 0)).reshape(w, w * STRIDE)
+    batch, anchors = np.empty((max(2, strides), w, STRIDE)), np.zeros((max(2, strides), w))
+    ring = np.empty((STRIDE + 1, w))  # one super-stride's anchors, then the next super-anchor
+    ring[-1], base = r, -STRIDE  # the stride of ring[0]
+    for start in range(0, nsteps, STRIDE * strides):
+        count = min(strides, (nsteps - start - 1) // STRIDE + 1)  # the strides that reach the end
+        filled = 0
+        while filled < count:
+            at = start // STRIDE + filled - base  # the place in ring of the next anchor
+            if at == STRIDE:  # the next super-stride, from R_{c+1} = ring[-1]
+                ring[0] = ring[-1]
+                np.matmul(ring[0], lift, out=ring[1:].reshape(-1))
+                ring[1:] += ring[0]
+                base, at = base + STRIDE, 0
+            take = min(count - filled, STRIDE - at)
+            anchors[filled:filled + take] = ring[at:at + take]
+            filled += take
+        rows = max(2, count)
+        np.matmul(anchors[:rows], powers, out=batch[:rows].reshape(rows, -1))  # X_j r_{bS}, j = 1..S
+        batch[:count] += anchors[:count, :, None]  # one add a batch
+        yield start, batch[:count].swapaxes(1, 2)
+
+
 def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DEFAULT_DT,
            sample_every: int | None = None) -> tuple[np.ndarray, DensityMatrix, np.ndarray]:
     """Propagate rho0 with fixed-step fourth-order Runge-Kutta; return (steps, rho, drift).
@@ -773,26 +813,29 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     them, by the same code. The spectral radius is still read from all of
     P: a sector the state never enters is unstable at the same dt (at
     (10, 2.135) and dt = 0.14 the odd block has radius 1.27 and the even
-    one 1.0), so such a dt is refused whatever rho0. The samples are rotated
-    back one batch at a time.
+    one 1.0), so such a dt is refused whatever rho0.
     The increment X_1 = P - I is kept apart from the identity: rounding P
     itself would move its fixed point by about 1e-16 / (dt * gap of L),
-    1e-12 at dt = 1e-3. From it, X_j = P^j - I for j = 1..STRIDE are
-    formed by doubling (_step_powers), STRIDE m^2 floats for m stepped
-    coordinates. Only the anchors, every STRIDE-th state, are stepped in
-    order, r_{(b+1)S} = r_{bS} + X_S r_{bS}; the states between are
-    r_{bS+j} = r_{bS} + X_j r_{bS}, all of a stride from one matrix-vector
-    product with the stacked X_j. So a
-    state does not depend on the length of the run, and a run is a prefix of
-    any longer one bit for bit. The states are formed one block of
-    DensityMatrix's check at a time (qops.CHECK_ELEMENTS entries, read at
-    each call: 32 strides of 4x4 states), so memory beyond the samples and
-    the drift does not grow with the run. The trace of every step, read
-    from the stepped coordinates, is checked and never renormalized; drift
-    beyond DRIFT_ABORT, or a NaN trace, aborts the run at the first failing
-    step. A spectral radius of P above 1 + STABILITY_SLACK aborts it before
-    the first step, as the drift shows a growing mode only after a growth
-    of ~1e10. The run takes
+    1e-12 at dt = 1e-3. The run is stepped in two doubling levels
+    (_batches): X_j = P^j - I for j = 1..STRIDE from X_1, and
+    Y_b = P^(bS) - I for b = 1..S from X_S, 2 S w^2 floats for w stepped
+    coordinates, never P^j itself. Only the super-anchors, every S^2-th
+    state (16,384 steps), are stepped in order, R_{c+1} = R_c + Y_S R_c;
+    a super-stride's anchors, every S-th state, are r_{bS} = R_c + Y_b R_c,
+    one product of R_c with the stacked Y_b, and a batch's states are
+    r_{bS+j} = r_{bS} + X_j r_{bS}, one product of its anchors with the
+    stacked X_j, of at least two rows. So a state does not depend on the
+    batch size or on the length of the run, and a run is a prefix of any
+    longer one bit for bit. A batch is one block of DensityMatrix's check
+    (qops.CHECK_ELEMENTS entries, read at each call: 32 strides of 4x4
+    states), and the samples are made matrices one such block of samples
+    at a time (one block for the CLI's 501), so memory beyond the samples
+    and the drift does not grow with the run. The trace of every step,
+    read from the stepped coordinates, is checked and never renormalized;
+    drift beyond DRIFT_ABORT, or a NaN trace, aborts the run at the first
+    failing step. A spectral radius of P above 1 + STABILITY_SLACK aborts
+    it before the first step, as the drift shows a growing mode only after
+    a growth of ~1e10. The run takes
     round(t_final / dt) steps, at least one when t_final > 0; a stacked m, a
     non-finite t_final, dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0,
     k, 2k, ... and the last step for k = sample_every (0 and the last step for
@@ -836,27 +879,15 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     steps = np.append(np.arange(0, nsteps, every), nsteps)
-    w = len(held)
-    mats = np.empty((len(steps), d, d), dtype=complex)
-    mats[0] = _held_matrices(r[None], held, image, sign, d)[0]
     drift = np.empty(nsteps + 1)
     drift[0] = abs(_row_traces(r, trace) - 1.0)
-    # X_1 .. X_S side by side, (w, S w): r @ powers is one gemv along its rows, about
-    # 1.7 times as fast at w = 10 as the (S w, w) one along its columns (2 CPUs, OpenBLAS)
-    powers = np.ascontiguousarray(_step_powers(increment, STRIDE).reshape(STRIDE * w, w).T)
-    strides = max(1, qops.CHECK_ELEMENTS // (STRIDE * d * d))
-    span = STRIDE * min(strides, nsteps // STRIDE + 1)  # steps per batch
-    batch, anchors = np.empty((span // STRIDE, STRIDE, w)), np.empty((span // STRIDE, w))
-    for start in range(0, nsteps, span):  # steps start + 1 .. stop
-        stop = min(nsteps, start + span)
-        count = (stop - start - 1) // STRIDE + 1  # the strides that reach stop
-        for stride, anchor in zip(batch[:count], anchors[:count]):
-            anchor[:] = r
-            np.matmul(r, powers, out=stride.reshape(-1))  # X_j r for j = 1..STRIDE
-            r = r + stride[-1]
-        batch[:count] += anchors[:count, None]  # r_{bS+j} = r_{bS} + X_j r_{bS}, one add a batch
-        coords = batch.reshape(-1, w)[:stop - start]
-        drift[start + 1:stop + 1] = abs(_row_traces(coords, trace) - 1.0)
+    strides = min(max(1, qops.CHECK_ELEMENTS // (STRIDE * n)), nsteps // STRIDE + 1)  # per batch
+    block = min(len(steps), max(1, qops.CHECK_ELEMENTS // n))  # samples made matrices at a time
+    mats, pending = np.empty((len(steps), d, d), dtype=complex), np.empty((block, len(held)))
+    pending[0], made = r, 0  # samples made matrices so far
+    for start, states in _batches(increment, r, nsteps, strides):  # steps start + 1 .. stop
+        stop = min(nsteps, start + STRIDE * len(states))
+        drift[start + 1:stop + 1] = abs(_row_traces(states, trace).reshape(-1)[:stop - start] - 1.0)
         # "not <=" instead of ">" so a NaN trace (overflowed state) also aborts
         lost = ~(drift[start + 1:stop + 1] <= DRIFT_ABORT)
         if lost.any():
@@ -866,7 +897,18 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
                 f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
             )
         first, last = np.searchsorted(steps, [start + 1, stop + 1])
-        mats[first:last] = _held_matrices(coords[steps[first:last] - start - 1], held, image, sign, d)
+        while first < last:  # the samples wait in pending until more come than it holds
+            if first - made == block:
+                mats[made:first] = _held_matrices(pending, held, image, sign, d)
+                made = first
+            take = min(last, made + block) - first
+            index = steps[first:first + take] - start - 1
+            pending[first - made:first - made + take] = states[index // STRIDE, index % STRIDE]
+            first += take
+    # the last block once the run's buffers are gone (states held the last batch's), so that its
+    # temporaries do not add to them
+    states = None
+    mats[made:] = _held_matrices(pending[:len(steps) - made], held, image, sign, d)
     mats.setflags(write=False)  # handed over to DensityMatrix, which keeps it uncopied
     try:
         return steps, DensityMatrix(m.space, mats), drift

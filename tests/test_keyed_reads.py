@@ -2,9 +2,10 @@
 
 _real_form, _to_exchange_basis and _levels against their earlier versions in
 level_reference: the same rows, columns and levels, and the same values down
-to the sign bit of a zero, on random models and patterns, stacks, the full
-model at every n_max up to 8 with and without the exchange symmetry, and an L
-with a non-finite entry.
+to the sign bit of a zero, on random models and patterns, stacks, and the
+full model at every n_max up to 8 with and without the exchange symmetry. In
+an L with a non-finite entry, _real_form makes non-finite only the entries
+that hold a non-finite part of it.
 """
 
 import numpy as np
@@ -140,14 +141,28 @@ def test_every_read_of_the_full_model(n_max, symmetric):
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.inf, np.nan)])
 @pytest.mark.parametrize("at", [0, 1, 5])
 def test_real_form_of_a_liouvillian_with_a_non_finite_entry(value, at):
-    # at triplet 0, L_00, the earlier read added 0 Re L_00 to every entry of fewer parts than
-    # the most, which makes those entries NaN when L_00 is not finite
+    # a non-finite part of triplet ``at`` reaches only the entries that hold it;
+    # every other entry is the earlier read's value on the L where that part is 0
     liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=2)))
-    values = liouv.values.copy()
-    values[at] = value
-    liouv = Liouvillian(liouv.space, liouv.rows, liouv.cols, values)
+
+    def with_entry(entry):
+        values = liouv.values.copy()
+        values[at] = entry
+        return Liouvillian(liouv.space, liouv.rows, liouv.cols, values)
+
+    bad = ~np.isfinite([np.real(value), np.imag(value)])
+    stand_in = complex(*np.where(bad, 0.0, [np.real(value), np.imag(value)]))
+    finite = reference.real_form(with_entry(stand_in))[2]
+    # the entries that hold the real or the imaginary part: those that move when it moves. Triplets
+    # 0 and 5 join two diagonal coordinates, E_00 and E_00 or E_44, so no entry holds their Im part
+    holds = [reference.real_form(with_entry(stand_in + step))[2] != finite for step in (1.0, 1j)]
+    reached = (holds[0] & bad[0]) | (holds[1] & bad[1])
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_identical(lindblad._real_form(liouv), reference.real_form(liouv))
+        k, l, entries, largest = lindblad._real_form(with_entry(value))
+        expected = reference.real_form(with_entry(value))
+    assert_identical((k, l, largest), (expected[0], expected[1], expected[3]))
+    assert np.array_equal(~np.isfinite(entries), reached)
+    assert identical(entries[~reached], finite[~reached])
 
 
 @SETTINGS

@@ -57,12 +57,12 @@ def evolve_final(*args, **kwargs):
     return DensityMatrix(rho.space, rho.matrix[-1])
 
 
-def rk4_reference(m, rho0, nsteps, dt):
-    # the explicit four-stage step on vec(rho), re-symmetrized every step
+def rk4_trajectory(m, rho0, dt):
+    # the explicit four-stage step on vec(rho), re-symmetrized every step: the state after each step
     lm = build_liouvillian(m).matrix
     d = m.space.dim
     v = rho0.matrix.astype(complex).ravel(order="F")
-    for _ in range(nsteps):
+    while True:
         k1 = lm @ v
         k2 = lm @ (v + (0.5 * dt) * k1)
         k3 = lm @ (v + (0.5 * dt) * k2)
@@ -70,7 +70,14 @@ def rk4_reference(m, rho0, nsteps, dt):
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         mat = v.reshape(d, d, order="F")
         v = (0.5 * (mat + mat.conj().T)).ravel(order="F")
-    return v.reshape(d, d, order="F")
+        yield v.reshape(d, d, order="F")
+
+
+def rk4_reference(m, rho0, nsteps, dt):
+    state = rho0.matrix.astype(complex)
+    for state, _ in zip(rk4_trajectory(m, rho0, dt), range(nsteps)):
+        pass
+    return state
 
 
 def dense_liouvillian(m):
@@ -790,8 +797,53 @@ def test_evolve_matches_the_four_stage_step_around_an_anchor(space, nsteps):
         assert np.abs(out.matrix - rk4_reference(m, rho0, nsteps, 1e-3)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("space", [ONE_QUBIT, TWO_QUBITS], ids=["d2", "d4"])
+def test_evolve_matches_the_four_stage_step_across_a_super_stride(space):
+    # the anchors are R_c + Y_b R_c, Y_b = P^(bS) - I, from the super-anchor
+    # R_c, stepped every S^2 steps: the last state is at R_1 (from the last
+    # anchor of the first super-stride), 1 step past it, and 7 past R_2
+    s2 = lindblad.STRIDE**2
+    ends = (s2, s2 + 1, 2 * s2 + 7)
+    rng = np.random.default_rng([space.dim, s2])
+    m = random_model(rng, space)
+    rho0 = DensityMatrix(space, random_density(rng, space.dim))
+    trajectory = rk4_trajectory(m, rho0, 1e-3)
+    reference = {k + 1: state for k, state in zip(range(ends[-1]), trajectory) if k + 1 in ends}
+    for nsteps in ends:
+        out = evolve_final(m, rho0, nsteps * 1e-3, 1e-3)
+        assert np.abs(out.matrix - reference[nsteps]).max() <= 1e-12
+
+
+def test_a_run_across_a_super_stride_is_a_prefix_of_a_longer_one():
+    # S^2 + 1 steps end on a batch of one stride, whose product still takes two rows
+    s2 = lindblad.STRIDE**2
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    dt = 2.0**-10
+    steps, rho, drifts = evolve(m, ground_pair(), (2 * s2 + 7) * dt, dt, sample_every=1)
+    assert steps[-1] == 2 * s2 + 7
+    for k in (s2 - 1, s2 + 1):
+        short_steps, short, short_drifts = evolve(m, ground_pair(), k * dt, dt)
+        assert short_steps[-1] == k
+        assert np.array_equal(short.matrix[-1], rho.matrix[k])
+        assert np.array_equal(short_drifts, drifts[:k + 1])
+
+
+@pytest.mark.parametrize("batch", [1, 10**6])
+def test_a_run_of_three_super_strides_does_not_depend_on_the_batch_size(monkeypatch, batch):
+    # 40,000 steps: a batch of one stride takes its anchor from the super-stride
+    # that holds it, and one batch of the whole run spans all three
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    reference = evolve(m, ground_pair(), 40.0, 1e-3, sample_every=7)
+    monkeypatch.setattr(qops, "CHECK_ELEMENTS", batch * lindblad.STRIDE * 16)
+    steps, rho, drift = evolve(m, ground_pair(), 40.0, 1e-3, sample_every=7)
+    assert np.array_equal(steps, reference[0])
+    assert np.array_equal(rho.matrix, reference[1].matrix)
+    assert np.array_equal(drift, reference[2])
+
+
 def record_stepped_coordinates(monkeypatch):
-    # the side of each P - I that evolve steps with
+    # the side of each matrix whose powers evolve forms: P - I for the steps,
+    # then P^S - I for the anchors
     sides = []
     step_powers = lindblad._step_powers
 
@@ -817,7 +869,7 @@ def test_evolve_steps_only_the_sectors_that_hold_the_state(monkeypatch, case, st
         m = LindbladModel(TWO_QUBITS, m.hamiltonian, (m.jumps[0], 1.5 * m.jumps[1]))
     sides = record_stepped_coordinates(monkeypatch)
     out = evolve_final(m, rho0, 0.3, 1e-3)
-    assert sides == [stepped]
+    assert sides == [stepped, stepped]  # the step level and the anchor level
     assert np.abs(out.matrix - rk4_reference(m, rho0, 300, 1e-3)).max() <= 1e-12
     if case == "ground":  # no odd coordinate is stepped, so the swap leaves every bit in place
         swap = [0, 2, 1, 3]
@@ -834,7 +886,7 @@ def test_a_zero_generator_steps_only_the_support_of_the_state(monkeypatch, diago
     rho0 = DensityMatrix(TWO_QUBITS, np.diag(diagonal))
     sides = record_stepped_coordinates(monkeypatch)
     out = evolve_final(m, rho0, t_final=1.0, dt=1e-2)
-    assert sides == [stepped]
+    assert sides == [stepped, stepped]  # the step level and the anchor level
     assert np.abs(out.matrix - rho0.matrix).max() <= 1e-16
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Costs of polent's steady-state solve, as quoted in lindblad.py, cli.py and the README.
+"""Costs of polent's steady-state solve and RK4 run, as quoted in lindblad.py, cli.py and the README.
 
-Prints four tables, the ladder first:
+Prints five tables, the ladder first:
 
 - routes: steady_state's two routes on one Liouvillian, the whole inverse
   against levels, best of 9 in this one process, at side 16 (the reduced
@@ -13,13 +13,19 @@ Prints four tables, the ladder first:
   _to_exchange_basis, _levels, the elimination, the Gram recursion, and the
   residual with the state's checks) and in all, best of 9 in one process,
   the best of 3 fresh processes;
+- evolve: one evolve to t = 50 at dt = 1e-3 and the CLI's cadence of 100,
+  from |gg> at perfbench's seed-1 ridge point, by stage (set-up, anchor
+  level, batch products, drift, sample matrices, check) and in all, at
+  each lindblad.STRIDE of 64, 128 and 256, best of 9 in this one process
+  in each of 5 rounds over the widths, the best round;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
   lifted, its wall time, its time in nominal seconds (the wall time over a
   yardstick's, timed just before and after the run) and its max RSS
   (getrusage of that child); cli.MAX_NMAX is set from the nominal seconds.
 
     python tools/solve_costs.py                     # every table, n_max 16..28
-    python tools/solve_costs.py --nmax 20:28 --runs 3 --skip routes,blocks,stages
+    python tools/solve_costs.py --nmax 20:28 --runs 3 --skip routes,blocks,stages,evolve
+    python tools/solve_costs.py --skip ladder,routes,blocks,stages  # the evolve table alone
 
 polent is imported from ``src/`` next to this file. Run it on an otherwise
 idle machine: the tables are times, and the tests do not run this script.
@@ -42,15 +48,15 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from polent import lindblad  # noqa: E402
-from polent.lindblad import build_liouvillian, stationarity_residuals, steady_state  # noqa: E402
+from polent import lindblad, qops  # noqa: E402
+from polent.lindblad import build_liouvillian, evolve, stationarity_residuals, steady_state  # noqa: E402
 from polent.model import (  # noqa: E402
     DimensionlessParams,
     PhysicalParams,
     build_effective_model,
     build_full_model,
 )
-from polent.qops import DensityMatrix  # noqa: E402
+from polent.qops import TWO_QUBITS, DensityMatrix  # noqa: E402
 
 REPEATS = 9
 BLOCKS = (8, 16, 24, 32, 48, 64, 1 << 30)  # the last is one block per level
@@ -58,6 +64,10 @@ VALIDATE = PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5)  # validate's default rate
 PROCESSES = 3  # fresh processes of the stage table
 STAGES = ("_real_form", "_to_exchange_basis", "_levels", "elimination", "Gram recursion",
           "residual and checks", "steady_state")
+RIDGE = (5.210641, 1.107693)  # (zeta, xi1) of perfbench's point workload at seed 1, its first dynamics
+EVOLVE_STRIDES = (64, 128, 256)
+EVOLVE_ROUNDS = 5  # the widths take turns, so that a slow stretch of the machine does not favour one
+EVOLVE_STAGES = ("set-up", "anchor level", "batch products", "drift", "sample matrices", "check", "evolve")
 # the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
 # OpenBLAS 0.3.31): there a nominal second is about a wall second
 YARD_NOMINAL_S = 0.050
@@ -188,6 +198,79 @@ def stages() -> None:
         print(f"  {name:20s} {best[0]:9.2f} {best[1]:9.2f}")
 
 
+def evolve_times(stride: int) -> list[float]:
+    """One evolve at RIDGE by stage, at lindblad.STRIDE = stride, best of REPEATS in this process, ms.
+
+    The set-up is a run of no step: P, its radius, rho0's coordinates, both
+    power stacks and one sample. The other stages are timed on the inputs
+    that a run records: the anchor level is the doubling from X_S and each
+    super-anchor's product and add; the batch products are a pass of
+    lindblad._batches with its power stacks given (anchors, products and
+    adds); then each batch's traces and their check, the samples made
+    matrices one check block at a time, and their DensityMatrix check.
+    """
+    model = build_effective_model(DimensionlessParams(*RIDGE))
+    ground = np.zeros((4, 4))
+    ground[3, 3] = 1.0
+    rho0, dt, nsteps, every = DensityMatrix(TWO_QUBITS, ground), 1e-3, 50_000, 100
+    stacks, samples, runs = [], [], []
+    step_powers, held_matrices, batches = lindblad._step_powers, lindblad._held_matrices, lindblad._batches
+    with _patched(STRIDE=stride,
+                  _step_powers=lambda x, count: stacks.append((x, step_powers(x, count))) or stacks[-1][1],
+                  _held_matrices=lambda *args: samples.append(args) or held_matrices(*args),
+                  _batches=lambda *args: runs.append(args) or batches(*args)):
+        rho = evolve(model, rho0, 50.0, dt, every)[1]
+    increment, r, _, strides = runs[0]
+    _, held, image, sign, d = samples[0]
+    coords = np.concatenate([args[0] for args in samples])
+    trace = lindblad._adapted_trace(image, sign, d)[held]
+    w = len(held)
+    lift = np.ascontiguousarray(stacks[1][1].reshape(stride * w, w).T)
+    ring = np.empty((stride + 1, w))
+
+    def anchor_level():
+        step_powers(stacks[1][0], stride)
+        for _ in range(-(-nsteps // stride**2)):
+            ring[0] = r
+            np.matmul(ring[0], lift, out=ring[1:].reshape(-1))
+            ring[1:] += ring[0]
+
+    def products():
+        for _ in batches(increment, r, nsteps, strides):
+            pass
+
+    states = next(batches(increment, r, nsteps, strides))[1]
+
+    def drift():
+        for _ in range(-(-nsteps // (stride * strides))):
+            (~(abs(lindblad._row_traces(states, trace).reshape(-1) - 1.0) <= lindblad.DRIFT_ABORT)).any()
+
+    block = max(1, qops.CHECK_ELEMENTS // (d * d))
+
+    def matrices():
+        for first in range(0, len(coords), block):
+            held_matrices(coords[first:first + block], held, image, sign, d)
+
+    mats = rho.matrix.copy()
+    with _patched(STRIDE=stride):
+        setup = _min_ms(lambda: evolve(model, rho0, 0.0, dt))
+        with _patched(_step_powers=lambda x, count: stacks[0][1] if x is increment else stacks[1][1]):
+            product = _min_ms(products)
+        return [setup, _min_ms(anchor_level), product, _min_ms(drift), _min_ms(matrices),
+                _min_ms(lambda: DensityMatrix(TWO_QUBITS, mats)),
+                _min_ms(lambda: evolve(model, rho0, 50.0, dt, every))]
+
+
+def evolve_table() -> None:
+    print(f"evolve: one run to t = 50 at dt = 1e-3 by stage and STRIDE, ms (best of 9 in each of "
+          f"{EVOLVE_ROUNDS} rounds over the widths, one process)")
+    rounds = [[evolve_times(stride) for stride in EVOLVE_STRIDES] for _ in range(EVOLVE_ROUNDS)]
+    times = np.min(rounds, axis=0)
+    print(f"  {'':16s}" + "".join(f" {f'STRIDE {stride}':>11s}" for stride in EVOLVE_STRIDES))
+    for i, name in enumerate(EVOLVE_STAGES):
+        print(f"  {name:16s}" + "".join(f" {column[i]:11.3f}" for column in times))
+
+
 def ladder(first: int, last: int, runs: int) -> None:
     print("ladder: validate --nmax N, one fresh interpreter each: wall s, nominal s, max RSS MiB")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -214,7 +297,7 @@ def main() -> None:
     parser.add_argument("--nmax", default="16:28", help="the ladder's first:last n_max (default 16:28)")
     parser.add_argument("--runs", type=int, default=1, help="fresh interpreters per ladder rung (default 1)")
     parser.add_argument("--skip", default="",
-                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages")
+                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages, evolve")
     args = parser.parse_args()
     skip = set(filter(None, args.skip.split(",")))
     first, last = (int(part) for part in args.nmax.split(":"))
@@ -226,6 +309,8 @@ def main() -> None:
         blocks()
     if "stages" not in skip:
         stages()
+    if "evolve" not in skip:
+        evolve_table()
 
 
 if __name__ == "__main__":
