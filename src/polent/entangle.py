@@ -103,24 +103,61 @@ def _in_blocks(f, m: np.ndarray):
 def concurrence(rho: DensityMatrix):
     """Wootters concurrence of a two-qubit state, or of each state in a stack.
 
-    Uses the Hermitian route: rho = W W^dagger from the spectrum of rho
-    (eigenvalues clipped at 0), tau = W^T (sigma_y sigma_y) W, and
-    C = max(0, s1 - s2 - s3 - s4) over the descending singular values of
-    tau, which are the square roots of the spectrum of rho rho~. Returns a
-    float for one state and an array for a stack, evaluated 4,096 states
+    Takes any W with rho = W W^dagger, forms tau = W^T (sigma_y sigma_y) W,
+    and returns C = max(0, s1 - s2 - s3 - s4) over the descending singular
+    values of tau, the square roots of the spectrum of rho rho~, which no
+    choice of W changes. W is the Cholesky factor of each state, built over
+    the stack column by column (_cholesky), which is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10); a state with a
+    pivot that is not positive, such as |gg>, a Bell state or most pure
+    states, takes W from its spectrum instead, with the eigenvalues clipped
+    at 0. Returns a float for one
+    state and an array for a stack, evaluated 4,096 states
     (qops.CHECK_ELEMENTS entries) at a time, so memory follows the block.
     """
     _check_two_qubits(rho, "concurrence")
     return _in_blocks(_concurrence, rho.matrix)
 
 
+def _cholesky(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower factors L with m = L L^dagger of a stack, and whether each state's pivots were all > 0.
+
+    Read from the lower triangle, as eigh reads it. Every operation is
+    elementwise over the stack, so a state's bits are its own whatever its
+    neighbours; a state whose pivot fails gets a factor that is not used.
+    """
+    a = m.copy()
+    factor = np.zeros_like(m)
+    positive = np.ones(len(m), dtype=bool)
+    for j in range(m.shape[-1]):
+        pivot = a[:, j, j].real
+        positive &= pivot > 0.0
+        column = a[:, j:, j] * (1.0 / np.sqrt(np.where(positive, pivot, 1.0)))[:, None]
+        factor[:, j:, j] = column
+        a[:, j + 1:, j + 1:] -= column[:, 1:, None] * column[:, None, 1:].conj()
+    return factor, positive
+
+
+def _roots(m: np.ndarray) -> np.ndarray:
+    """W with m = W W^dagger for each state of a stack.
+
+    The state's Cholesky factor or, where a pivot is not positive, its
+    eigenvectors times the square roots of its spectrum clipped at 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a failed pivot's factor is discarded
+        roots, positive = _cholesky(m)
+    if not positive.all():
+        w, v = np.linalg.eigh(m[~positive])
+        roots[~positive] = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    return roots
+
+
 def _concurrence(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    roots = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    roots = _roots(m.reshape((-1,) + m.shape[-2:]))
     tau = roots.swapaxes(-1, -2) @ (_FLIP @ roots)
     s = np.linalg.svd(tau, compute_uv=False)
     c = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
-    return np.clip(c, 0.0, 1.0) + 0.0  # + 0.0 normalizes -0.0
+    return (np.clip(c, 0.0, 1.0) + 0.0).reshape(m.shape[:-2])  # + 0.0 normalizes -0.0
 
 
 def negativity(rho: DensityMatrix):

@@ -209,8 +209,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(HilbertSpace(tuple(dims[k] for k in kept)), out.reshape(d, d))
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of (a - b)."""
+def trace_distance(a: DensityMatrix, b: DensityMatrix):
+    """Half the trace norm of (a - b): a float for two states, one value per state for stacks."""
     diff = a.matrix - b.matrix
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = 0.5 * (diff + _dagger(diff))
+    distance = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return float(distance) if distance.ndim == 0 else distance

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polent import entangle, qops
+from polent.analytic import closed_form
 from polent.entangle import (
     PAULI_LABELS,
     NotEntangledError,
@@ -144,7 +145,7 @@ def test_a_stack_is_measured_alike_in_any_blocks(monkeypatch, measure):
 
 def test_concurrence_memory_does_not_grow_with_the_stack():
     # only the values grow, 8 bytes a state (twice, joined from the blocks);
-    # the eigh and svd temporaries of the whole stack were about 1 kB a state
+    # the factor's and svd's temporaries of the whole stack would be about 1 kB a state
     rng = np.random.default_rng(1202)
     small, large = random_stack(rng, 8192), random_stack(rng, 32768)
     peaks = []
@@ -157,6 +158,74 @@ def test_concurrence_memory_does_not_grow_with_the_stack():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2 * np.empty(32768 - 8192).nbytes
+
+
+_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
+
+
+def eigh_concurrence(m):
+    # the spectral route that concurrence took for every state before it took
+    # a Cholesky factor, kept verbatim as a reference
+    w, v = np.linalg.eigh(m)
+    roots = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    tau = roots.swapaxes(-1, -2) @ (_FLIP @ roots)
+    s = np.linalg.svd(tau, compute_uv=False)
+    c = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
+    return np.clip(c, 0.0, 1.0) + 0.0  # + 0.0 normalizes -0.0
+
+
+def rank_deficient_stack():
+    # |gg>, a Bell state, the product |e> (|e> + i|g>)/sqrt(2) and the rank-2
+    # mixture 3/4 |Phi+><Phi+| + 1/4 |ge><ge|, whose concurrence is 3/4
+    product = np.zeros((4, 4), dtype=complex)
+    product[[0, 0, 2, 2], [0, 2, 0, 2]] = 0.5, 0.5j, -0.5j, 0.5
+    ge = np.zeros((4, 4), dtype=complex)
+    ge[1, 1] = 1.0
+    return np.array([pure([0, 0, 0, 1]).matrix, BELL_RHO.matrix, product, 0.75 * BELL_RHO.matrix + 0.25 * ge])
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_rank_deficient_members_are_measured_as_alone(monkeypatch, block):
+    # the factor is built elementwise over the stack, and a member whose pivot
+    # is not positive takes the spectrum alone: no member sees its neighbours
+    rng = np.random.default_rng(1203)
+    stack = DensityMatrix(TWO_QUBITS, np.concatenate([rank_deficient_stack(), random_stack(rng, 200).matrix]))
+    monkeypatch.setattr(qops, "CHECK_ELEMENTS", block * 16)
+    values = concurrence(stack)
+    assert values.tolist() == [concurrence(DensityMatrix(TWO_QUBITS, m)) for m in stack.matrix]
+    assert values[0] == 0.0 and values[2] == 0.0
+    assert_allclose(values[[1, 3]], [1.0, 0.75], rtol=0, atol=1e-15)
+
+
+def test_concurrence_agrees_with_the_spectral_route():
+    rng = np.random.default_rng(1204)
+    full = random_stack(rng, 1000).matrix
+    assert np.abs(concurrence(DensityMatrix(TWO_QUBITS, full)) - eigh_concurrence(full)).max() <= 1e-14
+    # where a pivot fails, the state takes the spectral route bit for bit
+    pure_states = [pure(rng.normal(size=4) + 1j * rng.normal(size=4)).matrix for _ in range(100)]
+    stack = np.concatenate([rank_deficient_stack(), pure_states, full[:100]])
+    failed = ~entangle._cholesky(stack)[1]
+    assert failed[:4].all() and not failed[104:].any()
+    values = concurrence(DensityMatrix(TWO_QUBITS, stack))
+    assert values[failed].tobytes() == eigh_concurrence(stack)[failed].tobytes()
+
+
+def test_concurrence_keeps_rounding_level_over_the_closed_form_grid():
+    # the closed form's C = 2 xi1^2 (zeta - xi1^2) / D, D = zeta^2 + (1 + 2 xi1^2)^2, over
+    # the default 81x81 grid; the spectral route read 6.6e-14 here
+    zeta, xi1 = (v.ravel() for v in np.meshgrid(np.linspace(0, 10, 81), np.linspace(0, 4, 81),
+                                                 indexing="ij"))
+    u = xi1 * xi1
+    exact = np.maximum(0.0, 2.0 * u * (zeta - u) / (zeta * zeta + (1.0 + 2.0 * u) ** 2))
+    assert np.abs(concurrence(DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1))) - exact).max() <= 1e-14
+
+
+def test_concurrence_of_a_weak_drive():
+    # the numeric steady state at (10, 1e-9) has C = 2e-18 (10 - 1e-18) / (100 + (1 + 2e-18)^2),
+    # 1.9801980198019803e-19 in double precision; the spectral route's clipped
+    # eigenvalues read it with a relative error of 2.2e-7
+    rho = steady_state(build_liouvillian(build_effective_model(DimensionlessParams(10.0, 1e-9)))).rho
+    assert_allclose(concurrence(rho), 1.9801980198019803e-19, rtol=1e-12, atol=0)
 
 
 def test_concurrence_negativity_agree_on_detection():

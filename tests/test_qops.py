@@ -232,6 +232,23 @@ def test_trace_distance():
     assert_allclose(trace_distance(ee, gg), trace_distance(gg, ee), atol=1e-15)
 
 
+@pytest.mark.parametrize("size", [4, 3])
+def test_trace_distance_of_stacks_is_per_state(size):
+    # only the matrix axes are transposed, so a pair of stacks gives one
+    # distance per member, each its members' own
+    rng = np.random.default_rng(226 + size)
+    g = rng.normal(size=(2, size, 4, 4)) + 1j * rng.normal(size=(2, size, 4, 4))
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    m[1, :size - 1] = m[0, :size - 1]  # equal members, at distance 0
+    a, b = (DensityMatrix(TWO_QUBITS, part) for part in m)
+    distances = trace_distance(a, b)
+    assert isinstance(distances, np.ndarray) and distances.shape == (size,)
+    assert distances.tolist() == [trace_distance(DensityMatrix(TWO_QUBITS, x), DensityMatrix(TWO_QUBITS, y))
+                                  for x, y in zip(m[0], m[1])]
+    assert distances[:size - 1].tolist() == [0.0] * (size - 1) and distances[-1] > 0.0
+
+
 # the smallest eigenvalues placed about the floor, PSD_FLOOR = -1e-8, and the
 # certificate's shift, -PSD_FLOOR/2 = 5e-9
 PLACED_MINIMA = (-2e-8, -1.0000001e-8, -1e-8, -7e-9, -5e-9, 0.0, 1e-12)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Costs of polent's steady-state solve and RK4 run, as quoted in lindblad.py, cli.py and the README.
+"""Costs of polent's steady-state solve, RK4 run and sweep, as quoted in lindblad.py, cli.py and the README.
 
-Prints five tables, the ladder first:
+Prints six tables, the ladder first:
 
 - routes: steady_state's two routes on one Liouvillian, the whole inverse
   against levels, best of 9 in this one process, at side 16 (the reduced
@@ -18,6 +18,12 @@ Prints five tables, the ladder first:
   level, batch products, drift, sample matrices, check) and in all, at
   each lindblad.STRIDE of 64, 128 and 256, best of 9 in this one process
   in each of 5 rounds over the widths, the best round;
+- sweep: one block of cli.BLOCK_SIZE (256) points of the default 81x81
+  grid at ``--solver both`` by stage (the model and build_liouvillian,
+  closed_form, _real_form, the inverse, the two stationarity_residuals,
+  the two DensityMatrix checks, concurrence with its factor, tau and SVD
+  apart, negativity and the CSV rows) and in all, best of 9 in this one
+  process;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
   lifted, its wall time, its time in nominal seconds (the wall time over a
   yardstick's, timed just before and after the run) and its max RSS
@@ -25,7 +31,8 @@ Prints five tables, the ladder first:
 
     python tools/solve_costs.py                     # every table, n_max 16..28
     python tools/solve_costs.py --nmax 20:28 --runs 3 --skip routes,blocks,stages,evolve
-    python tools/solve_costs.py --skip ladder,routes,blocks,stages  # the evolve table alone
+    python tools/solve_costs.py --skip ladder,routes,blocks,stages,sweep  # the evolve table alone
+    python tools/solve_costs.py --skip ladder,routes,blocks,stages,evolve  # the sweep table alone
 
 polent is imported from ``src/`` next to this file. Run it on an otherwise
 idle machine: the tables are times, and the tests do not run this script.
@@ -48,7 +55,8 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from polent import lindblad, qops  # noqa: E402
+from polent import cli, entangle, lindblad, qops  # noqa: E402
+from polent.analytic import closed_form  # noqa: E402
 from polent.lindblad import build_liouvillian, evolve, stationarity_residuals, steady_state  # noqa: E402
 from polent.model import (  # noqa: E402
     DimensionlessParams,
@@ -68,6 +76,7 @@ RIDGE = (5.210641, 1.107693)  # (zeta, xi1) of perfbench's point workload at see
 EVOLVE_STRIDES = (64, 128, 256)
 EVOLVE_ROUNDS = 5  # the widths take turns, so that a slow stretch of the machine does not favour one
 EVOLVE_STAGES = ("set-up", "anchor level", "batch products", "drift", "sample matrices", "check", "evolve")
+SWEEP_BLOCK = 12  # the block of the default grid that the sweep table times, points 3072-3327
 # the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
 # OpenBLAS 0.3.31): there a nominal second is about a wall second
 YARD_NOMINAL_S = 0.050
@@ -271,6 +280,54 @@ def evolve_table() -> None:
         print(f"  {name:16s}" + "".join(f" {column[i]:11.3f}" for column in times))
 
 
+def sweep_table() -> None:
+    """One block of the default sweep at --solver both by stage, best of REPEATS in this process, ms.
+
+    A stage is timed alone on the outputs of the stages before it, as
+    cli._evaluate_stack runs them; "in all" is the block's _sweep_rows and
+    its CSV rows, written to os.devnull. "rest" is what the stages leave of
+    it: the small steps between them (_from_coordinates, the discrepancy,
+    purity and populations), and what the stages cost more in the pipeline
+    than alone, where each one repeats on its own warm inputs.
+    """
+    zs, xs = (np.linspace(lo, hi, steps) for lo, hi, steps in cli._grid(cli.DEFAULT_GRID))
+    first = SWEEP_BLOCK * cli.BLOCK_SIZE
+    z, x1 = (v[first:first + cli.BLOCK_SIZE] for v in (np.repeat(zs, len(xs)), np.tile(xs, len(zs))))
+    x2 = np.zeros_like(z)
+    params = DimensionlessParams(z, x1, x2)
+    liouv = build_liouvillian(build_effective_model(params))
+    exact = closed_form(z, x1, x2)
+    k, l, entries, _ = lindblad._real_form(liouv)
+    d = liouv.space.dim
+    coords, _ = lindblad._solve_whole(k, l, entries, d)
+    mats = lindblad._from_coordinates(coords, d)
+    roots = entangle._roots(mats)
+    tau = roots.swapaxes(-1, -2) @ (entangle._FLIP @ roots)
+    rows = cli._sweep_rows(z, x1, x2, "both")
+    rho = DensityMatrix(TWO_QUBITS, mats)
+    times = [
+        ("model and build_liouvillian", _min_ms(lambda: build_liouvillian(build_effective_model(params)))),
+        ("closed_form", _min_ms(lambda: closed_form(z, x1, x2))),
+        ("_real_form", _min_ms(lambda: lindblad._real_form(liouv))),
+        ("inverse (_solve_whole)", _min_ms(lambda: lindblad._solve_whole(k, l, entries, d))),
+        ("stationarity_residuals x2", _min_ms(lambda: (stationarity_residuals(liouv, exact),
+                                                        stationarity_residuals(liouv, mats)))),
+        ("DensityMatrix x2", _min_ms(lambda: (DensityMatrix(TWO_QUBITS, exact), DensityMatrix(TWO_QUBITS, mats)))),
+        ("concurrence", _min_ms(lambda: entangle.concurrence(rho))),
+        ("  factor (_roots)", _min_ms(lambda: entangle._roots(mats))),
+        ("  tau", _min_ms(lambda: roots.swapaxes(-1, -2) @ (entangle._FLIP @ roots))),
+        ("  svd", _min_ms(lambda: np.linalg.svd(tau, compute_uv=False))),
+        ("negativity", _min_ms(lambda: entangle.negativity(rho))),
+        ("CSV rows", _min_ms(lambda: cli._write_csv(os.devnull, cli._CSV_HEADER, rows))),
+    ]
+    whole = _min_ms(lambda: cli._write_csv(os.devnull, cli._CSV_HEADER, cli._sweep_rows(z, x1, x2, "both")))
+    print(f"sweep: one {cli.BLOCK_SIZE}-point block of the default grid at --solver both "
+          f"(zeta {z[0]:g}-{z[-1]:g}) by stage, ms (best of {REPEATS}, one process)")
+    other = whole - sum(ms for name, ms in times if not name.startswith(" "))
+    for name, ms in times + [("rest: in all less the stages", other), ("in all", whole)]:
+        print(f"  {name:30s} {ms:8.3f} {100 * ms / whole:5.1f} %")
+
+
 def ladder(first: int, last: int, runs: int) -> None:
     print("ladder: validate --nmax N, one fresh interpreter each: wall s, nominal s, max RSS MiB")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -297,7 +354,7 @@ def main() -> None:
     parser.add_argument("--nmax", default="16:28", help="the ladder's first:last n_max (default 16:28)")
     parser.add_argument("--runs", type=int, default=1, help="fresh interpreters per ladder rung (default 1)")
     parser.add_argument("--skip", default="",
-                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages, evolve")
+                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages, evolve, sweep")
     args = parser.parse_args()
     skip = set(filter(None, args.skip.split(",")))
     first, last = (int(part) for part in args.nmax.split(":"))
@@ -311,6 +368,8 @@ def main() -> None:
         stages()
     if "evolve" not in skip:
         evolve_table()
+    if "sweep" not in skip:
+        sweep_table()
 
 
 if __name__ == "__main__":
