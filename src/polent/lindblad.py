@@ -321,7 +321,7 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """L in the basis of _owners, Re(U^dagger L U) with vec(B_k) in column k of U; and max|L_ij|.
 
     For one L or a stack: the rows k and columns l of the entries that L's
-    nonzero pattern reaches, in row-major order, an (N, len(k)) array of
+    nonzero pattern reaches, block by block, an (N, len(k)) array of
     their values, and each L's largest |L_ij|. The triplets are read in
     blocks, by one sort of their keys: a block holds the at most 4 triplets
     whose rows have first owner p and whose columns have first owner q, in
@@ -349,26 +349,13 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     count = len(starts)
     table = np.full((layer.max(initial=0) + 1, count), nnz)  # layer, block; triplet nnz reads +0
     table.reshape(-1)[layer * count + block] = order
-    # entry (a, b) of block j = (p, q) is at row p or p's second owner (a = 1, pairs only) and
-    # column q or q's second owner. A pair's second owners follow all first owners, in the same
-    # order, so the entries sort as (a, p, b, q), and entry (0, 0) of block j has before it the
-    # blocks before j and the pair-column blocks before row p begins; entry (0, 1) all blocks up
-    # to row p's end and the pair-column blocks before j. The entries with a = 1 come after all
-    # those with a = 0, counted alike from the first pair row
     p = key[starts] // n
     q = key[starts] - p * n
     pair_row, pair_column = p >= d, q >= d
-    begin, row = _runs(p)
-    begin, end = begin[row], np.append(begin[1:], count)[row]
-    before = np.concatenate([[0], np.cumsum(pair_column)])  # blocks with a pair column before each
-    j = np.arange(count)
-    pairs = np.searchsorted(p, d)  # the first block with a pair row
-    lower = count + before[-1] - pairs - before[pairs]  # where the entries with a = 1 start, less that
-    at = np.stack([j + before[begin], end + before[:-1], lower + j + before[begin],
-                   lower + end + before[:-1]], axis=1).reshape(-1)
+    # entry (a, b) of block j = (p, q) is at row (p, second[p])[a] and column (q, second[q])[b]; a = 1
+    # only at a pair row, b = 1 only at a pair column
     live = np.stack([q >= 0, pair_column, pair_row, pair_row & pair_column], axis=1).reshape(-1)
-    where = np.empty(np.count_nonzero(live), dtype=int)
-    where[at.compress(live)] = np.flatnonzero(live)  # 4 j + entry 2 a + b
+    where = np.flatnonzero(live)  # 4 j + entry 2 a + b
     second = np.arange(n)
     second[first] = owners[:, 1]
     k = np.stack([p, p, second[p], second[p]], axis=1).take(where)
@@ -393,18 +380,6 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units, a block's alike
     entries *= scale[pair_row.astype(int) + pair_column][where >> 2, None]
     return k, l, entries.T, np.abs(values).max(axis=-1, initial=0.0)
-
-
-def _order(key: np.ndarray) -> np.ndarray:
-    """np.argsort(key, kind="stable") for non-negative integers, by one sort of key * len + position.
-
-    For keys in no order a sort of values is about twice as fast as an
-    argsort (numpy 2.4, x86-64); a key too large to pack is argsorted.
-    """
-    m = len(key)
-    if m and key.max() >= np.iinfo(np.int64).max // m:
-        return np.argsort(key, kind="stable")
-    return np.sort(key * m + np.arange(m)) % m
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,15 +469,16 @@ def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray, image: 
     each summand is summed from +0 first. Each new entry is one add of two,
     so where B commutes with the exchange bit for bit, an entry across the
     sectors is x - x = 0 exactly. The entries are scaled once at the end,
-    by 1, 1/sqrt(2) or 1/2, and come column orbit by column orbit, rows in
-    order: first at the orbits' first columns, then at the pairs' second.
+    by 1, 1/sqrt(2) or 1/2, and handed out slot by slot, in no order that
+    a reader relies on.
     """
     n = len(image)
     low = np.minimum(np.arange(n), image)
     top, left = low[k], low[l]
     slot = 2 * (k != top) + (l != left)  # at (k, l), (k, pi(l)), (pi(k), l) or (pi(k), pi(l))
     key = top * n + left
-    order = np.argsort(key, kind="stable")  # B's entries come in runs of rows, as L's in _real_form
+    # not stable, as B's entries come in no runs of keys: 0.20 against 0.27 ms at side 784
+    order = np.argsort(key)
     key = key[order]
     starts, block = _runs(key)
     top = key[starts] // n
@@ -518,19 +494,14 @@ def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray, image: 
         np.subtract(grid[first], b, out=grid[second])
         grid[first] += b
     paired = image != np.arange(n)
+    row, column = paired[top], paired[left]
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |O_km O_lm'| by the orbits
-    grid *= scale[paired[top].astype(int) + paired[left]]
-    # the blocks' rows, both of a paired row orbit's, by column orbit and then row
-    half = np.flatnonzero(paired[top])
-    record = np.concatenate([np.arange(count), 2 * count + half])  # slot 2 [row at pi(k)], block
-    rows = np.concatenate([top, image[top[half]]])
-    columns = np.concatenate([left, left[half]])
-    by_column = _order(columns * n + rows)
-    record, rows, columns = record[by_column], rows[by_column], columns[by_column]
-    odd = paired[columns]
-    k = np.concatenate([rows, rows.compress(odd)])
-    l = np.concatenate([columns, image[columns.compress(odd)]])
-    return k, l, grid.reshape(-1)[np.concatenate([record, count + record.compress(odd)])]
+    grid *= scale[row.astype(int) + column]
+    # the slots at pi(k) or pi(l) are entries only where that orbit is a pair
+    live = np.stack([np.ones(count, dtype=bool), column, row, row & column])
+    k = np.stack([top, top, image[top], image[top]])[live]
+    l = np.stack([left, image[left], left, image[left]])[live]
+    return k, l, grid[live]
 
 
 def _exchange_rotation(x: np.ndarray, image: np.ndarray, sign: np.ndarray, back: bool) -> np.ndarray:
@@ -584,10 +555,10 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
     B^-1 are never formed. An exactly singular block, or a failed LAPACK
     call on a non-finite one, gives gap 0. Each G_k is written by blocks
     into one array. The stages at sides 784 / 1296, ms, best of 9 in a
-    process and of 9 processes, 2 CPUs (tools/solve_costs.py, stages):
-    _real_form 1.06 / 1.64, _to_exchange_basis 1.59 / 2.67, _levels 0.55 /
-    0.80, the elimination 9.3 / 21.6, the Gram recursion 5.8 / 11.4, the
-    residual and checks 0.21 / 0.31; steady_state 20.8 / 40.0 in all.
+    process and of 3 processes, median of 10 runs, 2 CPUs (tools/solve_costs.py,
+    stages): _real_form 0.91 / 1.52, _to_exchange_basis 1.10 / 1.86, _levels
+    0.45 / 0.67, the elimination 9.2 / 18.6, the Gram recursion 4.9 / 10.5, the
+    residual and checks 0.17 / 0.25; steady_state 16.2 / 35.5 in all.
     """
     d = space.dim
     n = d * d
@@ -670,7 +641,7 @@ def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, t
     where = np.empty(n, dtype=int)
     where[order] = np.arange(n)
     # the entries by the level of their row, in any order within a level, as each has its own place
-    by_row = _order(level[k])
+    by_row = np.argsort(level[k])  # not stable: 0.04 against 0.07 ms at side 784
     split = np.searchsorted(level[k[by_row]], np.arange(len(bounds)))
     k, l, values = where[k[by_row]], where[l[by_row]], values[by_row]
     trace = trace[order]  # row 0 of B in level order
@@ -837,7 +808,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     it before the first step, as the drift shows a growing mode only after
     a growth of ~1e10. The run takes
     round(t_final / dt) steps, at least one when t_final > 0; a stacked m, a
-    non-finite t_final, dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0,
+    non-finite t_final or t_final / dt, dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0,
     k, 2k, ... and the last step for k = sample_every (0 and the last step for
     None or k beyond the run), ``rho`` the stack of the states there, rho0
     first, and ``drift`` |Tr rho - 1| after every step, step 0 first. RK4
@@ -854,6 +825,9 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise ValueError(f"dt must be positive, got {dt}")
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
+    ratio = float(t_final) / float(dt)  # Python floats overflow to inf without a warning
+    if not np.isfinite(ratio):
+        raise ValueError(f"the step count t_final / dt must be finite, got {t_final:g} / {dt:g} = {ratio:g}")
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     d = m.space.dim
@@ -876,7 +850,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     held = np.flatnonzero(_reached(a, r != 0))  # the coordinates that ever move
     increment, r = increment[np.ix_(held, held)], r[held]
     trace = _adapted_trace(image, sign, d)[held]
-    nsteps = max(1, int(round(t_final / dt))) if t_final > 0 else 0
+    nsteps = max(1, int(round(ratio))) if t_final > 0 else 0
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     steps = np.append(np.arange(0, nsteps, every), nsteps)
     drift = np.empty(nsteps + 1)

@@ -3,9 +3,10 @@
 polent's _real_form, _to_exchange_basis and _levels group L's triplets by one
 sort per pass and sum each entry by per-slot gathers. These are the earlier
 versions, which sorted every part of every entry (_real_form) and grouped by
-np.unique (_to_exchange_basis, and _levels once per level). The tests check
-that the new passes give the same rows, columns, values and levels, bit for
-bit, sign bits of zeros included.
+np.unique (_to_exchange_basis, and _levels once per level), and hand their
+entries out in row-major order. The tests check that the new passes give the
+same values at the same rows and columns, in whatever order they hand them
+out, and the same levels, bit for bit, sign bits of zeros included.
 """
 
 import numpy as np

@@ -393,6 +393,16 @@ def test_dynamics_usage_and_failure_exits(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt, t_final", [("1e-320", "1"), ("1e-310", "1e10")])
+def test_dynamics_names_a_step_count_that_overflows(tmp_path, capsys, dt, t_final):
+    out = tmp_path / "d.csv"
+    assert main(["dynamics", "--zeta", "10", "--xi1", "2", "--dt", dt, "--t-final", t_final,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: the step count t_final / dt")
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_dynamics_names_an_unstable_dt_before_stepping(tmp_path, capsys):
     # at dt = 0.14 the RK4 step matrix has spectral radius 1.27 on the ridge: the
     # state turns non-positive long before the trace drift would show it

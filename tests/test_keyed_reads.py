@@ -1,11 +1,13 @@
 """The keyed reads of the level route give the earlier reads' outputs bit for bit.
 
 _real_form, _to_exchange_basis and _levels against their earlier versions in
-level_reference: the same rows, columns and levels, and the same values down
-to the sign bit of a zero, on random models and patterns, stacks, and the
-full model at every n_max up to 8 with and without the exchange symmetry. In
-an L with a non-finite entry, _real_form makes non-finite only the entries
-that hold a non-finite part of it.
+level_reference: the same levels, and the same value at each row and column
+down to the sign bit of a zero, in whatever order a pass hands its entries
+out, on random models and patterns, stacks, and the full model at every
+n_max up to 8 with and without the exchange symmetry. In an L with a
+non-finite entry, _real_form makes non-finite only the entries that hold a
+non-finite part of it. The solves, the elimination and RK4 read the two
+passes' entries in any order: shuffled, they give the same bytes.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from polent.model import (
     build_effective_model,
     build_full_model,
 )
-from polent.qops import HilbertSpace
+from polent.qops import DensityMatrix, HilbertSpace
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -39,7 +41,15 @@ def identical(new, old):
     return new.dtype == old.dtype and new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
+def row_major(k, l, values, *rest):
+    """The entries (k, l, values) sorted by row, then column; the rest as they are."""
+    order = np.lexsort((l, k))
+    return k[order], l[order], values[..., order], *rest
+
+
 def assert_identical(new, old):
+    """The same entries at the same (k, l), in whatever order each pass hands them out."""
+    new, old = row_major(*new), row_major(*old)
     assert len(new) == len(old)
     for i, (a, b) in enumerate(zip(new, old)):
         assert identical(a, b), f"output {i} differs"
@@ -158,9 +168,9 @@ def test_real_form_of_a_liouvillian_with_a_non_finite_entry(value, at):
     holds = [reference.real_form(with_entry(stand_in + step))[2] != finite for step in (1.0, 1j)]
     reached = (holds[0] & bad[0]) | (holds[1] & bad[1])
     with np.errstate(invalid="ignore", over="ignore"):
-        k, l, entries, largest = lindblad._real_form(with_entry(value))
+        k, l, entries, largest = row_major(*lindblad._real_form(with_entry(value)))
         expected = reference.real_form(with_entry(value))
-    assert_identical((k, l, largest), (expected[0], expected[1], expected[3]))
+    assert identical(k, expected[0]) and identical(l, expected[1]) and identical(largest, expected[3])
     assert np.array_equal(~np.isfinite(entries), reached)
     assert identical(entries[~reached], finite[~reached])
 
@@ -208,9 +218,64 @@ def test_levels_of_a_random_pattern(case):
     assert identical(lindblad._levels(k, l, n), reference.levels(k, l, n))
 
 
-@SETTINGS
-@given(st.lists(st.integers(0, 2**62), max_size=60), st.booleans())
-def test_order_is_the_stable_argsort(keys, small):
-    # small keys tie often; a key beyond int64's range once packed with the positions is argsorted
-    key = np.array(keys, dtype=np.int64) % (7 if small else 2**62)
-    assert np.array_equal(lindblad._order(key), np.argsort(key, kind="stable"))
+def shuffled(rng, k, l, values, *rest):
+    """The entries (k, l, values) in a random order; the rest as they are."""
+    order = rng.permutation(len(k))
+    return k[order], l[order], values[..., order], *rest
+
+
+def shuffle_output(monkeypatch, rng, name):
+    """Make lindblad.<name> hand out its entries in a random order."""
+    read = getattr(lindblad, name)
+    monkeypatch.setattr(lindblad, name, lambda *args: shuffled(rng, *read(*args)))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_the_level_and_whole_solves_do_not_depend_on_the_order_of_the_entries(symmetric, monkeypatch):
+    # each reader writes an entry to its own place, so the passes promise no order
+    m = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=6))
+    if not symmetric:
+        m = LindbladModel(m.space, m.hamiltonian, (m.jumps[0], np.sqrt(1.5) * m.jumps[1], m.jumps[2]))
+    liouv = build_liouvillian(m)
+    space, d = liouv.space, liouv.space.dim
+    rng = np.random.default_rng(6)
+    k, l, entries, largest = real = lindblad._real_form(liouv)
+    mixed = shuffled(rng, *real)
+    whole = lindblad._solve_whole(k, l, entries, d)
+    assert all(map(identical, lindblad._solve_whole(*mixed[:3], d), whole))
+    image, sign = lindblad._exchange(space)
+    kb, lb, vb = lindblad._to_exchange_basis(k, l, entries[0], image, sign)
+    keep = (kb != 0) & (vb != 0)
+    trace, s = lindblad._adapted_trace(image, sign, d), max(1.0, largest[0])
+    order, factors = lindblad._triangularize_by_levels(kb[keep], lb[keep], vb[keep], trace, s)
+    mixed_order, mixed_factors = lindblad._triangularize_by_levels(
+        *shuffled(rng, kb[keep], lb[keep], vb[keep]), trace, s)
+    assert identical(mixed_order, order) and len(mixed_factors) == len(factors)
+    assert all(map(identical, mixed_factors, factors))
+    expected = lindblad._solve_by_levels(k, l, entries[0], space, largest[0])
+    shuffle_output(monkeypatch, rng, "_to_exchange_basis")
+    levels = lindblad._solve_by_levels(*mixed[:2], mixed[2][0], space, largest[0])
+    assert all(map(identical, levels, expected))
+
+
+def test_rk4_does_not_depend_on_the_order_of_the_entries(monkeypatch):
+    # a state of full rank holds every coordinate, so the whole stepped matrix is compared
+    m = build_effective_model(DimensionlessParams(10.0, 2.135, 0.3))
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = DensityMatrix(m.space, w @ w.conj().T / np.trace(w @ w.conj().T).real)
+    batches, stepped = lindblad._batches, []
+
+    def recorded(increment, *args):
+        stepped.append(increment)
+        return batches(increment, *args)
+
+    monkeypatch.setattr(lindblad, "_batches", recorded)
+    runs = [lindblad.evolve(m, rho0, t_final=2.0, dt=1e-2, sample_every=10)]
+    shuffle_output(monkeypatch, rng, "_real_form")
+    shuffle_output(monkeypatch, rng, "_to_exchange_basis")
+    runs.append(lindblad.evolve(m, rho0, t_final=2.0, dt=1e-2, sample_every=10))
+    assert stepped[0].shape == (16, 16) and identical(stepped[1], stepped[0])
+    (steps, rho, drift), (mixed_steps, mixed_rho, mixed_drift) = runs
+    assert identical(mixed_steps, steps) and identical(mixed_rho.matrix, rho.matrix)
+    assert identical(mixed_drift, drift)

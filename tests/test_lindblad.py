@@ -1,5 +1,6 @@
 """Tests for the Liouvillian builder, steady-state solver, and integrator."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -501,7 +502,7 @@ def test_the_real_form_sums_each_entry_in_the_order_of_a_stable_sort(n_max):
     keys = keys[((units[liouv.rows][:, first].conj() * units[liouv.cols][:, second]) != 0).ravel()]
     assert np.array_equal(np.argsort(keys * len(keys) + np.arange(len(keys))), np.argsort(keys, kind="stable"))
     k, l, _, _ = lindblad._real_form(liouv)
-    assert np.array_equal(k * n + l, np.unique(keys))
+    assert np.array_equal(np.sort(k * n + l), np.unique(keys))
 
 
 def test_a_residual_beyond_its_bound_is_named(monkeypatch):
@@ -1064,6 +1065,11 @@ def test_evolve_input_validation():
     for every in (0, -5):
         with pytest.raises(ValueError, match="sample_every must be at least 1"):
             evolve(m, ground_pair(), t_final=0.01, dt=1e-3, sample_every=every)
+    # a dt so small that t_final / dt overflows has no step count
+    for t_final, dt in ((1.0, 1e-320), (1e10, 1e-310)):
+        message = f"the step count t_final / dt must be finite, got {t_final:g} / {dt:g} = inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evolve(m, ground_pair(), t_final=t_final, dt=dt)
 
 
 def test_evolve_refuses_a_stacked_model():
