@@ -185,6 +185,8 @@ def construct_witness(rho: DensityMatrix) -> Witness:
     to eta, so W's separable floor is exactly 0; separable_floor samples an upper estimate.
     """
     _check_two_qubits(rho, "construct_witness")
+    if rho.matrix.ndim > 2:
+        raise ValueError(f"construct_witness takes one state, not a stack of {len(rho.matrix)}")
     # the partial transpose of a validated state is exactly Hermitian
     w, v = np.linalg.eigh(partial_transpose(rho, _PT_SIDE))
     if w[0] >= -DETECTION_FLOOR:

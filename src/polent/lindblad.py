@@ -730,8 +730,9 @@ def _batches(increment: np.ndarray, r: np.ndarray, nsteps: int, strides: int):
     """The states after steps 1..nsteps of r -> r + increment r, ``strides`` strides of STRIDE a batch.
 
     Yields (start, states) for the steps from start + 1: states is a
-    (strides, S, w) view, fewer strides in the last batch, that the next
-    batch overwrites, with state start + b S + j at [b, j - 1]. The two
+    (strides, S, w) view, fewer strides at the end of a super-stride or of
+    the run, that the next batch overwrites, with state start + b S + j at
+    [b, j - 1]. A batch's anchors are a slice of the super-stride's. The two
     doubling levels, X_j = P^j - I and Y_b = P^(bS) - I, are evolve's. A
     one-row product is a gemv, whose bits differ from gemm's (numpy 2.4,
     OpenBLAS), so a batch's product always takes at least two rows, and the
@@ -744,26 +745,21 @@ def _batches(increment: np.ndarray, r: np.ndarray, nsteps: int, strides: int):
     powers = _step_powers(increment, STRIDE)
     lift = np.ascontiguousarray(_step_powers(powers[-1], STRIDE).reshape(STRIDE * w, w).T)
     powers = np.ascontiguousarray(powers.transpose(2, 1, 0)).reshape(w, w * STRIDE)
-    batch, anchors = np.empty((max(2, strides), w, STRIDE)), np.zeros((max(2, strides), w))
+    batch = np.empty((max(2, min(strides, STRIDE)), w, STRIDE))
     ring = np.empty((STRIDE + 1, w))  # one super-stride's anchors, then the next super-anchor
-    ring[-1], base = r, -STRIDE  # the stride of ring[0]
-    for start in range(0, nsteps, STRIDE * strides):
-        count = min(strides, (nsteps - start - 1) // STRIDE + 1)  # the strides that reach the end
-        filled = 0
-        while filled < count:
-            at = start // STRIDE + filled - base  # the place in ring of the next anchor
-            if at == STRIDE:  # the next super-stride, from R_{c+1} = ring[-1]
-                ring[0] = ring[-1]
-                np.matmul(ring[0], lift, out=ring[1:].reshape(-1))
-                ring[1:] += ring[0]
-                base, at = base + STRIDE, 0
-            take = min(count - filled, STRIDE - at)
-            anchors[filled:filled + take] = ring[at:at + take]
-            filled += take
-        rows = max(2, count)
-        np.matmul(anchors[:rows], powers, out=batch[:rows].reshape(rows, -1))  # X_j r_{bS}, j = 1..S
-        batch[:count] += anchors[:count, :, None]  # one add a batch
+    ring[-1], start = r, 0
+    while start < nsteps:
+        at = start // STRIDE % STRIDE  # the place in ring of the batch's first anchor
+        if at == 0:  # the next super-stride, from R_{c+1} = ring[-1]
+            ring[0] = ring[-1]
+            np.matmul(ring[0], lift, out=ring[1:].reshape(-1))
+            ring[1:] += ring[0]
+        count = min(strides, STRIDE - at, (nsteps - start - 1) // STRIDE + 1)  # to the edge or the end
+        rows = max(2, count)  # at = S - 1 still has ring[S] = R_{c+1} for its second row
+        np.matmul(ring[at:at + rows], powers, out=batch[:rows].reshape(rows, -1))  # X_j r_{bS}, j = 1..S
+        batch[:count] += ring[at:at + count, :, None]  # one add a batch
         yield start, batch[:count].swapaxes(1, 2)
+        start += STRIDE * count
 
 
 def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DEFAULT_DT,
@@ -797,19 +793,21 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     r_{bS+j} = r_{bS} + X_j r_{bS}, one product of its anchors with the
     stacked X_j, of at least two rows. So a state does not depend on the
     batch size or on the length of the run, and a run is a prefix of any
-    longer one bit for bit. A batch is one block of DensityMatrix's check
-    (qops.CHECK_ELEMENTS entries, read at each call: 32 strides of 4x4
-    states), and the samples are made matrices one such block of samples
-    at a time (one block for the CLI's 501), so memory beyond the samples
-    and the drift does not grow with the run. The trace of every step,
-    read from the stepped coordinates, is checked and never renormalized;
-    drift beyond DRIFT_ABORT, or a NaN trace, aborts the run at the first
-    failing step. A spectral radius of P above 1 + STABILITY_SLACK aborts
-    it before the first step, as the drift shows a growing mode only after
-    a growth of ~1e10. The run takes
-    round(t_final / dt) steps, at least one when t_final > 0; a stacked m, a
-    non-finite t_final or t_final / dt, dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0,
-    k, 2k, ... and the last step for k = sample_every (0 and the last step for
+    longer one bit for bit. A batch is at most one block of DensityMatrix's
+    check (qops.CHECK_ELEMENTS entries, read at each call: 32 strides of 4x4
+    states) and stops at its super-stride's edge. Each sample's coordinates
+    wait in the first floats of its own matrix, and become the matrices one
+    such block of samples at a time (one block for the CLI's 501), so memory
+    beyond the samples and the drift does not grow with the run. The trace
+    of every step, read from the stepped coordinates, is checked and never
+    renormalized; drift beyond DRIFT_ABORT, or a NaN trace, aborts the run
+    at the first failing step. A spectral radius of P above 1 +
+    STABILITY_SLACK aborts it before the first step, as the drift shows a
+    growing mode only after a growth of ~1e10. The run takes round(t_final
+    / dt) steps, at least one when t_final > 0; a stacked m or rho0, a
+    non-finite t_final or t_final / dt, a step count too large to allocate,
+    dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0, k, 2k,
+    ... and the last step for k = sample_every (0 and the last step for
     None or k beyond the run), ``rho`` the stack of the states there, rho0
     first, and ``drift`` |Tr rho - 1| after every step, step 0 first. RK4
     does not keep positivity: the samples are checked as one DensityMatrix,
@@ -817,8 +815,9 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     matrix, steps[exc.index], raises an IntegrationError that names its t,
     its reason and dt.
     """
-    if m.hamiltonian.ndim > 2:
-        raise ValueError(f"evolve takes one model, not a stack of {len(m.hamiltonian)}")
+    for what, stack in (("model", m.hamiltonian), ("initial state", rho0.matrix)):
+        if stack.ndim > 2:
+            raise ValueError(f"evolve takes one {what}, not a stack of {len(stack)}")
     if rho0.space.dims != m.space.dims:
         raise ValueError("initial state lives on a different space than the model")
     if not dt > 0:
@@ -852,13 +851,18 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     trace = _adapted_trace(image, sign, d)[held]
     nsteps = max(1, int(round(ratio))) if t_final > 0 else 0
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
-    steps = np.append(np.arange(0, nsteps, every), nsteps)
-    drift = np.empty(nsteps + 1)
+    try:  # a finite step count can still be more than an array holds
+        steps = np.append(np.arange(0, nsteps, every), nsteps)
+        drift, mats = np.empty(nsteps + 1), np.empty((len(steps), d, d), dtype=complex)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"the step count t_final / dt = {t_final:g} / {dt:g} = {nsteps:.6g} "
+                         f"is too large to allocate ({exc})") from exc
     drift[0] = abs(_row_traces(r, trace) - 1.0)
     strides = min(max(1, qops.CHECK_ELEMENTS // (STRIDE * n)), nsteps // STRIDE + 1)  # per batch
     block = min(len(steps), max(1, qops.CHECK_ELEMENTS // n))  # samples made matrices at a time
-    mats, pending = np.empty((len(steps), d, d), dtype=complex), np.empty((block, len(held)))
-    pending[0], made = r, 0  # samples made matrices so far
+    # each sample waits in the first floats of its own matrix: w <= d^2 < 2 d^2
+    coords = mats.view(float).reshape(len(steps), -1)[:, :len(held)]
+    coords[0] = r
     for start, states in _batches(increment, r, nsteps, strides):  # steps start + 1 .. stop
         stop = min(nsteps, start + STRIDE * len(states))
         drift[start + 1:stop + 1] = abs(_row_traces(states, trace).reshape(-1)[:stop - start] - 1.0)
@@ -871,18 +875,12 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
                 f"{DRIFT_ABORT:g}; reduce dt below {dt:g}"
             )
         first, last = np.searchsorted(steps, [start + 1, stop + 1])
-        while first < last:  # the samples wait in pending until more come than it holds
-            if first - made == block:
-                mats[made:first] = _held_matrices(pending, held, image, sign, d)
-                made = first
-            take = min(last, made + block) - first
-            index = steps[first:first + take] - start - 1
-            pending[first - made:first - made + take] = states[index // STRIDE, index % STRIDE]
-            first += take
-    # the last block once the run's buffers are gone (states held the last batch's), so that its
-    # temporaries do not add to them
-    states = None
-    mats[made:] = _held_matrices(pending[:len(steps) - made], held, image, sign, d)
+        index = steps[first:last] - start - 1
+        coords[first:last] = states[index // STRIDE, index % STRIDE]
+    states = None  # the last batch, gone before the matrices' temporaries come
+    for i in range(0, len(steps), block):
+        # _held_matrices copies a block's coordinates before its matrices overwrite them
+        mats[i:i + block] = _held_matrices(coords[i:i + block], held, image, sign, d)
     mats.setflags(write=False)  # handed over to DensityMatrix, which keeps it uncopied
     try:
         return steps, DensityMatrix(m.space, mats), drift

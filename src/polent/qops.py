@@ -190,7 +190,7 @@ def _partial_transpose(m: np.ndarray, dims: tuple[int, ...], subsystem: int) -> 
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep`` (indices, any order)."""
+    """Trace out every subsystem not listed in ``keep`` (indices, any order) of one state."""
     dims = rho.space.dims
     n = len(dims)
     kept = sorted({int(k) for k in keep})
@@ -198,6 +198,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if kept[0] < 0 or kept[-1] >= n:
         raise ValueError(f"keep indices {kept} outside 0..{n - 1}")
+    if rho.matrix.ndim > 2:
+        raise ValueError(f"partial_trace takes one state, not a stack of {len(rho.matrix)}")
     rev = dims[::-1]
     t = rho.matrix.reshape(rev + rev)
     # subsystem k's row axis is label k, its column axis k + n if kept and k

@@ -393,8 +393,9 @@ def test_dynamics_usage_and_failure_exits(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dt, t_final", [("1e-320", "1"), ("1e-310", "1e10")])
+@pytest.mark.parametrize("dt, t_final", [("1e-320", "1"), ("1e-310", "1e10"), ("1e-300", "1")])
 def test_dynamics_names_a_step_count_that_overflows(tmp_path, capsys, dt, t_final):
+    # at 1e-300 the count, 1e300 steps, is finite but larger than any array holds
     out = tmp_path / "d.csv"
     assert main(["dynamics", "--zeta", "10", "--xi1", "2", "--dt", dt, "--t-final", t_final,
                  "--out", str(out)]) == 3

@@ -331,6 +331,12 @@ def test_witness_rejects_a_state_that_is_not_two_qubits():
         construct_witness(three)
 
 
+def test_witness_rejects_a_stack_of_states():
+    stack = DensityMatrix(TWO_QUBITS, np.stack([np.eye(4) / 4] * 3))
+    with pytest.raises(ValueError, match=r"^construct_witness takes one state, not a stack of 3$"):
+        construct_witness(stack)
+
+
 def test_witness_rejects_separable_states():
     with pytest.raises(NotEntangledError):
         construct_witness(pure([0, 0, 0, 1]))

@@ -829,13 +829,15 @@ def test_a_run_across_a_super_stride_is_a_prefix_of_a_longer_one():
         assert np.array_equal(short_drifts, drifts[:k + 1])
 
 
-@pytest.mark.parametrize("batch", [1, 10**6])
+@pytest.mark.parametrize("batch", [1, 10**6, 7 / lindblad.STRIDE])
 def test_a_run_of_three_super_strides_does_not_depend_on_the_batch_size(monkeypatch, batch):
     # 40,000 steps: a batch of one stride takes its anchor from the super-stride
-    # that holds it, and one batch of the whole run spans all three
+    # that holds it, and the largest batches stop at each super-stride's edge:
+    # S, S and 57 strides. 7 / S of a stride's entries is a check block of 7
+    # samples and a batch of one stride
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     reference = evolve(m, ground_pair(), 40.0, 1e-3, sample_every=7)
-    monkeypatch.setattr(qops, "CHECK_ELEMENTS", batch * lindblad.STRIDE * 16)
+    monkeypatch.setattr(qops, "CHECK_ELEMENTS", round(batch * lindblad.STRIDE * 16))
     steps, rho, drift = evolve(m, ground_pair(), 40.0, 1e-3, sample_every=7)
     assert np.array_equal(steps, reference[0])
     assert np.array_equal(rho.matrix, reference[1].matrix)
@@ -891,13 +893,16 @@ def test_a_zero_generator_steps_only_the_support_of_the_state(monkeypatch, diago
     assert np.abs(out.matrix - rho0.matrix).max() <= 1e-16
 
 
-@pytest.mark.parametrize("batch", [1, 10**6])
+@pytest.mark.parametrize("batch", [1, 10**6, 7 / lindblad.STRIDE])
 def test_evolve_does_not_depend_on_the_batch_size(monkeypatch, batch):
     # 10,000 steps: three batches of the default size, the last one partial;
-    # a batch is one block of DensityMatrix's check, so this moves both
+    # a batch holds at most one block of DensityMatrix's check, and the samples
+    # become matrices a block at a time, so this moves both. At 7 / S a block
+    # holds 7 samples and a batch one stride, so blocks, batches and
+    # super-strides cut the samples at different places
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     reference = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
-    monkeypatch.setattr(qops, "CHECK_ELEMENTS", batch * lindblad.STRIDE * 16)
+    monkeypatch.setattr(qops, "CHECK_ELEMENTS", round(batch * lindblad.STRIDE * 16))
     steps, rho, drift = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
     assert np.array_equal(steps, reference[0])
     assert np.array_equal(rho.matrix, reference[1].matrix)
@@ -920,9 +925,10 @@ def test_evolve_memory_does_not_grow_with_the_run():
 
 def test_evolve_holds_its_sample_stack_once():
     # dynamics --zeta 10 --xi1 2.135 --sample-every 1: 50,001 states, 12.8 MB.
-    # DensityMatrix keeps evolve's read-only stack as it is, and the samples
-    # become matrices batch by batch: the peak is 18.8 MB, 1.47 stacks; it was
-    # 34.2 MB (2.67) when the stack was copied and its coordinates kept to the end
+    # DensityMatrix keeps evolve's read-only stack as it is, and each sample's
+    # coordinates wait in its own matrix until they become it, a check block at
+    # a time: the peak is 18.1 MB, 1.41 stacks; it was 34.2 MB (2.67) when the
+    # stack was copied and its coordinates kept to the end
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     tracemalloc.start()
     try:
@@ -1070,6 +1076,10 @@ def test_evolve_input_validation():
         message = f"the step count t_final / dt must be finite, got {t_final:g} / {dt:g} = inf"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evolve(m, ground_pair(), t_final=t_final, dt=dt)
+    # 1e300 steps are a finite count, but no array holds their drift
+    message = "the step count t_final / dt = 1 / 1e-300 = 1e+300 is too large to allocate ("
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        evolve(m, ground_pair(), t_final=1.0, dt=1e-300)
 
 
 def test_evolve_refuses_a_stacked_model():
@@ -1077,3 +1087,7 @@ def test_evolve_refuses_a_stacked_model():
     stack = build_effective_model(DimensionlessParams([10.0, 5.0, 0.0], 2.135))
     with pytest.raises(ValueError, match=r"^evolve takes one model, not a stack of 3$"):
         evolve(stack, ground_pair(), t_final=1.0)
+    m = build_effective_model(DimensionlessParams(10.0, 2.135))
+    states = DensityMatrix(TWO_QUBITS, np.stack([ground_pair().matrix] * 2))
+    with pytest.raises(ValueError, match=r"^evolve takes one initial state, not a stack of 2$"):
+        evolve(m, states, t_final=1.0)

@@ -222,6 +222,12 @@ def test_partial_trace_validation():
         partial_trace(rho, (2,))
 
 
+def test_partial_trace_rejects_a_stack_of_states():
+    stack = DensityMatrix(TWO_QUBITS, np.stack([np.eye(4) / 4] * 2))
+    with pytest.raises(ValueError, match=r"^partial_trace takes one state, not a stack of 2$"):
+        partial_trace(stack, (0,))
+
+
 def test_trace_distance():
     space = HilbertSpace((2,))
     ee = DensityMatrix(space, np.outer(E, E.conj()))

@@ -44,6 +44,8 @@ COMMANDS = [
     "witness --zeta 0 --xi1 0",
     "dynamics",
     "dynamics --zeta 10 --xi1 2.135",
+    "dynamics --zeta 10 --xi1 2.135 --sample-every 1",
+    "dynamics --zeta 5 --xi1 1 --t-final 40 --sample-every 7",
     "validate --nmax 1",
     "validate --nmax 4",
     "validate --nmax 5",

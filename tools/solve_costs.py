@@ -212,11 +212,14 @@ def evolve_times(stride: int) -> list[float]:
 
     The set-up is a run of no step: P, its radius, rho0's coordinates, both
     power stacks and one sample. The other stages are timed on the inputs
-    that a run records: the anchor level is the doubling from X_S and each
-    super-anchor's product and add; the batch products are a pass of
-    lindblad._batches with its power stacks given (anchors, products and
+    that a run records: the anchor level is the doubling from X_S and, per
+    super-stride, its ring of anchors (the super-anchor's product with the
+    stacked Y_b and the add); the batch products are a pass of
+    lindblad._batches with its power stacks given (rings, products and
     adds); then each batch's traces and their check, the samples made
     matrices one check block at a time, and their DensityMatrix check.
+    _held_matrices' coordinates are recorded by copy, as they live in the
+    matrices that it overwrites.
     """
     model = build_effective_model(DimensionlessParams(*RIDGE))
     ground = np.zeros((4, 4))
@@ -226,7 +229,7 @@ def evolve_times(stride: int) -> list[float]:
     step_powers, held_matrices, batches = lindblad._step_powers, lindblad._held_matrices, lindblad._batches
     with _patched(STRIDE=stride,
                   _step_powers=lambda x, count: stacks.append((x, step_powers(x, count))) or stacks[-1][1],
-                  _held_matrices=lambda *args: samples.append(args) or held_matrices(*args),
+                  _held_matrices=lambda x, *args: samples.append((x.copy(), *args)) or held_matrices(x, *args),
                   _batches=lambda *args: runs.append(args) or batches(*args)):
         rho = evolve(model, rho0, 50.0, dt, every)[1]
     increment, r, _, strides = runs[0]
@@ -239,8 +242,9 @@ def evolve_times(stride: int) -> list[float]:
 
     def anchor_level():
         step_powers(stacks[1][0], stride)
-        for _ in range(-(-nsteps // stride**2)):
-            ring[0] = r
+        ring[-1] = r
+        for _ in range(-(-nsteps // stride**2)):  # one ring a super-stride
+            ring[0] = ring[-1]
             np.matmul(ring[0], lift, out=ring[1:].reshape(-1))
             ring[1:] += ring[0]
 
@@ -248,10 +252,12 @@ def evolve_times(stride: int) -> list[float]:
         for _ in batches(increment, r, nsteps, strides):
             pass
 
-    states = next(batches(increment, r, nsteps, strides))[1]
+    with _patched(STRIDE=stride):
+        states = next(batches(increment, r, nsteps, strides))[1]
+        count = sum(1 for _ in batches(increment, r, nsteps, strides))  # they stop at super-stride edges
 
     def drift():
-        for _ in range(-(-nsteps // (stride * strides))):
+        for _ in range(count):
             (~(abs(lindblad._row_traces(states, trace).reshape(-1) - 1.0) <= lindblad.DRIFT_ABORT)).any()
 
     block = max(1, qops.CHECK_ELEMENTS // (d * d))
