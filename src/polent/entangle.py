@@ -44,7 +44,11 @@ class NotEntangledError(Exception):
 
 
 def pair_operator(label1: str, label2: str) -> np.ndarray:
-    """Matrix of (sigma^label1 on qubit 1) tensor (sigma^label2 on qubit 2)."""
+    """Matrix of (sigma^label1 on qubit 1) tensor (sigma^label2 on qubit 2); a label not in PAULI_LABELS
+    raises ValueError."""
+    for label in (label1, label2):
+        if label not in PAULI_LABELS:
+            raise ValueError(f"Pauli label must be one of {PAULI_LABELS}, got {label!r}")
     return np.kron(_PAULI[label2], _PAULI[label1])  # qubit 1 is the fast index
 
 
@@ -76,6 +80,7 @@ class Witness:
 
     def expectation(self, rho: DensityMatrix):
         # sum of c[j, k] <sigma^j x sigma^k>, a float for one state and an array for a stack
+        _check_two_qubits(rho, "a witness expectation")
         return _per_state(4.0 * (self.coefficients * _pauli_coefficients(rho.matrix)).sum((-2, -1)))
 
 

@@ -50,28 +50,32 @@ STABILITY_SLACK = 1e-9
 DEFAULT_DT = 1e-3
 # evolve's steps per anchor, and anchors per super-anchor (every STRIDE^2 steps). One evolve to
 # t = 50 at dt = 1e-3 from |gg> at (5.210641, 1.107693), sampled every 100 steps, by STRIDE 64 /
-# 128 / 256, ms, best of 9 in each of 5 rounds over the widths, the best round, 2 CPUs
-# (tools/solve_costs.py): set-up 1.28 / 1.16 / 1.40, anchor level 0.12 / 0.10 / 0.13, batch
-# products 0.79 / 0.77 / 0.76, drift 0.59 / 0.41 / 0.30, sample matrices 0.15 / 0.15 / 0.15,
-# check 0.37 / 0.37 / 0.37, and in all 3.57 / 3.59 / 4.72. Timed call by call in turn, 300 calls
-# each in one process, 128 was faster than 64 in 263 and 300 of 300 pairs of two such processes
+# 128 / 256, ms: the self times of the fastest of 9 runs in each of 5 rounds over the widths, in
+# the fastest of 3 runs of the table, 2 CPUs (tools/solve_costs.py, evolve). The set-up's
+# build_liouvillian, _real_form and _to_exchange_basis 0.47 / 0.50 / 0.50, the X_j 0.07 / 0.11 /
+# 0.16 and the anchor level's Y_b 0.05 / 0.09 / 0.13 (_step_powers), batch products 0.78 / 0.74 /
+# 0.81, drift 0.39 / 0.30 / 0.29, sample matrices 0.23 / 0.20 / 0.21, their check 0.43 / 0.37 /
+# 0.47, evolve's own set-up and loop 0.76 / 0.74 / 0.74, and in all 3.17 / 3.05 / 3.31. Timed call
+# by call in turn, 300 calls each in one process, 128 was faster than 64 in 263 and 300 of 300
+# pairs of two such processes
 STRIDE = 128
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
 # levels, and a smaller one whole. Whole inverse against levels, steady_state
 # best of 9 in one process, the best of 3 such processes, 2 CPUs (OpenBLAS;
-# tools/solve_costs.py): 0.29 / 1.7 ms at side 16, 0.48 / 2.8 at 64, 1.4 / 4.3
-# at 144, 5.0 / 6.9 at 256, 12.4 / 10.0 at 400, 26.7 / 14.1 at 576, 52.1 / 21.0
-# at 784 and 138 / 40 at 1296. Levels are faster from 400 on, but the whole
-# inverse keeps the sides below 784, at most 1.9 times as slow there: it is
-# the more accurate route where the rates span many orders, as a reflection
+# tools/solve_costs.py, routes): 0.28 / 1.4 ms at side 16, 0.41 / 2.2 at 64,
+# 1.1 / 3.3 at 144, 4.4 / 5.1 at 256, 10.6 / 7.7 at 400, 22.7 / 11.0 at 576,
+# 45.5 / 16.2 at 784 and 128 / 32 at 1296. Levels are faster from 400 on, but
+# the whole inverse keeps the sides below 784, at most 2.1 times as slow there:
+# it is the more accurate route where the rates span many orders, as a reflection
 # of the level route pivots across two levels only (test_lindblad's side-64
 # case at alpha = 1e8 is 4.3e-3 off by levels)
 LEVEL_SIDE = 784
 # columns per Householder block of _eliminate. steady_state by levels at side
 # 784 / 1296 by block width, best of 9 in one process, the best of 3 such
-# processes (tools/solve_costs.py): 30.2 / 56.2 ms at 8, 23.8 / 48.6 at 16,
-# 23.2 / 45.5 at 24, 22.1 / 43.9 at 32, 22.3 / 44.9 at 48, 23.8 / 46.4 at 64,
-# and 25.6 / 52.9 as one block per level
+# processes (tools/solve_costs.py, blocks): 20.0 / 42.6 ms at 8, 16.9 / 35.7 at
+# 16, 16.4 / 33.8 at 24, 16.4 / 33.2 at 32, 15.9 / 33.5 at 48, 16.8 / 36.1 at 64,
+# and 18.9 / 41.3 as one block per level: 32 is the fastest at 1296 and within
+# 4 % of the fastest at 784
 BLOCK = 32
 
 
@@ -196,10 +200,10 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     one sort of L's triplets (_real_form). One Liouvillian of side
     LEVEL_SIDE (784) or more is triangularized level by level
     (_solve_by_levels), its exchange-even and -odd blocks apart, the same
-    column and norm without forming B or B^-1, in 21.0 against 52.1 ms at
-    784; every stack, and a smaller Liouvillian as a stack of one, is
-    inverted whole in one batch, the more accurate route at extreme rates
-    (26.7 against 14.1 ms at 576). There is no fallback: a
+    column and norm without forming B or B^-1; every stack, and a smaller
+    Liouvillian as a stack of one, is inverted whole in one batch, the more
+    accurate route at extreme rates (both routes' times are in LEVEL_SIDE's
+    comment). There is no fallback: a
     result raises DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
@@ -554,11 +558,8 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
     levels' sizes, and x' is back-substituted alongside. O, B, R^-1 and
     B^-1 are never formed. An exactly singular block, or a failed LAPACK
     call on a non-finite one, gives gap 0. Each G_k is written by blocks
-    into one array. The stages at sides 784 / 1296, ms, best of 9 in a
-    process and of 3 processes, median of 10 runs, 2 CPUs (tools/solve_costs.py,
-    stages): _real_form 0.91 / 1.52, _to_exchange_basis 1.10 / 1.86, _levels
-    0.45 / 0.67, the elimination 9.2 / 18.6, the Gram recursion 4.9 / 10.5, the
-    residual and checks 0.17 / 0.25; steady_state 16.2 / 35.5 in all.
+    into one array. The README's table gives the cost of each stage
+    (tools/solve_costs.py, stages).
     """
     d = space.dim
     n = d * d

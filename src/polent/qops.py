@@ -212,7 +212,15 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix):
-    """Half the trace norm of (a - b): a float for two states, one value per state for stacks."""
+    """Half the trace norm of (a - b): a float for two states, one value per state for stacks.
+
+    A stack is compared with one state or with a stack of its size; states
+    on different spaces, or stacks of different sizes, raise ValueError.
+    """
+    stacks = [m.shape[0] for m in (a.matrix, b.matrix) if m.ndim == 3]
+    if a.space.dims != b.space.dims or len(set(stacks)) > 1:
+        raise ValueError(f"trace_distance compares states on one space, or stacks of one size: got dims "
+                         f"{a.space.dims} shape {a.matrix.shape} and dims {b.space.dims} shape {b.matrix.shape}")
     diff = a.matrix - b.matrix
     diff = 0.5 * (diff + _dagger(diff))
     distance = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)

@@ -74,6 +74,13 @@ def test_pair_operator_ordering():
     assert_allclose(pair_operator("id", "id"), np.eye(4), atol=0)
 
 
+@pytest.mark.parametrize("labels", [("q", "z"), ("x", "X"), ("x", "sigma_y")])
+def test_pair_operator_names_a_label_it_does_not_know(labels):
+    bad = next(label for label in labels if label not in PAULI_LABELS)
+    with pytest.raises(ValueError, match=rf"^Pauli label must be one of \('id', 'x', 'y', 'z'\), got '{bad}'$"):
+        pair_operator(*labels)
+
+
 def test_concurrence_bell_state():
     assert_allclose(concurrence(BELL_RHO), 1.0, atol=1e-12)
 
@@ -329,6 +336,14 @@ def test_witness_rejects_a_state_that_is_not_two_qubits():
     three = DensityMatrix(HilbertSpace((2, 2, 2)), np.eye(8) / 8)
     with pytest.raises(ValueError, match="two qubits"):
         construct_witness(three)
+
+
+def test_witness_expectation_rejects_a_state_that_is_not_two_qubits():
+    w = construct_witness(BELL_RHO)
+    for space in (HilbertSpace((2,)), HilbertSpace((4,)), HilbertSpace((2, 2, 2))):
+        with pytest.raises(ValueError, match=rf"^a witness expectation is defined for two qubits, got dims "
+                                             rf"\({', '.join(map(str, space.dims))},?\)$"):
+            w.expectation(DensityMatrix(space, np.eye(space.dim) / space.dim))
 
 
 def test_witness_rejects_a_stack_of_states():

@@ -255,6 +255,28 @@ def test_trace_distance_of_stacks_is_per_state(size):
     assert distances[:size - 1].tolist() == [0.0] * (size - 1) and distances[-1] > 0.0
 
 
+def test_trace_distance_of_a_stack_and_one_state_is_per_state():
+    stack = DensityMatrix(TWO_QUBITS, np.stack([np.eye(4) / 4, np.diag([0.0, 0.0, 0.0, 1.0])]))
+    one = DensityMatrix(TWO_QUBITS, np.eye(4) / 4)
+    assert_allclose(trace_distance(stack, one), [0.0, 0.75], atol=1e-15)
+    assert_allclose(trace_distance(one, stack), [0.0, 0.75], atol=1e-15)
+
+
+@pytest.mark.parametrize("a, b, named", [
+    ((TWO_QUBITS, np.stack([np.eye(4) / 4] * 2)), (TWO_QUBITS, np.stack([np.eye(4) / 4] * 3)),
+     r"dims \(2, 2\) shape \(2, 4, 4\) and dims \(2, 2\) shape \(3, 4, 4\)$"),
+    ((TWO_QUBITS, np.stack([np.eye(4) / 4] * 2)), (HilbertSpace((2,)), np.eye(2) / 2),
+     r"dims \(2, 2\) shape \(2, 4, 4\) and dims \(2,\) shape \(2, 2\)$"),
+    ((HilbertSpace((4,)), np.eye(4) / 4), (TWO_QUBITS, np.eye(4) / 4),
+     r"dims \(4,\) shape \(4, 4\) and dims \(2, 2\) shape \(4, 4\)$"),
+])
+def test_trace_distance_names_states_it_cannot_compare(a, b, named):
+    # stacks of two sizes, or two spaces, even of one dimension
+    with pytest.raises(ValueError, match=r"^trace_distance compares states on one space, or stacks of one "
+                                         r"size: got " + named):
+        trace_distance(DensityMatrix(*a), DensityMatrix(*b))
+
+
 # the smallest eigenvalues placed about the floor, PSD_FLOOR = -1e-8, and the
 # certificate's shift, -PSD_FLOOR/2 = 5e-9
 PLACED_MINIMA = (-2e-8, -1.0000001e-8, -1e-8, -7e-9, -5e-9, 0.0, 1e-12)
