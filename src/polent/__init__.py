@@ -13,7 +13,7 @@ from .entangle import (
     Witness,
     concurrence,
     construct_witness,
-    negativity,
+    entanglement,
     pair_operator,
     pauli_decompose,
     separable_floor,
@@ -84,10 +84,10 @@ __all__ = [
     "closed_form",
     "concurrence",
     "construct_witness",
+    "entanglement",
     "evolve",
     "map_physical",
     "mode_lowering",
-    "negativity",
     "pair_operator",
     "partial_trace",
     "partial_transpose",

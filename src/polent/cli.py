@@ -33,7 +33,7 @@ from .entangle import (
     NotEntangledError,
     concurrence,
     construct_witness,
-    negativity,
+    entanglement,
     separable_floor,
 )
 from .lindblad import (
@@ -129,7 +129,7 @@ def _ground_state() -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# stacked evaluation: steady, sweep and witness all run points through _evaluate
+# one evaluation: steady, sweep, witness and validate run their points through _evaluate
 
 # failures of one point; numpy's LinAlgError is a ValueError
 _POINT_FAILURES = (InvalidStateError, DegenerateSteadyStateError, ValueError)
@@ -141,12 +141,14 @@ _RESIDUAL_COLUMN = {
 }
 
 
-def _evaluate_stack(zeta, xi1, xi2, solver: str) -> dict[str, np.ndarray]:
+def _evaluate_stack(zeta, xi1, xi2, solver: str, measures: bool, equation_residual: bool) -> dict:
     out = {}
+    shape = np.shape(zeta)  # () at one point
     liouv = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
     if solver != "numeric":
-        rho = exact = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1, xi2))
-        out["equation_residual"] = stationarity_residuals(liouv, exact.matrix)
+        rho = exact = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1, xi2).reshape(shape + (4, 4)))
+        if equation_residual:
+            out["equation_residual"] = stationarity_residuals(liouv, exact.matrix).reshape(shape)
     if solver != "analytic":
         result = steady_state(liouv)
         rho = result.rho
@@ -154,63 +156,67 @@ def _evaluate_stack(zeta, xi1, xi2, solver: str) -> dict[str, np.ndarray]:
         if solver == "both":
             diff = exact.matrix - rho.matrix
             out["discrepancy"] = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(-2, -1)))
-    m = rho.matrix
-    pops = m.diagonal(axis1=-2, axis2=-1).real
-    purity = (m.real**2 + m.imag**2).sum(axis=(-2, -1))  # Tr rho^2 of a Hermitian rho
-    out.update(rho=m, pops=pops, purity=purity,
-               concurrence=concurrence(rho), negativity=negativity(rho))
+    out["rho"] = rho
+    if measures:
+        m = rho.matrix
+        out["pops"] = m.diagonal(axis1=-2, axis2=-1).real
+        out["purity"] = (m.real**2 + m.imag**2).sum(axis=(-2, -1))  # Tr rho^2 of a Hermitian rho
+        out["concurrence"], out["negativity"] = entanglement(rho)
     return out
 
 
-def _evaluate(zeta, xi1, xi2, solver: str) -> dict[str, np.ndarray]:
-    """States and diagnostics at one block of points, with every per-point check.
+def _evaluate(zeta, xi1, xi2, solver: str, *, measures: bool, equation_residual: bool) -> dict:
+    """The state and the asked-for diagnostics at one point (floats) or a block (arrays), with every check.
 
-    The block's Liouvillians are one stacked build_liouvillian of the reduced
-    model at its points, and every solver's residual is taken against them. A
-    failure names the first failing point, as it would in blocks of one.
+    A block's Liouvillians are one stacked build_liouvillian of the reduced
+    model at its points, and every solver's residual is taken against them.
+    The measures are the populations, purity, concurrence and negativity;
+    the equation residual is the closed form's, which the solver "numeric"
+    does not form. A failure names the first failing point, as it would at
+    that point alone.
     """
     try:
-        return _evaluate_stack(zeta, xi1, xi2, solver)
+        return _evaluate_stack(zeta, xi1, xi2, solver, measures, equation_residual)
     except _POINT_FAILURES as exc:
-        if len(zeta) > 1:
+        if np.ndim(zeta):
             for k in range(len(zeta)):
-                _evaluate(zeta[k:k + 1], xi1[k:k + 1], xi2[k:k + 1], solver)
+                _evaluate(zeta[k], xi1[k], xi2[k], solver, measures=measures,
+                          equation_residual=equation_residual)
             raise
-        point = f"({zeta[0]:.17g}, {xi1[0]:.17g}, {xi2[0]:.17g})"
-        raise type(exc)(f"at (zeta, xi1, xi2) = {point}: {exc}") from exc
+        raise type(exc)(f"at (zeta, xi1, xi2) = ({zeta:.17g}, {xi1:.17g}, {xi2:.17g}): {exc}") from exc
 
 
 def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
     """CSV rows of a contiguous run of grid points, BLOCK_SIZE points at a time."""
+    column = _RESIDUAL_COLUMN[solver]
     blocks = []
     for start in range(0, len(zeta), BLOCK_SIZE):
         z, x1, x2 = (v[start:start + BLOCK_SIZE] for v in (zeta, xi1, xi2))
-        ev = _evaluate(z, x1, x2, solver)
+        ev = _evaluate(z, x1, x2, solver, measures=True, equation_residual=column == "equation_residual")
         blocks.append(np.column_stack([
-            z, x1, x2, ev["concurrence"], ev["negativity"], ev["purity"], ev["pops"],
-            ev[_RESIDUAL_COLUMN[solver]],
+            z, x1, x2, ev["concurrence"], ev["negativity"], ev["purity"], ev["pops"], ev[column],
         ]))
     return np.concatenate(blocks)
 
 
 def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
-    ev = _evaluate(*np.atleast_1d(zeta, xi1, xi2), solver)
+    ev = _evaluate(zeta, xi1, xi2, solver, measures=True, equation_residual=True)
     lines = [f"steady state at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g} (solver: {solver})"]
     if "equation_residual" in ev:
-        lines.append(f"equation residual = {ev['equation_residual'][0]:.17g}")
+        lines.append(f"equation residual = {ev['equation_residual']:.17g}")
     if "gap" in ev:
-        lines.append(f"superoperator residual = {ev['superoperator_residual'][0]:.17g} "
-                     f"(gap >= {ev['gap'][0]:.6g})")
+        lines.append(f"superoperator residual = {ev['superoperator_residual']:.17g} "
+                     f"(gap >= {ev['gap']:.6g})")
     if "discrepancy" in ev:
-        lines.append(f"analytic-numeric discrepancy (Frobenius) = {ev['discrepancy'][0]:.17g}")
+        lines.append(f"analytic-numeric discrepancy (Frobenius) = {ev['discrepancy']:.17g}")
     lines.append("rho =")
-    lines.extend(_format_matrix(ev["rho"][0]))
-    pops = ev["pops"][0]
+    lines.extend(_format_matrix(ev["rho"].matrix))
+    pops = ev["pops"]
     lines.append(f"populations (ee, ge, eg, gg) = "
                  f"({pops[0]:.17g}, {pops[1]:.17g}, {pops[2]:.17g}, {pops[3]:.17g})")
-    lines.append(f"concurrence = {ev['concurrence'][0]:.17g}")
-    lines.append(f"negativity = {ev['negativity'][0]:.17g}")
-    lines.append(f"purity = {ev['purity'][0]:.17g}")
+    lines.append(f"concurrence = {ev['concurrence']:.17g}")
+    lines.append(f"negativity = {ev['negativity']:.17g}")
+    lines.append(f"purity = {ev['purity']:.17g}")
     _emit(lines, out)
     return 0
 
@@ -238,7 +244,7 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
 
 
 def cmd_witness(zeta: float, xi1: float, xi2: float, out: str | None = None) -> int:
-    rho = DensityMatrix(TWO_QUBITS, _evaluate(*np.atleast_1d(zeta, xi1, xi2), "numeric")["rho"][0])
+    rho = _evaluate(zeta, xi1, xi2, "numeric", measures=False, equation_residual=False)["rho"]
     wit = construct_witness(rho)
     floor = separable_floor(wit, N_PURE_SAMPLES, N_MIXED_SAMPLES)
     c = wit.coefficients
@@ -294,11 +300,11 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
             f"rerun with --nmax {p.n_max + 2} or larger"
         )
     dp = map_physical(p)
-    eff = DensityMatrix(TWO_QUBITS, _evaluate(*np.atleast_1d(dp.zeta, dp.xi1, dp.xi2), "numeric")["rho"][0])
+    eff = _evaluate(dp.zeta, dp.xi1, dp.xi2, "numeric", measures=False, equation_residual=False)["rho"]
     td = trace_distance(reduced, eff)
     predicted = adiabatic_amplitude(sig1, sig2, p)
-    evolved = evolve(build_effective_model(dp), _ground_state(), t_final)[1].matrix[-1]
-    td_dyn = trace_distance(DensityMatrix(TWO_QUBITS, evolved), eff)
+    samples = evolve(build_effective_model(dp), _ground_state(), t_final)[1]  # rho0 and the last state
+    td_dyn = trace_distance(samples, eff)[-1]
     cavity = abs(p.alpha / (p.delta + 1j * p.kappa))
     lines = [
         f"validation report (kappa/J = {p.kappa / p.j if p.j else np.inf:g})",  # J = 0: uncoupled

@@ -24,8 +24,9 @@ from .qops import (
 PAULI_LABELS = ("id", "x", "y", "z")
 _PAULI = {"id": IDENTITY_2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
-# conjugation matrix of the spin flip: sigma_y on both qubits, real antidiagonal
-_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
+# the spin flip sigma_y x sigma_y is real and antidiagonal: it reverses the rows of
+# what it multiplies and signs them by its antidiagonal, (-1, 1, 1, -1)
+_FLIP_SIGNS = np.fliplr(np.kron(SIGMA_Y, SIGMA_Y).real).diagonal()[:, None]
 
 # transpose the second qubit; either side gives the same spectrum
 _PT_SIDE = 1
@@ -98,11 +99,12 @@ def _in_blocks(f, m: np.ndarray):
     """f of one state, or of a stack qops.CHECK_ELEMENTS entries at a time (read at each call), joined.
 
     f acts on each state alone, so the temporaries follow the block and the values do not.
+    It gives one value per state, or rows of them, and the blocks join on the last axis.
     """
     if m.ndim == 2:
         return _per_state(f(m))
     size = max(1, qops.CHECK_ELEMENTS // (m.shape[-1] ** 2))
-    return np.concatenate([f(m[start:start + size]) for start in range(0, max(len(m), 1), size)])
+    return np.concatenate([f(m[start:start + size]) for start in range(0, max(len(m), 1), size)], axis=-1)
 
 
 def concurrence(rho: DensityMatrix):
@@ -159,25 +161,41 @@ def _roots(m: np.ndarray) -> np.ndarray:
 
 def _concurrence(m: np.ndarray) -> np.ndarray:
     roots = _roots(m.reshape((-1,) + m.shape[-2:]))
-    tau = roots.swapaxes(-1, -2) @ (_FLIP @ roots)
+    tau = roots.swapaxes(-1, -2) @ (roots[:, ::-1] * _FLIP_SIGNS)
     s = np.linalg.svd(tau, compute_uv=False)
     c = s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3]
     return (np.clip(c, 0.0, 1.0) + 0.0).reshape(m.shape[:-2])  # + 0.0 normalizes -0.0
 
 
-def negativity(rho: DensityMatrix):
-    """Total weight of the negative partial-transpose spectrum; 0 iff separable here.
+def entanglement(rho: DensityMatrix):
+    """(concurrence, negativity) of a two-qubit state, or of each state in a stack, from one spectrum.
 
-    Returns a float for one state and an array for a stack, evaluated in
-    blocks as concurrence is.
+    The negativity is the total weight of the negative spectrum of the
+    partial transpose rho^Gamma, 0 iff rho^Gamma is positive. For two qubits
+    a positive partial transpose means separable (Horodecki, Horodecki &
+    Horodecki, PLA 223, 1 (1996)), and a separable state has C = 0
+    (Wootters, PRL 80, 2245 (1998)). So only a state whose lowest rho^Gamma
+    eigenvalue lies below DETECTION_FLOOR takes concurrence's factor and
+    singular values; every other state gets C = 0.0, the value concurrence
+    gives it too, as there s1 - s2 - s3 - s4 <= -2 lambda_min(rho^Gamma).
+    Returns two floats for one state and two arrays for a stack, evaluated
+    in blocks as concurrence is.
     """
-    _check_two_qubits(rho, "negativity")
-    return _in_blocks(_negativity, rho.matrix)
+    _check_two_qubits(rho, "entanglement")
+    c, n = _in_blocks(_entanglement, rho.matrix)
+    return _per_state(c), _per_state(n)
 
 
-def _negativity(m: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(qops._partial_transpose(m, TWO_QUBITS.dims, _PT_SIDE))
-    return -np.minimum(w, 0.0).sum(axis=-1) + 0.0  # + 0.0 normalizes -0.0 when PPT
+def _entanglement(m: np.ndarray) -> np.ndarray:
+    # row 0 the concurrence, row 1 the negativity, of one state or of each state of a stack
+    states = m.reshape((-1,) + m.shape[-2:])
+    w = np.linalg.eigvalsh(qops._partial_transpose(states, TWO_QUBITS.dims, _PT_SIDE))
+    out = np.zeros((2, len(states)))
+    out[1] = -np.minimum(w, 0.0).sum(axis=-1) + 0.0  # + 0.0 normalizes -0.0 when PPT
+    detected = w[:, 0] < DETECTION_FLOOR  # not certified separable
+    if detected.any():
+        out[0, detected] = _concurrence(states[detected])
+    return out.reshape((2,) + m.shape[:-2])
 
 
 def construct_witness(rho: DensityMatrix) -> Witness:

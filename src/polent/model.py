@@ -11,6 +11,7 @@ of points: a stack of Hamiltonians on shared jumps, one L each in build_liouvill
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,15 @@ class PhysicalParams:
     n_max: int = 4
 
     def __post_init__(self):
+        for name in ("j", "delta", "kappa", "gamma", "alpha"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 

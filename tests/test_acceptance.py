@@ -20,7 +20,7 @@ from polent.entangle import (
     PAULI_LABELS,
     concurrence,
     construct_witness,
-    negativity,
+    entanglement,
     pair_operator,
     separable_floor,
 )
@@ -256,7 +256,7 @@ def test_concurrence_units(capsys):
     detector_splits = 0
     for _ in range(1000):
         rho = rand_density()
-        c, n = concurrence(rho), negativity(rho)
+        c, n = concurrence(rho), entanglement(rho)[1]
         if (c > 1e-8 and n < 1e-12) or (n > 1e-8 and c < 1e-12):
             detector_splits += 1
 
@@ -299,7 +299,7 @@ def test_witness_properties(capsys):
     single_z_err = max(abs(c[z_idx, id_idx] - z_one), abs(c[id_idx, z_idx] - z_two))
     # the docstring's promise; a two-qubit partial transpose has at most one
     # negative eigenvalue, so that eigenvalue is minus the negativity
-    promise_err = abs(expect + negativity(rho))
+    promise_err = abs(expect + entanglement(rho)[1])
     expected_dominant = {
         ("id", "id"), ("x", "y"), ("y", "x"), ("z", "z"),
         ("x", "z"), ("z", "x"), ("y", "z"), ("z", "y"),

@@ -9,7 +9,7 @@ from stationarity_oracle import solve_linear_system
 
 from polent import cli, lindblad
 from polent.cli import main
-from polent.entangle import negativity
+from polent.entangle import entanglement
 from polent.lindblad import build_liouvillian, steady_state
 from polent.model import DimensionlessParams, build_effective_model
 from polent.qops import TWO_QUBITS, DensityMatrix
@@ -63,12 +63,25 @@ def test_rows_match_independent_references(solver):
         worst = max(
             worst,
             abs(c - exact_concurrence(zeta, xi1)),
-            abs(neg - negativity(ref)),
+            abs(neg - entanglement(ref)[1]),
             abs(purity - np.trace(ref.matrix @ ref.matrix).real),
             np.abs(np.array(pops) - ref.matrix.diagonal().real).max(),
         )
         assert 0.0 <= res <= 1e-12
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("solver", ["analytic", "numeric", "both"])
+def test_one_point_has_the_bits_it_has_in_a_block(solver):
+    # steady, witness and validate evaluate one point from floats, sweep a block from arrays
+    points = grid_points(0.7)
+    block = cli._evaluate(*points, solver, measures=True, equation_residual=True)
+    for k in range(0, 81, 8):
+        one = cli._evaluate(*(float(v[k]) for v in points), solver, measures=True, equation_residual=True)
+        assert one.keys() == block.keys()
+        assert one["rho"].matrix.tobytes() == block["rho"].matrix[k].tobytes()
+        for key in one.keys() - {"rho"}:
+            assert np.asarray(one[key]).tobytes() == block[key][k].tobytes(), key
 
 
 def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):

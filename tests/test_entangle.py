@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from polent import entangle, qops
+from polent import cli, entangle, qops
 from polent.analytic import closed_form
 from polent.entangle import (
     PAULI_LABELS,
@@ -14,7 +16,7 @@ from polent.entangle import (
     Witness,
     concurrence,
     construct_witness,
-    negativity,
+    entanglement,
     pair_operator,
     pauli_decompose,
     separable_floor,
@@ -59,6 +61,16 @@ def random_unitary(rng, d=2):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def negativity(rho):
+    # the negativity half of entanglement, which has no function of its own
+    return entanglement(rho)[1]
+
+
+def gated_concurrence(rho):
+    # the concurrence half of entanglement
+    return entanglement(rho)[0]
 
 
 def werner(p):
@@ -133,7 +145,7 @@ def random_stack(rng, size):
     return DensityMatrix(TWO_QUBITS, m / np.trace(m, axis1=-2, axis2=-1)[:, None, None])
 
 
-@pytest.mark.parametrize("measure", [concurrence, negativity])
+@pytest.mark.parametrize("measure", [concurrence, negativity, gated_concurrence])
 def test_a_stack_is_measured_alike_in_any_blocks(monkeypatch, measure):
     # a stack is evaluated one block of CHECK_ELEMENTS entries at a time; no
     # value depends on where the blocks start, and each is its state's own
@@ -151,20 +163,23 @@ def test_a_stack_is_measured_alike_in_any_blocks(monkeypatch, measure):
 
 
 def test_concurrence_memory_does_not_grow_with_the_stack():
-    # only the values grow, 8 bytes a state (twice, joined from the blocks);
-    # the factor's and svd's temporaries of the whole stack would be about 1 kB a state
+    # only the values grow, 8 bytes a state for concurrence and 16 for
+    # entanglement's two measures (twice, joined from the blocks); the factor's
+    # and svd's temporaries of the whole stack would be about 1 kB a state
     rng = np.random.default_rng(1202)
     small, large = random_stack(rng, 8192), random_stack(rng, 32768)
-    peaks = []
+    peaks = {concurrence: [], entanglement: []}
     for stack in (small, large):
-        tracemalloc.start()
-        try:
-            concurrence(stack)
-            negativity(stack)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 2 * np.empty(32768 - 8192).nbytes
+        for measure, peak in peaks.items():
+            tracemalloc.start()
+            try:
+                measure(stack)
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    growth = 32768 - 8192
+    assert peaks[concurrence][1] - peaks[concurrence][0] <= 2 * np.empty(growth).nbytes
+    assert peaks[entanglement][1] - peaks[entanglement][0] <= 2 * np.empty((2, growth)).nbytes
 
 
 _FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
@@ -233,6 +248,57 @@ def test_concurrence_of_a_weak_drive():
     # eigenvalues read it with a relative error of 2.2e-7
     rho = steady_state(build_liouvillian(build_effective_model(DimensionlessParams(10.0, 1e-9)))).rho
     assert_allclose(concurrence(rho), 1.9801980198019803e-19, rtol=1e-12, atol=0)
+
+
+def pt_negativity(m):
+    # the negativity as a spectrum of its own, of one matrix or a stack
+    w = np.linalg.eigvalsh(qops._partial_transpose(m, TWO_QUBITS.dims, 1))
+    return -np.minimum(w, 0.0).sum(axis=-1) + 0.0
+
+
+# a mixture's target for the lowest eigenvalue of its partial transpose: +-10^e,
+# straddling the PPT threshold (0) and the gate (DETECTION_FLOOR, 1e-12)
+targets = st.tuples(st.sampled_from([-1.0, 1.0]), st.one_of(st.floats(-15.0, -1.0), st.just(-12.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(1, 4), targets), min_size=1, max_size=40))
+def test_entanglement_is_the_separate_measures_bit_for_bit(seed, mixtures):
+    # p sigma + (1 - p) I/4, sigma of rank 1-4, has lowest rho^Gamma eigenvalue
+    # p mu + (1 - p)/4 for sigma's mu: p is set to put it at the target
+    rng = np.random.default_rng(seed)
+    states = []
+    for rank, (sign, exponent) in mixtures:
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        sigma = g @ g.conj().T
+        sigma /= np.trace(sigma).real
+        mu = np.linalg.eigvalsh(qops._partial_transpose(sigma, TWO_QUBITS.dims, 1))[0]
+        p = min(1.0, (0.25 - sign * 10.0**exponent) / (0.25 - mu))
+        states.append(p * sigma + (1.0 - p) * np.eye(4) / 4)
+    stack = DensityMatrix(TWO_QUBITS, np.array(states))
+    c, n = entanglement(stack)
+    assert c.tobytes() == concurrence(stack).tobytes()
+    assert n.tobytes() == pt_negativity(stack.matrix).tobytes()
+    one = DensityMatrix(TWO_QUBITS, stack.matrix[0])
+    assert entanglement(one) == (concurrence(one), float(pt_negativity(one.matrix)))
+
+
+def test_only_states_below_the_floor_take_the_singular_values(monkeypatch):
+    # block 12 of the default sweep at --solver both, as the sweep evaluates it
+    zs, xs = (np.linspace(lo, hi, steps) for lo, hi, steps in cli._grid(cli.DEFAULT_GRID))
+    first = 12 * cli.BLOCK_SIZE
+    zeta, xi1 = (v[first:first + cli.BLOCK_SIZE] for v in (np.repeat(zs, len(xs)), np.tile(xs, len(zs))))
+    xi2 = np.zeros_like(zeta)
+    received = []
+    original = entangle._concurrence
+    monkeypatch.setattr(entangle, "_concurrence", lambda m: received.append(m.copy()) or original(m))
+    rows = cli._sweep_rows(zeta, xi1, xi2, "both")
+    rho = steady_state(build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))).rho
+    lowest = np.linalg.eigvalsh(partial_transpose(rho, 1))[:, 0]
+    below = lowest < entangle.DETECTION_FLOOR
+    assert 0 < below.sum() < len(below)  # the block holds both kinds
+    assert np.concatenate(received).tobytes() == rho.matrix[below].tobytes()
+    assert (rows[~below, 3] == 0.0).all()
 
 
 def test_concurrence_negativity_agree_on_detection():

@@ -31,6 +31,22 @@ def test_physical_params_validation():
         PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=0)
 
 
+@pytest.mark.parametrize("field", ["j", "delta", "kappa", "gamma", "alpha"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.5, np.inf)])
+def test_physical_params_refuse_a_non_finite_rate(field, value):
+    # named at construction, not as a numpy warning and a later "zeta must be finite"
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        PhysicalParams(**{**vars(PHYS), field: value})
+
+
+@pytest.mark.parametrize("n_max", [2.5, 4.0, "4"])
+def test_physical_params_refuse_a_cutoff_that_is_not_an_integer(n_max):
+    # not the TypeError of building the mode's identity later
+    with pytest.raises(ValueError, match=f"^n_max must be an integer, got {re.escape(repr(n_max))}$"):
+        PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=n_max)
+    assert PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=np.int64(4)).n_max == 4
+
+
 def test_dimensionless_params_validation():
     with pytest.raises(ValueError):
         DimensionlessParams(np.inf, 0.0)

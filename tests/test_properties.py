@@ -15,7 +15,7 @@ from stationarity_oracle import _matrices, _vectors, equation_residuals
 from polent import cli, lindblad
 from polent.analytic import closed_form
 from polent.cli import main
-from polent.entangle import concurrence, negativity
+from polent.entangle import concurrence, entanglement
 from polent.lindblad import (
     IntegrationError,
     build_liouvillian,
@@ -89,7 +89,7 @@ def test_entanglement_depends_on_the_drive_modulus_only(pts):
     gauged = u[:, :, None] * real.matrix * u.conj()[:, None, :]
     assert np.abs(turned.matrix - gauged).max() <= 1e-12
     assert np.abs(concurrence(turned) - concurrence(real)).max() <= 1e-12
-    assert np.abs(negativity(turned) - negativity(real)).max() <= 1e-12
+    assert np.abs(entanglement(turned)[1] - entanglement(real)[1]).max() <= 1e-12
 
 
 @SETTINGS

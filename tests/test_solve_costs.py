@@ -54,5 +54,6 @@ def test_the_evolve_and_sweep_tables_add_up(solve_costs):
             "evolve (set-up and loop)"} <= set(evolve)
     _rows_add_up(evolve)
     sweep = solve_costs.sweep_times(repeats=1)
-    assert {"_solve_whole (inverse)", "_concurrence (tau and svd)", "_write_csv (CSV rows)"} <= set(sweep)
+    assert {"_solve_whole (inverse)", "entanglement (spectrum and gate)", "_concurrence (tau and svd)",
+            "_write_csv (CSV rows)"} <= set(sweep)
     _rows_add_up(sweep)

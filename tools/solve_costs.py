@@ -84,7 +84,8 @@ LABELS = {"build_effective_model": "model", "_triangularize_by_levels": "elimina
           "stationarity_residuals": "residual", "DensityMatrix": "check", "steady_state": "gap and residual checks",
           "_step_powers": ("set-up, X_j", "anchor level, Y_b"), "_batches": "batch products",
           "_row_traces": "drift", "_held_matrices": "sample matrices", "evolve": "set-up and loop",
-          "_concurrence": "tau and svd", "_roots": "factor", "_write_csv": "CSV rows"}
+          "entanglement": "spectrum and gate", "_concurrence": "tau and svd", "_roots": "factor",
+          "_write_csv": "CSV rows"}
 # the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
 # OpenBLAS 0.3.31): there a nominal second is about a wall second
 YARD_NOMINAL_S = 0.050
@@ -167,7 +168,7 @@ TIMED = (
     (lindblad, ("steady_state", "evolve", "build_liouvillian", "stationarity_residuals", "_real_form",
                 "_to_exchange_basis", "_levels", "_solve_by_levels", "_triangularize_by_levels", "_eliminate",
                 "_solve_whole", "_step_powers", "_batches", "_row_traces", "_held_matrices")),
-    (entangle, ("concurrence", "negativity", "_concurrence", "_roots")),
+    (entangle, ("entanglement", "_concurrence", "_roots")),
     (analytic, ("closed_form",)),
     (model, ("build_effective_model",)),
     (cli, ("_sweep_rows", "_write_csv")),
