@@ -1,4 +1,4 @@
-"""Command-line interface: steady states, sweeps, witnesses, validation, dynamics.
+"""Command-line interface: options in, the library's reports formatted out.
 
 Subcommands
     steady    one steady state with entanglement diagnostics
@@ -7,11 +7,12 @@ Subcommands
     validate  full three-subsystem model against the reduced two-qubit model
     dynamics  CSV time series of a relaxation run from both qubits in |g>
 
-Any flag can instead be given in a config file of flat ``key = value`` lines
-(keys match the long flag names); explicit flags win over file values. Each
-option has one converter, which is its whole check: a flag, a config line and
-the default all go through it, and a bad value exits 2 with one ``error:``
-line, whatever its source.
+This module parses options, formats the library's reports (runs.evaluate,
+runs.validate_reduction), writes files and maps failures to exit codes. Any flag
+can instead be given in a config file of flat ``key = value`` lines (keys match
+the long flag names); explicit flags win over file values. Each option has one
+converter, which is its whole check: a flag, a config line and the default all go
+through it, and a bad value exits 2 with one ``error:`` line, whatever its source.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 4 witness requested for a non-entangled state.
 """
@@ -19,7 +20,6 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -27,65 +27,26 @@ import sys
 
 import numpy as np
 
-from .analytic import closed_form
-from .entangle import (
-    PAULI_LABELS,
-    NotEntangledError,
-    concurrence,
-    construct_witness,
-    entanglement,
-    separable_floor,
-)
-from .lindblad import (
-    DEFAULT_DT,
-    DegenerateSteadyStateError,
-    IntegrationError,
-    build_liouvillian,
-    evolve,
-    stationarity_residuals,
-    steady_state,
-)
-from .model import (
-    DimensionlessParams,
-    PhysicalParams,
-    adiabatic_amplitude,
-    build_effective_model,
-    build_full_model,
-    map_physical,
-    mode_lowering,
-)
-from .qops import (
-    SIGMA_MINUS,
-    TWO_QUBITS,
-    DensityMatrix,
-    InvalidStateError,
-    partial_trace,
-    trace_distance,
-)
+from .entangle import (N_MIXED_SAMPLES, N_PURE_SAMPLES, PAULI_LABELS, NotEntangledError, concurrence,
+                       construct_witness, separable_floor)
+from .lindblad import DEFAULT_DT, DegenerateSteadyStateError, IntegrationError, evolve
+from .model import DimensionlessParams, PhysicalParams, build_effective_model
+from .qops import InvalidStateError
+from .runs import SOLVERS, TruncationError, evaluate, ground_state, validate_reduction
 
 DEFAULT_GRID = "0:10:81,0:4:81"
-SOLVERS = ("analytic", "numeric", "both")
 # points per stacked evaluation: memory follows the block, not the grid, and
 # the output does not depend on where the blocks start
 BLOCK_SIZE = 256
 DOMINANT_THRESHOLD = 0.05
-TRUNCATION_TOL = 1e-6
-N_PURE_SAMPLES = 10000
-N_MIXED_SAMPLES = 1000
 
 
 class _UsageError(Exception):
     """Bad flag/config input; reported on stderr with exit code 2."""
 
 
-class TruncationError(Exception):
-    """Full-model observables still moving when the photon cutoff is raised."""
-
-
-_CSV_HEADER = (
-    "zeta", "xi1", "xi2", "concurrence", "negativity", "purity",
-    "pop_ee", "pop_ge", "pop_eg", "pop_gg", "residual",
-)
+_CSV_HEADER = ("zeta", "xi1", "xi2", "concurrence", "negativity", "purity",
+               "pop_ee", "pop_ge", "pop_eg", "pop_gg", "residual")
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: np.ndarray) -> None:
@@ -115,108 +76,40 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _format_matrix(m: np.ndarray) -> list[str]:
-    rows = []
-    for r in range(m.shape[0]):
-        cells = ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j" for z in m[r])
-        rows.append(f"  [{cells}]")
-    return rows
+    return ["  [" + ", ".join(f"{z.real:+.9f}{z.imag:+.9f}j" for z in row) + "]" for row in m]
 
 
-def _ground_state() -> DensityMatrix:
-    m = np.zeros((4, 4), dtype=complex)
-    m[3, 3] = 1.0
-    return DensityMatrix(TWO_QUBITS, m)
-
-
-# ---------------------------------------------------------------------------
-# one evaluation: steady, sweep, witness and validate run their points through _evaluate
-
-# failures of one point; numpy's LinAlgError is a ValueError
-_POINT_FAILURES = (InvalidStateError, DegenerateSteadyStateError, ValueError)
-# the sweep's residual column for each solver
-_RESIDUAL_COLUMN = {
-    "analytic": "equation_residual",
-    "numeric": "superoperator_residual",
-    "both": "discrepancy",
-}
-
-
-def _evaluate_stack(zeta, xi1, xi2, solver: str, measures: bool, equation_residual: bool) -> dict:
-    out = {}
-    shape = np.shape(zeta)  # () at one point
-    liouv = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
-    if solver != "numeric":
-        rho = exact = DensityMatrix(TWO_QUBITS, closed_form(zeta, xi1, xi2).reshape(shape + (4, 4)))
-        if equation_residual:
-            out["equation_residual"] = stationarity_residuals(liouv, exact.matrix).reshape(shape)
-    if solver != "analytic":
-        result = steady_state(liouv)
-        rho = result.rho
-        out["superoperator_residual"], out["gap"] = result.residual, result.gap
-        if solver == "both":
-            diff = exact.matrix - rho.matrix
-            out["discrepancy"] = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(-2, -1)))
-    out["rho"] = rho
-    if measures:
-        m = rho.matrix
-        out["pops"] = m.diagonal(axis1=-2, axis2=-1).real
-        out["purity"] = (m.real**2 + m.imag**2).sum(axis=(-2, -1))  # Tr rho^2 of a Hermitian rho
-        out["concurrence"], out["negativity"] = entanglement(rho)
-    return out
-
-
-def _evaluate(zeta, xi1, xi2, solver: str, *, measures: bool, equation_residual: bool) -> dict:
-    """The state and the asked-for diagnostics at one point (floats) or a block (arrays), with every check.
-
-    A block's Liouvillians are one stacked build_liouvillian of the reduced
-    model at its points, and every solver's residual is taken against them.
-    The measures are the populations, purity, concurrence and negativity;
-    the equation residual is the closed form's, which the solver "numeric"
-    does not form. A failure names the first failing point, as it would at
-    that point alone.
-    """
-    try:
-        return _evaluate_stack(zeta, xi1, xi2, solver, measures, equation_residual)
-    except _POINT_FAILURES as exc:
-        if np.ndim(zeta):
-            for k in range(len(zeta)):
-                _evaluate(zeta[k], xi1[k], xi2[k], solver, measures=measures,
-                          equation_residual=equation_residual)
-            raise
-        raise type(exc)(f"at (zeta, xi1, xi2) = ({zeta:.17g}, {xi1:.17g}, {xi2:.17g}): {exc}") from exc
+# the sweep's residual column for each solver: an attribute of runs.Evaluation
+_RESIDUAL_COLUMN = {"analytic": "equation_residual", "numeric": "superoperator_residual",
+                    "both": "discrepancy"}
 
 
 def _sweep_rows(zeta, xi1, xi2, solver: str) -> np.ndarray:
     """CSV rows of a contiguous run of grid points, BLOCK_SIZE points at a time."""
-    column = _RESIDUAL_COLUMN[solver]
-    blocks = []
-    for start in range(0, len(zeta), BLOCK_SIZE):
-        z, x1, x2 = (v[start:start + BLOCK_SIZE] for v in (zeta, xi1, xi2))
-        ev = _evaluate(z, x1, x2, solver, measures=True, equation_residual=column == "equation_residual")
-        blocks.append(np.column_stack([
-            z, x1, x2, ev["concurrence"], ev["negativity"], ev["purity"], ev["pops"], ev[column],
-        ]))
-    return np.concatenate(blocks)
+    return np.concatenate([_block_rows(*(v[start:start + BLOCK_SIZE] for v in (zeta, xi1, xi2)), solver)
+                           for start in range(0, len(zeta), BLOCK_SIZE)])
+
+
+def _block_rows(z, x1, x2, solver: str) -> np.ndarray:
+    ev = evaluate(z, x1, x2, solver)  # its L and states are freed before the next block is evaluated
+    return np.column_stack([z, x1, x2, *ev.entanglement, ev.purity, ev.populations,
+                            getattr(ev, _RESIDUAL_COLUMN[solver])])
 
 
 def cmd_steady(zeta: float, xi1: float, xi2: float, solver: str, out: str | None = None) -> int:
-    ev = _evaluate(zeta, xi1, xi2, solver, measures=True, equation_residual=True)
+    ev = evaluate(zeta, xi1, xi2, solver)
     lines = [f"steady state at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g} (solver: {solver})"]
-    if "equation_residual" in ev:
-        lines.append(f"equation residual = {ev['equation_residual']:.17g}")
-    if "gap" in ev:
-        lines.append(f"superoperator residual = {ev['superoperator_residual']:.17g} "
-                     f"(gap >= {ev['gap']:.6g})")
-    if "discrepancy" in ev:
-        lines.append(f"analytic-numeric discrepancy (Frobenius) = {ev['discrepancy']:.17g}")
+    if ev.equation_residual is not None:
+        lines.append(f"equation residual = {ev.equation_residual:.17g}")
+    if ev.gap is not None:
+        lines.append(f"superoperator residual = {ev.superoperator_residual:.17g} (gap >= {ev.gap:.6g})")
+    if ev.discrepancy is not None:
+        lines.append(f"analytic-numeric discrepancy (Frobenius) = {ev.discrepancy:.17g}")
     lines.append("rho =")
-    lines.extend(_format_matrix(ev["rho"].matrix))
-    pops = ev["pops"]
-    lines.append(f"populations (ee, ge, eg, gg) = "
-                 f"({pops[0]:.17g}, {pops[1]:.17g}, {pops[2]:.17g}, {pops[3]:.17g})")
-    lines.append(f"concurrence = {ev['concurrence']:.17g}")
-    lines.append(f"negativity = {ev['negativity']:.17g}")
-    lines.append(f"purity = {ev['purity']:.17g}")
+    lines.extend(_format_matrix(ev.rho.matrix))
+    lines.append("populations (ee, ge, eg, gg) = (" + ", ".join(f"{v:.17g}" for v in ev.populations) + ")")
+    c, n = ev.entanglement
+    lines += [f"concurrence = {c:.17g}", f"negativity = {n:.17g}", f"purity = {ev.purity:.17g}"]
     _emit(lines, out)
     return 0
 
@@ -244,80 +137,44 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
 
 
 def cmd_witness(zeta: float, xi1: float, xi2: float, out: str | None = None) -> int:
-    rho = _evaluate(zeta, xi1, xi2, "numeric", measures=False, equation_residual=False)["rho"]
+    rho = evaluate(zeta, xi1, xi2, "numeric").rho
     wit = construct_witness(rho)
-    floor = separable_floor(wit, N_PURE_SAMPLES, N_MIXED_SAMPLES)
     c = wit.coefficients
     lines = [
         f"witness report at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g}",
         "normalization: Frobenius norm ||W||_F = 1 (partial transpose of a unit "
         "eigenvector projector); coefficients are Tr[W (sigma_j x sigma_k)]/4",
         f"Tr[W rho] = {wit.expectation(rho):.17g}",
-        f"min sampled separable expectation = {floor:.17g} "
+        f"min sampled separable expectation = {separable_floor(wit):.17g} "
         f"({N_PURE_SAMPLES} pure products + {N_MIXED_SAMPLES} mixtures)",
         "coefficients c[qubit-1 label, qubit-2 label]:",
         "        " + "".join(f"{lab:>12s}" for lab in PAULI_LABELS),
     ]
     for j, lab in enumerate(PAULI_LABELS):
         lines.append(f"  {lab:>4s}  " + "".join(f"{c[j, k]:+12.6f}" for k in range(4)))
-    dominant = [
-        f"({PAULI_LABELS[j]},{PAULI_LABELS[k]})"
-        for j in range(4)
-        for k in range(4)
-        if abs(c[j, k]) > DOMINANT_THRESHOLD
-    ]
+    dominant = [f"({PAULI_LABELS[j]},{PAULI_LABELS[k]})"
+                for j in range(4) for k in range(4) if abs(c[j, k]) > DOMINANT_THRESHOLD]
     lines.append(f"dominant set (|c| > {DOMINANT_THRESHOLD:g}): " + ", ".join(dominant))
     _emit(lines, out)
     return 0
 
 
-def _reduced_full_state(p: PhysicalParams):
-    """The qubit pair's state, <a>, <a+a> and <sigma-_j>, all from marginals."""
-    rho = steady_state(build_liouvillian(build_full_model(p))).rho
-    qubits, mode = partial_trace(rho, (0, 1)), partial_trace(rho, (2,)).matrix
-    a_op = mode_lowering(p.n_max)
-    amp = complex(np.trace(mode @ a_op))
-    nbar = float(np.trace(mode @ (a_op.conj().T @ a_op)).real)
-    sig1, sig2 = (complex(np.trace(partial_trace(qubits, (k,)).matrix @ SIGMA_MINUS))
-                  for k in (0, 1))
-    return qubits, amp, nbar, sig1, sig2
-
-
 def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: float,
                  alpha_im: float, nmax: int, t_final: float, out: str | None = None) -> int:
     p = PhysicalParams(j, delta, kappa, gamma, complex(alpha_re, alpha_im), nmax)
-    reduced, amp, nbar, sig1, sig2 = _reduced_full_state(p)
-    bigger = dataclasses.replace(p, n_max=p.n_max + 2)
-    reduced2, amp2, nbar2, _, _ = _reduced_full_state(bigger)
-    shift = max(
-        float(np.abs(reduced2.matrix - reduced.matrix).max()),
-        abs(amp2 - amp),
-        abs(nbar2 - nbar),
-    )
-    if shift >= TRUNCATION_TOL:
-        raise TruncationError(
-            f"observables moved {shift:.3e} from n_max = {p.n_max} to {p.n_max + 2}; "
-            f"rerun with --nmax {p.n_max + 2} or larger"
-        )
-    dp = map_physical(p)
-    eff = _evaluate(dp.zeta, dp.xi1, dp.xi2, "numeric", measures=False, equation_residual=False)["rho"]
-    td = trace_distance(reduced, eff)
-    predicted = adiabatic_amplitude(sig1, sig2, p)
-    samples = evolve(build_effective_model(dp), _ground_state(), t_final)[1]  # rho0 and the last state
-    td_dyn = trace_distance(samples, eff)[-1]
-    cavity = abs(p.alpha / (p.delta + 1j * p.kappa))
+    r = validate_reduction(p, t_final)
     lines = [
         f"validation report (kappa/J = {p.kappa / p.j if p.j else np.inf:g})",  # J = 0: uncoupled
         f"rates: J = {p.j:g}, Delta = {p.delta:g}, kappa = {p.kappa:g}, "
         f"gamma = {p.gamma:g}, alpha = {p.alpha.real:g}{p.alpha.imag:+g}i, n_max = {p.n_max}",
-        f"mapped parameters: zeta = {dp.zeta:.17g}, xi = {dp.xi1:.17g} {dp.xi2:+.17g}i",
-        f"empty-cavity amplitude |alpha/(Delta + i kappa)| = {cavity:.6g}",
-        f"mode occupation <a+a> = {nbar:.6g} (truncation shift {shift:.3e} at "
+        f"mapped parameters: zeta = {r.mapped.zeta:.17g}, xi = {r.mapped.xi1:.17g} {r.mapped.xi2:+.17g}i",
+        f"empty-cavity amplitude |alpha/(Delta + i kappa)| = {r.cavity_amplitude:.6g}",
+        f"mode occupation <a+a> = {r.occupation:.6g} (truncation shift {r.truncation_shift:.3e} at "
         f"n_max {p.n_max} -> {p.n_max + 2}: converged)",
-        f"trace distance (reduced qubit pair vs effective model) = {td:.17g}",
-        f"|<a> - adiabatic prediction| = {abs(amp - predicted):.17g}",
+        f"trace distance (reduced qubit pair vs effective model) = {r.reduction_distance:.17g}",
+        f"|<a> - adiabatic prediction| = {r.adiabatic_mismatch:.17g}",
         f"dynamics cross-check at t = {t_final:g} (effective model): "
-        f"trace distance to steady state = {td_dyn:.3g}",
+        f"trace distance to steady state = {r.dynamics_distance:.3g}",
     ]
     _emit(lines, out)
     return 0
@@ -326,7 +183,7 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
 def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
                  sample_every: int, out: str) -> int:
     model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
-    steps, rho, drift = evolve(model, _ground_state(), t_final, dt, sample_every)
+    steps, rho, drift = evolve(model, ground_state(), t_final, dt, sample_every)
     pops = rho.matrix.diagonal(axis1=-2, axis2=-1).real
     rows = np.column_stack([steps * dt, concurrence(rho), pops, drift[steps]])
     _write_csv(out, ("t", "concurrence", "pop_ee", "pop_ge", "pop_eg", "pop_gg", "trace_drift"), rows)
@@ -562,15 +419,8 @@ def main(argv=None) -> int:
     except NotEntangledError as exc:
         print(f"not entangled: {exc}", file=sys.stderr)
         return 4
-    except (
-        InvalidStateError,
-        DegenerateSteadyStateError,
-        IntegrationError,
-        TruncationError,
-        ValueError,
-        ZeroDivisionError,
-        MemoryError,
-    ) as exc:
+    except (InvalidStateError, DegenerateSteadyStateError, IntegrationError, TruncationError, ValueError,
+            ZeroDivisionError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -32,6 +32,8 @@ _FLIP_SIGNS = np.fliplr(np.kron(SIGMA_Y, SIGMA_Y).real).diagonal()[:, None]
 _PT_SIDE = 1
 
 SAMPLING_SEED = 20260817
+N_PURE_SAMPLES = 10000  # separable_floor's pure product states
+N_MIXED_SAMPLES = 1000  # and its mixtures of two of them
 # a partial-transpose eigenvalue this close to zero is rounding residue, not
 # detectable entanglement; witness construction treats it as separable
 DETECTION_FLOOR = 1e-12
@@ -248,7 +250,7 @@ def _bloch_vectors(u: np.ndarray) -> np.ndarray:
 
 
 def separable_floor(
-    w: Witness, n_pure: int = 10000, n_mixed: int = 1000, seed: int = SAMPLING_SEED
+    w: Witness, n_pure: int = N_PURE_SAMPLES, n_mixed: int = N_MIXED_SAMPLES, seed: int = SAMPLING_SEED
 ) -> float:
     """Minimum witness expectation over sampled separable states.
 

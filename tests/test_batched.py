@@ -1,5 +1,7 @@
 """Tests for the stacked evaluation path that sweep and steady share."""
 
+import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from stationarity_oracle import solve_linear_system
 
-from polent import cli, lindblad
+from polent import cli, lindblad, runs
 from polent.cli import main
 from polent.entangle import entanglement
 from polent.lindblad import build_liouvillian, steady_state
@@ -71,17 +73,31 @@ def test_rows_match_independent_references(solver):
     assert worst <= 1e-12
 
 
+def _bits(value, k=None) -> bytes | None:
+    """The bytes of a figure, or of member k of a block's; a pair's are its two figures' in turn."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return b"".join(_bits(v, k) for v in value)
+    if isinstance(value, (DensityMatrix, lindblad.Liouvillian)):
+        value = value.matrix  # a block's L is stored on the union of its members' patterns
+    value = np.asarray(value)
+    return (value if k is None else value[k]).tobytes()
+
+
 @pytest.mark.parametrize("solver", ["analytic", "numeric", "both"])
 def test_one_point_has_the_bits_it_has_in_a_block(solver):
-    # steady, witness and validate evaluate one point from floats, sweep a block from arrays
+    # steady, witness and validate evaluate one point from floats, sweep a block from arrays;
+    # every field of the report and every figure it forms on reading
+    names = [f.name for f in dataclasses.fields(runs.Evaluation)] + [
+        name for name, value in vars(runs.Evaluation).items() if isinstance(value, functools.cached_property)]
+    assert len(names) == 10
     points = grid_points(0.7)
-    block = cli._evaluate(*points, solver, measures=True, equation_residual=True)
+    block = runs.evaluate(*points, solver)
     for k in range(0, 81, 8):
-        one = cli._evaluate(*(float(v[k]) for v in points), solver, measures=True, equation_residual=True)
-        assert one.keys() == block.keys()
-        assert one["rho"].matrix.tobytes() == block["rho"].matrix[k].tobytes()
-        for key in one.keys() - {"rho"}:
-            assert np.asarray(one[key]).tobytes() == block[key][k].tobytes(), key
+        one = runs.evaluate(*(float(v[k]) for v in points), solver)
+        for name in names:
+            assert _bits(getattr(one, name)) == _bits(getattr(block, name), k), name
 
 
 def test_failing_point_inside_a_block_is_named(monkeypatch, tmp_path, capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polent import cli
+from polent import cli, entangle, lindblad, model
 from polent.cli import main
 
 CSV_HEADER = "zeta,xi1,xi2,concurrence,negativity,purity,pop_ee,pop_ge,pop_eg,pop_gg,residual"
@@ -297,7 +297,10 @@ def test_validate_usage_errors(capsys):
 
 def test_validate_rejects_tight_photon_cutoff(capsys):
     assert main(["validate", "--nmax", "1", "--t-final", "2"]) == 3
-    assert "nmax" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: observables moved 6.055e-05 from n_max = 1 to 3; "
+                            "rerun with --nmax 3 or larger\n")
 
 
 def test_validate_reads_config_file(tmp_path, capsys):
@@ -439,7 +442,7 @@ def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):
     def exhausted(liouvillian):
         raise MemoryError("Unable to allocate 3.52 GiB for an array with shape (15376, 15376)")
 
-    monkeypatch.setattr(cli, "steady_state", exhausted)
+    monkeypatch.setattr(lindblad, "steady_state", exhausted)
     assert main(["validate"]) == 3
     assert capsys.readouterr().err == ("numerical failure: Unable to allocate 3.52 GiB for an "
                                        "array with shape (15376, 15376)\n")
@@ -449,7 +452,7 @@ def test_validate_caps_nmax_before_building_a_model(monkeypatch, capsys):
     def refuse(p):
         raise AssertionError("validate built a model for an n_max above the cap")
 
-    monkeypatch.setattr(cli, "build_full_model", refuse)
+    monkeypatch.setattr(model, "build_full_model", refuse)
     assert main(["validate", "--nmax", str(cli.MAX_NMAX + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -576,3 +579,54 @@ def test_csv_bytes_are_those_of_savetxt(tmp_path):
     with open(tmp_path / "savetxt.csv", "w", encoding="utf-8", newline="") as fh:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _rebind(monkeypatch, original, replacement):
+    # in every polent module that holds the function, as the package's own calls go through any of them
+    for held in [m for key, m in sys.modules.items() if key == "polent" or key.startswith("polent.")]:
+        for attr, value in list(vars(held).items()):
+            if value is original:
+                monkeypatch.setattr(held, attr, replacement)
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """Calls of stationarity_residuals, each True when made from inside steady_state, and of entanglement."""
+    inside, calls = [], {"residuals": [], "entanglement": []}
+    steady_state, residuals, entanglement = (
+        lindblad.steady_state, lindblad.stationarity_residuals, entangle.entanglement)
+
+    def solve(liouv):
+        inside.append(True)
+        try:
+            return steady_state(liouv)
+        finally:
+            inside.pop()
+
+    def residual(*args):
+        calls["residuals"].append(bool(inside))
+        return residuals(*args)
+
+    def measure(rho):
+        calls["entanglement"].append(rho)
+        return entanglement(rho)
+
+    _rebind(monkeypatch, steady_state, solve)
+    _rebind(monkeypatch, residuals, residual)
+    _rebind(monkeypatch, entanglement, measure)
+    return calls
+
+
+def test_each_command_forms_only_what_it_prints(formed, tmp_path, capsys):
+    # a both sweep writes the discrepancy: the closed form's residual is never formed
+    argv = ["sweep", "--grid", "0:10:20,0:4:15", "--solver", "both", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert formed["residuals"] == [True, True]  # blocks of 256 and 44 points, each checked by steady_state
+    formed["residuals"].clear()
+    assert main(["steady", "--zeta", "10", "--xi1", "2.135", "--solver", "both"]) == 0
+    assert sorted(formed["residuals"]) == [False, True]  # the closed form's, and the solve's own check
+    formed["entanglement"].clear()
+    assert main(["witness", "--zeta", "10", "--xi1", "2.135"]) == 0
+    assert main(["validate", "--nmax", "4", "--t-final", "2"]) == 0
+    assert formed["entanglement"] == []
+    capsys.readouterr()

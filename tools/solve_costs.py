@@ -59,7 +59,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 import polent  # noqa: E402
-from polent import analytic, cli, entangle, lindblad, model, qops  # noqa: E402
+from polent import analytic, cli, entangle, lindblad, model, qops, runs  # noqa: E402
 from polent.lindblad import build_liouvillian, steady_state  # noqa: E402
 from polent.model import (  # noqa: E402
     DimensionlessParams,
@@ -264,7 +264,7 @@ def stages() -> None:
 
 def evolve_times(stride: int, repeats: int = REPEATS) -> dict[str, float]:
     """The rows of one evolve at RIDGE at lindblad.STRIDE = stride, the fastest of ``repeats`` runs."""
-    model_, rho0 = build_effective_model(DimensionlessParams(*RIDGE)), cli._ground_state()
+    model_, rho0 = build_effective_model(DimensionlessParams(*RIDGE)), runs.ground_state()
     with _patched(STRIDE=stride):
         return fastest(lambda: lindblad.evolve(model_, rho0, 50.0, 1e-3, 100), repeats)
 
