@@ -419,8 +419,11 @@ def main(argv=None) -> int:
     except NotEntangledError as exc:
         print(f"not entangled: {exc}", file=sys.stderr)
         return 4
-    except (InvalidStateError, DegenerateSteadyStateError, IntegrationError, TruncationError, ValueError,
-            ZeroDivisionError, MemoryError) as exc:
+    except TruncationError as exc:
+        print(f"numerical failure: {exc}; rerun with --nmax {exc.n_max} or larger", file=sys.stderr)
+        return 3
+    except (InvalidStateError, DegenerateSteadyStateError, IntegrationError, ValueError, ZeroDivisionError,
+            MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -117,8 +117,10 @@ def concurrence(rho: DensityMatrix):
     values of tau, the square roots of the spectrum of rho rho~, which no
     choice of W changes. W is the Cholesky factor of each state, built over
     the stack column by column (_cholesky), which is backward stable (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10); a state with a
-    pivot that is not positive, such as |gg>, a Bell state or most pure
+    Accuracy and Stability of Numerical Algorithms, ch. 10). A pivot of
+    exactly 0 over a column of exact zeros, as in |gg>, a Bell state or an
+    exchange-symmetric state without its singlet, leaves a zero column of
+    W; a state with any other pivot that is not positive, such as most pure
     states, takes W from its spectrum instead, with the eigenvalues clipped
     at 0. Returns a float for one
     state and an array for a stack, evaluated 4,096 states
@@ -129,19 +131,22 @@ def concurrence(rho: DensityMatrix):
 
 
 def _cholesky(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower factors L with m = L L^dagger of a stack, and whether each state's pivots were all > 0.
+    """Lower factors L with m = L L^dagger of a stack, and whether each state's pivots all held.
 
-    Read from the lower triangle, as eigh reads it. Every operation is
-    elementwise over the stack, so a state's bits are its own whatever its
-    neighbours; a state whose pivot fails gets a factor that is not used.
+    A pivot holds when it is > 0, or when it and every entry below it are
+    exactly 0: that column of L is 0, and L stays exact for a positive
+    semidefinite m. Read from the lower triangle, as eigh reads it. Every
+    operation is elementwise over the stack, so a state's bits are its own
+    whatever its neighbours; a state whose pivot fails gets a factor that
+    is not used.
     """
     a = m.copy()
     factor = np.zeros_like(m)
     positive = np.ones(len(m), dtype=bool)
     for j in range(m.shape[-1]):
         pivot = a[:, j, j].real
-        positive &= pivot > 0.0
-        column = a[:, j:, j] * (1.0 / np.sqrt(np.where(positive, pivot, 1.0)))[:, None]
+        positive &= (pivot > 0.0) | ((pivot == 0.0) & ~a[:, j + 1:, j].any(axis=-1))
+        column = a[:, j:, j] * (1.0 / np.sqrt(np.where(pivot > 0.0, pivot, np.inf)))[:, None]
         factor[:, j:, j] = column
         a[:, j + 1:, j + 1:] -= column[:, 1:, None] * column[:, None, 1:].conj()
     return factor, positive
@@ -150,7 +155,7 @@ def _cholesky(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _roots(m: np.ndarray) -> np.ndarray:
     """W with m = W W^dagger for each state of a stack.
 
-    The state's Cholesky factor or, where a pivot is not positive, its
+    The state's Cholesky factor or, where a pivot fails (_cholesky), its
     eigenvectors times the square roots of its spectrum clipped at 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a failed pivot's factor is discarded

@@ -7,15 +7,18 @@ numeric routes are both checked against it, and no library code forms a dense L.
 The solves and RK4 read L only through _real_form, in the Hermitian basis
 of _owners.
 steady_state has one route per input, by L's size (LEVEL_SIDE): levels from
-side 784 on, a whole inverse below it (0.29 against 1.7 ms at side 16) and
+side 784 on, a whole inverse below it (0.26 against 1.0 ms at side 16) and
 for every stack. There is no fallback: a result that fails its checks raises.
-The level route solves in an exchange-adapted basis (_exchange): the full
-model's two qubits are identical and couple alike, so its L commutes with
-their swap, and B falls into an exchange-even block of 10 (n_max + 1)^2
-coordinates and an exchange-odd one of 6 (n_max + 1)^2, factored one after
-the other. RK4 steps in the same basis, and only in the parts of its pattern
-that the initial state reaches: 10 of the reduced model's 16 coordinates
-from |gg>. The whole inverse stays in the plain basis.
+Both routes and RK4 work in an exchange-adapted basis (_exchange): the two
+qubits are identical and couple alike, so L commutes with their swap, and B
+falls into an exchange-even block and an exchange-odd one, 10 and 6
+coordinates of the reduced model, 10 (n_max + 1)^2 and 6 (n_max + 1)^2 of
+the full model. The level route factors them one after the other, the whole
+inverse inverts each alone, and RK4 steps only the parts of its pattern that
+the initial state reaches: 10 of the reduced model's 16 coordinates from
+|gg>. The index work that depends only on a pattern, the sorts and keys of
+_assemble, _real_form, _to_exchange_basis and _solve_whole, is a plan,
+computed once per pattern and kept while the plans fit in PLAN_BYTES (_plan).
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho), with
 vec(rho) = rho.ravel(order="F"). With A = -iH - 1/2 sum_j J_j^dagger J_j, the
@@ -60,15 +63,16 @@ DEFAULT_DT = 1e-3
 # pairs of two such processes
 STRIDE = 128
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
-# levels, and a smaller one whole. Whole inverse against levels, steady_state
-# best of 9 in one process, the best of 3 such processes, 2 CPUs (OpenBLAS;
-# tools/solve_costs.py, routes): 0.28 / 1.4 ms at side 16, 0.41 / 2.2 at 64,
-# 1.1 / 3.3 at 144, 4.4 / 5.1 at 256, 10.6 / 7.7 at 400, 22.7 / 11.0 at 576,
-# 45.5 / 16.2 at 784 and 128 / 32 at 1296. Levels are faster from 400 on, but
-# the whole inverse keeps the sides below 784, at most 2.1 times as slow there:
-# it is the more accurate route where the rates span many orders, as a reflection
-# of the level route pivots across two levels only (test_lindblad's side-64
-# case at alpha = 1e8 is 4.3e-3 off by levels)
+# levels, and a smaller one whole. Whole inverse (by exchange sector) against
+# levels, steady_state best of 9 in one process, the better of 2 such processes,
+# 2 CPUs (OpenBLAS; tools/solve_costs.py, routes): 0.26 / 1.0 ms at side 16,
+# 0.30 / 1.7 at 64, 1.3 / 3.0 at 144, 2.6 / 4.9 at 256, 5.4 / 7.3 at 400,
+# 11.0 / 10.6 at 576, 21.5 / 15.3 at 784, 36 / 22 at 1024 and 61 / 31 at 1296
+# (the plain-basis inverse took 1.1, 9.8, 21, 42 and 122 ms at 144, 400, 576,
+# 784 and 1296). The whole inverse is the faster route below 576 and within 4 %
+# there; it is also the more accurate route where the rates span many orders,
+# as a reflection of the level route pivots across two levels only
+# (test_lindblad's side-64 case at alpha = 1e8 is 4.3e-3 off by levels)
 LEVEL_SIDE = 784
 # columns per Householder block of _eliminate. steady_state by levels at side
 # 784 / 1296 by block width, best of 9 in one process, the best of 3 such
@@ -77,6 +81,14 @@ LEVEL_SIDE = 784
 # and 18.9 / 41.3 as one block per level: 32 is the fastest at 1296 and within
 # 4 % of the fastest at 784
 BLOCK = 32
+# bytes of index plans kept (_plan), the least recently used dropped first. A sweep's blocks share
+# one pattern, and so one plan for each of _assemble, _real_form, _to_exchange_basis and _solve_whole,
+# 23 kB in all; the full model's four take 110 kB at n_max 1, 328 kB at 2 and 2.5 MB at 8. A plan
+# larger than this is built for its call and not kept: with 512 kB kept, the full model's plans raised
+# perfbench's reduction peak RSS by 0.9 MB, and kept they save about 1 ms of a level solve's 16 ms at
+# side 784 and 32 ms at 1296
+PLAN_BYTES = 1 << 17
+_PLANS: dict = {}  # key -> (plan, its bytes), the most recently used last
 
 
 class DegenerateSteadyStateError(Exception):
@@ -139,6 +151,44 @@ class SteadyStateResult:
     gap: float | np.ndarray
 
 
+def _plan(build, space: HilbertSpace, *patterns: np.ndarray) -> tuple:
+    """build(space, *patterns), the index work of one pattern, computed once and kept in _PLANS.
+
+    Keyed on build's name, the space's dims and the patterns' bytes. A plan
+    is a tuple of arrays and tuples of them, all read-only. The plans kept
+    hold at most PLAN_BYTES, the least recently used dropped first; a plan
+    larger than that is not kept, and one for patterns larger than that,
+    which it holds at least once over, is built without a look-up.
+    """
+    if sum(p.nbytes for p in patterns) > PLAN_BYTES:
+        plan = build(space, *patterns)
+        _freeze(plan)
+        return plan
+    key = (build.__name__, space.dims, *((p.dtype.str, p.shape, p.tobytes()) for p in patterns))
+    kept = _PLANS.pop(key, None)
+    if kept is None:
+        plan = build(space, *patterns)
+        kept = plan, _freeze(plan)
+        held = sum(size for _, size in _PLANS.values())
+        while _PLANS and held + kept[1] > PLAN_BYTES >= kept[1]:
+            held -= _PLANS.pop(next(iter(_PLANS)))[1]
+    if kept[1] <= PLAN_BYTES:
+        _PLANS[key] = kept
+    return kept[0]
+
+
+def _freeze(plan) -> int:
+    """Make the plan's arrays read-only; their bytes."""
+    size = 0
+    for item in plan:
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+            size += item.nbytes
+        else:
+            size += _freeze(item)
+    return size
+
+
 def _assemble(space: HilbertSpace, a: np.ndarray, jumps) -> Liouvillian:
     """I kron A + conj(A) kron I + sum_j conj(J_j) kron J_j, from the nonzeros of A and each J_j.
 
@@ -146,38 +196,60 @@ def _assemble(space: HilbertSpace, a: np.ndarray, jumps) -> Liouvillian:
     positions are distinct. Where terms meet, each member sums them in that
     order from 0, as += on a zero matrix sums them, on the union of the
     members' patterns; a position that sums to exactly 0 in every member is
-    dropped, and a member holds +0.0 where only others need a position.
+    dropped, and a member holds +0.0 where only others need a position. The
+    keys and gathers are the plan of the patterns of A and the J_j
+    (_assembly_plan).
+    """
+    d = space.dim
+    lead, stack = a.shape[:-2], a.reshape(-1, d, d)
+    r, c, at, first, layers, rows, cols = _plan(_assembly_plan, space, (stack != 0).any(axis=0),
+                                                *(jump != 0 for jump in jumps))
+    v = a[..., r, c]
+    parts = [v, v.conj()]
+    for jump, (r, c) in zip(jumps, at):
+        j = jump[r, c]
+        parts.append(np.broadcast_to(np.multiply.outer(j.conj(), j).ravel(), lead + (len(j) ** 2,)))
+    parts = np.concatenate(parts, axis=-1)
+    total = parts.take(first, axis=-1)  # C-ordered, unlike parts[..., i]
+    total += 0.0  # summed from 0, so a -0 first term leaves +0
+    for where, source in layers:
+        total[..., where] += parts.take(source, axis=-1)
+    live = (total != 0).reshape(len(stack), len(rows)).any(axis=0)
+    if not live.all():
+        rows, cols, total = rows[live], cols[live], total.compress(live, axis=-1)
+    return Liouvillian(space, rows, cols, total)
+
+
+def _assembly_plan(space: HilbertSpace, pattern: np.ndarray, *jump_patterns: np.ndarray) -> tuple:
+    """_assemble's index work for A's nonzero pattern and each J_j's.
+
+    The positions (r, c) of A's nonzeros and of each J_j's; where each of
+    L's positions takes its first term, and the later terms layer by layer
+    (the k-th term of each position that has one), as indices into the
+    column of parts [A's values, their conjugates, each J's products]; and
+    L's rows and columns, before any position that sums to 0 is dropped.
     """
     d = space.dim
     n = d * d
     p = np.arange(d)
-    lead, stack = a.shape[:-2], a.reshape(-1, d, d)
-    r, c = np.nonzero((stack != 0).any(axis=0))
-    v = a[..., r, c]
+    r, c = np.nonzero(pattern)
     # entry (i, j) of L has key i n + j. I kron A has a_rc at (p d + r, p d + c),
     # conj(A) kron I has conj(a_rc) at (r d + p, c d + p), conj(J) kron J has
-    # conj(j_rc) j_st at (r d + s, c d + t). Each term is a column of parts: v, conj(v), jump products
+    # conj(j_rc) j_st at (r d + s, c d + t)
     keys = [np.add.outer(p * (d * n + d), r * n + c), np.add.outer(r * d * n + c * d, p * (n + 1))]
-    parts = [v, v.conj()]
-    for jump in jumps:
-        r, c = np.nonzero(jump)
-        j = jump[r, c]
-        keys.append(np.add.outer(r * d * n + c * d, r * n + c))
-        parts.append(np.broadcast_to(np.multiply.outer(j.conj(), j).ravel(), lead + (len(j) ** 2,)))
+    at = tuple(np.nonzero(mask) for mask in jump_patterns)
+    keys += [np.add.outer(rj * d * n + cj * d, rj * n + cj) for rj, cj in at]
     keys, where = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
-    parts = np.concatenate(parts, axis=-1)
-    i = np.arange(v.shape[-1])
-    source = np.concatenate([np.tile(i, d), np.repeat(i + len(i), d), np.arange(2 * len(i), parts.shape[-1])])
-    # each key's terms in order, layer by layer (the k-th term of each key that has one): gathers of
-    # the few columns of parts, on a stack about twice as fast as a per-member bincount of every term
+    i = np.arange(len(r))
+    products = sum(len(rj) ** 2 for rj, _ in at)
+    source = np.concatenate([np.tile(i, d), np.repeat(i + len(i), d), 2 * len(i) + np.arange(products)])
+    # each key's terms in order, layer by layer: gathers of the few columns of parts, on a stack
+    # about twice as fast as a per-member bincount of every term
     order = np.argsort(where, kind="stable")
     layer = np.arange(len(order)) - np.searchsorted(where[order], where[order])
-    total = parts.take(source[order[layer == 0]], axis=-1)  # C-ordered, unlike parts[..., i]
-    total += 0.0  # summed from 0, so a -0 first term leaves +0
-    for k in range(1, layer.max(initial=0) + 1):
-        total[..., where[order[layer == k]]] += parts.take(source[order[layer == k]], axis=-1)
-    live = (total != 0).reshape(len(stack), len(keys)).any(axis=0)
-    return Liouvillian(space, keys[live] // n, keys[live] % n, total.compress(live, axis=-1))
+    layers = tuple((where[order[layer == k]], source[order[layer == k]])
+                   for k in range(1, layer.max(initial=0) + 1))
+    return r, c, at, source[order[layer == 0]], layers, keys // n, keys % n
 
 
 def build_liouvillian(m: LindbladModel) -> Liouvillian:
@@ -201,9 +273,9 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     LEVEL_SIDE (784) or more is triangularized level by level
     (_solve_by_levels), its exchange-even and -odd blocks apart, the same
     column and norm without forming B or B^-1; every stack, and a smaller
-    Liouvillian as a stack of one, is inverted whole in one batch, the more
-    accurate route at extreme rates (both routes' times are in LEVEL_SIDE's
-    comment). There is no fallback: a
+    Liouvillian as a stack of one, is inverted whole, one batch for each of
+    those blocks (_solve_whole), the more accurate route at extreme rates
+    (both routes' times are in LEVEL_SIDE's comment). There is no fallback: a
     result raises DegenerateSteadyStateError when gap <= GAP_FLOOR, and when the residual
     exceeds RESIDUAL_TOL times the largest entry of L (at least 1), so that
     c L gives the state of L at every scale c; a stack names its first failure.
@@ -214,7 +286,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
         coords, gap = _solve_by_levels(k, l, entries[0], liouv.space, largest[0])
         coords, gaps = coords[None], np.array([gap])
     else:
-        coords, gaps = _solve_whole(k, l, entries, d)
+        coords, gaps = _solve_whole(k, l, entries, liouv.space)
     n = len(gaps)
     degenerate = ~(gaps > GAP_FLOOR)  # "not >" so that NaN fails
     if degenerate.any():
@@ -238,16 +310,86 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
 
 
 def _solve_whole(k: np.ndarray, l: np.ndarray, entries: np.ndarray,
-                 d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column 0 of each B^-1 and 1/||B^-1||_F, from a stack's _real_form, each B inverted whole.
+                 space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Column 0 of each B^-1 and 1/||B^-1||_F, from a stack's _real_form, B inverted by sectors.
 
-    Column 0 is copied, so B^-1 is freed on return.
+    B is rotated into the exchange-adapted basis, B' = O^T B O
+    (_to_exchange_basis), whose row 0 is the trace row O^T t
+    (_adapted_trace), as in _solve_by_levels. A member whose B' has no
+    nonzero entry across the exchange-even and -odd sectors, as every member
+    that commutes with the exchange bit for bit, is block diagonal over
+    them (_whole_plan): the reduced model's 10 and 6 coordinates, the full
+    model's 10 (n_max + 1)^2 and 6 (n_max + 1)^2. So is its B'^-1: each
+    sector is inverted in one batch, column 0 of B'^-1 is column 0 of the
+    even sector's inverse, which holds the trace row, and 0 in the odd
+    sector, and ||B'^-1||_F^2 is the sum over the sectors. Any other member
+    is inverted whole, its B' one part. Which way a member goes depends on
+    its own entries only, so a state does not depend on the stack around
+    it. O is orthogonal, so ||B^-1||_F = ||B'^-1||_F and the state is
+    x = O x'. Column 0 is copied and rotated back, so every inverse is
+    freed on return.
     """
-    bordered = np.zeros((len(entries), d * d, d * d))
-    bordered[:, k, l] = entries
-    bordered[:, 0] = np.arange(d * d) < d  # Tr B_k in place of the first population's row
-    inverse = _inverse(bordered)
-    return inverse[..., 0].copy(), 1.0 / np.sqrt(np.einsum("kij,kij->k", inverse, inverse))
+    k, l, values = _to_exchange_basis(k, l, entries, space)
+    sectors, whole, across = _plan(_whole_plan, space, k, l)
+    apart = ~(values[:, across] != 0).any(axis=1)
+    if apart.all() or not apart.any():
+        column, total = _inverse_by_parts(values, sectors if apart.all() else (whole,), space)
+    else:
+        column, total = np.empty((len(values), space.dim**2)), np.empty(len(values))
+        for members, parts in ((apart, sectors), (~apart, (whole,))):
+            column[members], total[members] = _inverse_by_parts(values[members], parts, space)
+    with np.errstate(invalid="ignore"):  # a singular member's infinite column, dropped with its gap 0
+        return _exchange_rotation(column, space, back=True), 1.0 / np.sqrt(total)
+
+
+def _inverse_by_parts(values: np.ndarray, parts: tuple,
+                      space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Column 0 of each B'^-1 and ||B'^-1||_F^2, B' block diagonal over the parts of _whole_plan.
+
+    Each part is scattered from the stack's B' entries (values) into dense
+    blocks and inverted in one batch; the first part takes the trace row
+    at its row 0, and its inverse's column 0 is B'^-1's column 0, which is
+    0 in every other part.
+    """
+    column, total = np.zeros((len(values), space.dim**2)), np.zeros(len(values))
+    for i, (coords, mine, rows, cols) in enumerate(parts):
+        block = np.zeros((len(values), len(coords), len(coords)))
+        block[:, rows, cols] = values[:, mine]
+        if i == 0:
+            block[:, 0] = _adapted_trace(space)[coords]  # Tr B_k in place of the first population's row
+        inverse = _inverse(block)
+        total += np.einsum("kij,kij->k", inverse, inverse)
+        if i == 0:
+            column[:, coords] = inverse[..., 0]
+    return column, total
+
+
+def _whole_plan(space: HilbertSpace, k: np.ndarray, l: np.ndarray) -> tuple:
+    """_solve_whole's index work for B''s pattern (k, l): the sectors, B' whole, the entries across.
+
+    Each of the even and odd sector (an empty one left out), and B' whole,
+    as its coordinates, the indices of its entries below the trace row, and
+    their rows and columns within it; then the indices of the entries
+    across the sectors. The even sector holds coordinate 0, its smallest,
+    so the trace row is row 0 of the first part either way. A coordinate of
+    an orbit k < pi(k) is even at k and odd at pi(k); a fixed one keeps the
+    sector of its sign.
+    """
+    image, sign = _exchange(space)
+    n = len(image)
+    coordinate = np.arange(n)
+    even = np.where(coordinate == image, sign > 0, coordinate < image)
+    below = k != 0
+    local = np.empty(n, dtype=int)
+
+    def part(coords, mine):
+        local[coords] = np.arange(len(coords))
+        return coords, mine, local[k[mine]], local[l[mine]]
+
+    inside = [below & (even[k] == side) & (even[l] == side) for side in (True, False)]
+    sectors = tuple(part(np.flatnonzero(even == side), np.flatnonzero(mine))
+                    for side, mine in zip((True, False), inside) if (even == side).any())
+    return sectors, part(coordinate, np.flatnonzero(below)), np.flatnonzero(below & (even[k] != even[l]))
 
 
 def _inverse(mats: np.ndarray) -> np.ndarray:
@@ -327,19 +469,41 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     For one L or a stack: the rows k and columns l of the entries that L's
     nonzero pattern reaches, block by block, an (N, len(k)) array of
     their values, and each L's largest |L_ij|. The triplets are read in
-    blocks, by one sort of their keys: a block holds the at most 4 triplets
-    whose rows have first owner p and whose columns have first owner q, in
-    slots 2 [row is (i, j), i < j] + [column is], which is their order in L.
-    The block gives the entries at rows p and p's second owner and columns q
-    and q's second owner, each a +-sum of real or imaginary parts of the
-    block's triplets, added slot by slot from +0, exact, and scaled once by
-    1, 1/sqrt(2) or 1/2: scaling first would leave rounding of the largest
+    blocks (_real_form_plan): a block holds the at most 4 triplets whose
+    rows have first owner p and whose columns have first owner q. The block
+    gives the entries at rows p and p's second owner and columns q and q's
+    second owner, each a +-sum of real or imaginary parts of the block's
+    triplets, added slot by slot from +0, exact, and scaled once by 1,
+    1/sqrt(2) or 1/2: scaling first would leave rounding of the largest
     entries (1e183 at zeta 1e200) where they cancel.
     """
-    d = liouv.space.dim
-    n, nnz = d * d, len(liouv.rows)
-    rows, cols = liouv.rows, liouv.cols
+    nnz = len(liouv.rows)
     values = np.atleast_2d(liouv.values)
+    k, l, pick, scale = _plan(_real_form_plan, liouv.space, liouv.rows, liouv.cols)
+    # one row per float of L: the floats, 2 zeros, their negations, 2 zeros; a row holds the members
+    parts = np.empty((4 * nnz + 4, len(values)))
+    parts[:2 * nnz] = values.view(float).T
+    np.multiply(parts[:2 * nnz], -1.0, out=parts[2 * nnz + 2:-2])
+    parts[2 * nnz:2 * nnz + 2] = parts[-2:] = 0.0
+    entries = parts.take(pick[0], axis=0)
+    entries += 0.0  # summed from +0, so a -0 first part leaves +0
+    for part in pick[1:]:
+        entries += parts.take(part, axis=0)
+    entries *= scale[:, None]
+    return k, l, entries.T, np.abs(values).max(axis=-1, initial=0.0)
+
+
+def _real_form_plan(space: HilbertSpace, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """_real_form's index work for the pattern (rows, cols): k, l, the parts each entry sums, its scale.
+
+    The triplets are grouped by one sort of their keys, the first owners of
+    their row and column, and within a block by slot 2 [row is (i, j),
+    i < j] + [column is], which is their order in L. ``pick`` is (layer,
+    entry): entry e sums the rows pick[:, e] of _real_form's parts, in
+    order; a block with fewer triplets reads +0 in its later layers.
+    """
+    d = space.dim
+    n, nnz = d * d, len(rows)
     owners, units, _ = _owners(d)
     first, upper = owners[:, 0], units[:, 1].imag > 0  # upper: entry (i, j) with i < j
     key = first[rows] * n + first[cols]
@@ -372,18 +536,8 @@ def _real_form(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     offset = imag + (2 * nnz + 2) * negative
     index = offset.take(np.append(slot, 0), axis=0) + 2 * np.arange(nnz + 1)[:, None]  # triplet, entry
     pick = index.reshape(-1).take(4 * table.take(where >> 2, axis=1) + (where & 3))  # layer, entry
-    # one row per float of L: the floats, 2 zeros, their negations, 2 zeros; a row holds the members
-    parts = np.empty((4 * nnz + 4, len(values)))
-    parts[:2 * nnz] = values.view(float).T
-    np.multiply(parts[:2 * nnz], -1.0, out=parts[2 * nnz + 2:-2])
-    parts[2 * nnz:2 * nnz + 2] = parts[-2:] = 0.0
-    entries = parts.take(pick[0], axis=0)
-    entries += 0.0  # summed from +0, so a -0 first part leaves +0
-    for part in pick[1:]:
-        entries += parts.take(part, axis=0)
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |a_k a_l| by the off-diagonal units, a block's alike
-    entries *= scale[pair_row.astype(int) + pair_column][where >> 2, None]
-    return k, l, entries.T, np.abs(values).max(axis=-1, initial=0.0)
+    return k, l, pick, scale[pair_row.astype(int) + pair_column][where >> 2]
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -459,23 +613,52 @@ def _exchange(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
     return image, np.concatenate([np.ones(d + len(i)), np.where(swap[i] < swap[j], 1.0, -1.0)])
 
 
-def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray, image: np.ndarray,
-                       sign: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """O^T B O from B's triplets (k, l, values), O the exchange-adapted basis of (image, sign).
+def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray,
+                       space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """O^T B O from B's triplets (k, l, values), O the exchange-adapted basis of _exchange(space).
 
     O's columns are the even (e_k + s e_pi(k))/sqrt(2) at k and the odd
     (e_k - s e_pi(k))/sqrt(2) at pi(k) for each orbit k < pi(k) of _exchange,
-    and e_k for a fixed k, which keeps the sector of its sign. B's entries
-    are read in blocks, by one sort of their keys: a block holds the at
-    most 4 entries whose rows lie in one orbit and whose columns lie in
-    another, 0 where absent. Rows first, then columns: an orbit's rows a (at
-    k) and b (at pi(k)) become a + s b and a - s b, and a fixed row stays;
-    each summand is summed from +0 first. Each new entry is one add of two,
-    so where B commutes with the exchange bit for bit, an entry across the
-    sectors is x - x = 0 exactly. The entries are scaled once at the end,
-    by 1, 1/sqrt(2) or 1/2, and handed out slot by slot, in no order that
-    a reader relies on.
+    and e_k for a fixed k, which keeps the sector of its sign. ``values`` is
+    (len(k),) for one B, or (N, len(k)) for a stack on one pattern, and the
+    result's values alike. B's entries are read in blocks (_exchange_plan):
+    a block holds the at most 4 entries whose rows lie in one orbit and
+    whose columns lie in another, 0 where absent. Rows first, then columns:
+    an orbit's rows a (at k) and b (at pi(k)) become a + s b and a - s b,
+    and a fixed row stays; each summand is summed from +0 first. Each new
+    entry is one add of two, so where B commutes with the exchange bit for
+    bit, an entry across the sectors is x - x = 0 exactly. The entries are
+    scaled once at the end, by 1, 1/sqrt(2) or 1/2, and handed out slot by
+    slot, in no order that a reader relies on.
     """
+    place, row_sign, column_sign, scale, live, k, l = _plan(_exchange_plan, space, k, l)
+    values = np.moveaxis(values, -1, 0)  # a stack's members last, as _real_form forms them
+    members = values.shape[1:]
+    grid = np.zeros((4, len(scale)) + members)  # slot, block, member
+    grid.reshape((-1,) + members)[place] = values
+    grid += 0.0  # each entry summed from +0, as a bincount sums it, so that no sum below is -0
+    # rows, then columns, in place: the first row or column of an orbit takes a + s b, the second a - s b
+    b = np.empty((2, len(scale)) + members)
+    for first, second, s in ((slice(0, 2), slice(2, 4), row_sign),
+                             (slice(0, 4, 2), slice(1, 4, 2), column_sign)):
+        np.multiply(s.reshape(s.shape + (1,) * len(members)), grid[second], out=b)
+        np.subtract(grid[first], b, out=grid[second])
+        grid[first] += b
+    grid *= scale.reshape(scale.shape + (1,) * len(members))
+    return k, l, np.moveaxis(grid[live], 0, -1)
+
+
+def _exchange_plan(space: HilbertSpace, k: np.ndarray, l: np.ndarray) -> tuple:
+    """_to_exchange_basis's index work for B's pattern (k, l).
+
+    The entries are grouped by one sort of their keys (low(k), low(l)),
+    the orbits of their row and column, and placed by slot, (k, l),
+    (k, pi(l)), (pi(k), l) or (pi(k), pi(l)): ``place`` is each entry's
+    place in the flat (slot, block) grid. With it come each block's row
+    and column signs and scale, the grid's live slots, and the rows and
+    columns of the live slots.
+    """
+    image, sign = _exchange(space)
     n = len(image)
     low = np.minimum(np.arange(n), image)
     top, left = low[k], low[l]
@@ -488,27 +671,19 @@ def _to_exchange_basis(k: np.ndarray, l: np.ndarray, values: np.ndarray, image: 
     top = key[starts] // n
     left = key[starts] - top * n
     count = len(starts)
-    grid = np.zeros((4, count))  # slot, block
-    grid.reshape(-1)[slot[order] * count + block] = values[order]
-    grid += 0.0  # each entry summed from +0, as a bincount sums it, so that no sum below is -0
-    # rows, then columns, in place: the first row or column of an orbit takes a + s b, the second a - s b
-    for first, second, s in ((slice(0, 2), slice(2, 4), sign[top]),
-                             (slice(0, 4, 2), slice(1, 4, 2), sign[left])):
-        b = s * grid[second]
-        np.subtract(grid[first], b, out=grid[second])
-        grid[first] += b
     paired = image != np.arange(n)
     row, column = paired[top], paired[left]
     scale = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])  # |O_km O_lm'| by the orbits
-    grid *= scale[row.astype(int) + column]
     # the slots at pi(k) or pi(l) are entries only where that orbit is a pair
     live = np.stack([np.ones(count, dtype=bool), column, row, row & column])
     k = np.stack([top, top, image[top], image[top]])[live]
     l = np.stack([left, image[left], left, image[left]])[live]
-    return k, l, grid[live]
+    place = np.empty(len(order), dtype=int)
+    place[order] = slot[order] * count + block
+    return place, sign[top], sign[left], scale[row.astype(int) + column], live, k, l
 
 
-def _exchange_rotation(x: np.ndarray, image: np.ndarray, sign: np.ndarray, back: bool) -> np.ndarray:
+def _exchange_rotation(x: np.ndarray, space: HilbertSpace, back: bool) -> np.ndarray:
     """x' = O^T x, or x = O x' when back, for each row of x; O the basis of _to_exchange_basis.
 
     Each orbit k < pi(k) of _exchange mixes its two coordinates a (at k) and
@@ -516,15 +691,27 @@ def _exchange_rotation(x: np.ndarray, image: np.ndarray, sign: np.ndarray, back:
     on the way in it multiplies x's b before the mix, on the way back the
     mix's b after it. A fixed coordinate stays.
     """
-    coordinate = np.arange(len(image))
-    low, high = np.minimum(coordinate, image), np.maximum(coordinate, image)
-    paired = low != high
-    flip = np.where(coordinate == low, 1.0, sign)
+    low, high, first, paired, flip, scale = _orbits(space)
     if not back:
         x = x * flip
     a, b = x[..., low], np.where(paired, x[..., high], 0.0)
-    mixed = np.where(coordinate == low, a + b, a - b) * np.where(paired, 1.0 / np.sqrt(2.0), 1.0)
+    mixed = np.where(first, a + b, a - b) * scale
     return mixed * flip if back else mixed
+
+
+@functools.cache
+def _orbits(space: HilbertSpace) -> tuple[np.ndarray, ...]:
+    """_exchange_rotation's index work: each coordinate's orbit, low and high, whether it is the
+    orbit's first, whether the orbit is a pair, its sign on the way in, and its scale. Read-only."""
+    image, sign = _exchange(space)
+    coordinate = np.arange(len(image))
+    low, high = np.minimum(coordinate, image), np.maximum(coordinate, image)
+    paired = low != high
+    tables = (low, high, coordinate == low, paired, np.where(coordinate == low, 1.0, sign),
+              np.where(paired, 1.0 / np.sqrt(2.0), 1.0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: HilbertSpace,
@@ -563,11 +750,10 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
     """
     d = space.dim
     n = d * d
-    image, sign = _exchange(space)
-    k, l, values = _to_exchange_basis(k, l, values, image, sign)
+    k, l, values = _to_exchange_basis(k, l, values, space)
     keep = (k != 0) & (values != 0)  # row 0 of B' is the trace row
     k, l, values = k.compress(keep), l.compress(keep), values.compress(keep)
-    trace = _adapted_trace(image, sign, d)
+    trace = _adapted_trace(space)
     s = max(1.0, largest)
     try:
         order, factors = _triangularize_by_levels(k, l, values, trace, s)
@@ -603,13 +789,16 @@ def _solve_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, space: Hi
     total += (1 - (1 / s) ** 2) * np.vdot(column, column)
     adapted = np.empty(n)
     adapted[order] = column
-    return _exchange_rotation(adapted, image, sign, back=True), 1.0 / np.sqrt(total) if total > 0 else 0.0
+    return _exchange_rotation(adapted, space, back=True), 1.0 / np.sqrt(total) if total > 0 else 0.0
 
 
-def _adapted_trace(image: np.ndarray, sign: np.ndarray, d: int) -> np.ndarray:
+@functools.cache
+def _adapted_trace(space: HilbertSpace) -> np.ndarray:
     """Tr of each column of O, O^T t for the trace row t: a population's orbit is populations
-    of sign 1, so sqrt(2) at an even pair of them, 1 at a fixed one, 0 elsewhere."""
-    return _exchange_rotation((np.arange(len(image)) < d) * 1.0, image, sign, back=False)
+    of sign 1, so sqrt(2) at an even pair of them, 1 at a fixed one, 0 elsewhere. Read-only."""
+    trace = _exchange_rotation((np.arange(space.dim**2) < space.dim) * 1.0, space, back=False)
+    trace.setflags(write=False)
+    return trace
 
 
 def _triangularize_by_levels(k: np.ndarray, l: np.ndarray, values: np.ndarray, trace: np.ndarray,
@@ -690,12 +879,11 @@ def _eliminate(panel: np.ndarray, width: int) -> None:
         rest -= v @ (t.T @ (v.T @ rest))
 
 
-def _held_matrices(coords: np.ndarray, held: np.ndarray, image: np.ndarray, sign: np.ndarray,
-                   d: int) -> np.ndarray:
+def _held_matrices(coords: np.ndarray, held: np.ndarray, space: HilbertSpace) -> np.ndarray:
     """The (N, d, d) matrices of N states from their exchange-adapted coordinates at held, 0 elsewhere."""
-    full = np.zeros((len(coords), d * d))
+    full = np.zeros((len(coords), space.dim**2))
     full[:, held] = coords
-    return _from_coordinates(_exchange_rotation(full, image, sign, back=True), d)
+    return _from_coordinates(_exchange_rotation(full, space, back=True), space.dim)
 
 
 def _row_traces(coords: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -832,9 +1020,8 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     d = m.space.dim
     n = d * d
-    image, sign = _exchange(m.space)
     k, l, entries, _ = _real_form(build_liouvillian(m))
-    k, l, entries = _to_exchange_basis(k, l, entries[0], image, sign)
+    k, l, entries = _to_exchange_basis(k, l, entries[0], m.space)
     a = np.zeros((n, n))
     a[k, l] = dt * entries
     eye = np.eye(n)
@@ -846,10 +1033,10 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise IntegrationError(f"RK4 step spectral radius {radius:.6g} > 1; reduce dt below {dt:g}")
     owners, _, values = _owners(d)  # r = Re(U^dagger vec rho0), the adjoint of _from_coordinates
     weights = (values.conj() * rho0.matrix.ravel(order="F")[:, None]).real
-    r = _exchange_rotation(np.bincount(owners.ravel(), weights.ravel(), minlength=n), image, sign, back=False)
+    r = _exchange_rotation(np.bincount(owners.ravel(), weights.ravel(), minlength=n), m.space, back=False)
     held = np.flatnonzero(_reached(a, r != 0))  # the coordinates that ever move
     increment, r = increment[np.ix_(held, held)], r[held]
-    trace = _adapted_trace(image, sign, d)[held]
+    trace = _adapted_trace(m.space)[held]
     nsteps = max(1, int(round(ratio))) if t_final > 0 else 0
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     try:  # a finite step count can still be more than an array holds
@@ -881,7 +1068,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     states = None  # the last batch, gone before the matrices' temporaries come
     for i in range(0, len(steps), block):
         # _held_matrices copies a block's coordinates before its matrices overwrite them
-        mats[i:i + block] = _held_matrices(coords[i:i + block], held, image, sign, d)
+        mats[i:i + block] = _held_matrices(coords[i:i + block], held, m.space)
     mats.setflags(write=False)  # handed over to DensityMatrix, which keeps it uncopied
     try:
         return steps, DensityMatrix(m.space, mats), drift

@@ -24,7 +24,11 @@ _POINT_FAILURES = (InvalidStateError, DegenerateSteadyStateError, ValueError)
 
 
 class TruncationError(Exception):
-    """Full-model observables still moving when the photon cutoff is raised."""
+    """Full-model observables still moving when the photon cutoff is raised; n_max is the cutoff to try."""
+
+    def __init__(self, message: str, n_max: int):
+        super().__init__(message)
+        self.n_max = n_max
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -125,8 +129,8 @@ def validate_reduction(p: PhysicalParams, t_final: float) -> ValidationReport:
     qubits2, amp2, nbar2, _, _ = _marginals(dataclasses.replace(p, n_max=p.n_max + 2))
     shift = max(float(np.abs(qubits2.matrix - qubits.matrix).max()), abs(amp2 - amp), abs(nbar2 - nbar))
     if shift >= TRUNCATION_TOL:
-        raise TruncationError(f"observables moved {shift:.3e} from n_max = {p.n_max} to {p.n_max + 2}; "
-                              f"rerun with --nmax {p.n_max + 2} or larger")
+        raise TruncationError(f"observables moved {shift:.3e} from n_max = {p.n_max} to {p.n_max + 2}",
+                              p.n_max + 2)
     dp = model.map_physical(p)
     eff = evaluate(dp.zeta, dp.xi1, dp.xi2, "numeric").rho
     distance = qops.trace_distance(qubits, eff)

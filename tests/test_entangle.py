@@ -227,7 +227,9 @@ def test_concurrence_agrees_with_the_spectral_route():
     pure_states = [pure(rng.normal(size=4) + 1j * rng.normal(size=4)).matrix for _ in range(100)]
     stack = np.concatenate([rank_deficient_stack(), pure_states, full[:100]])
     failed = ~entangle._cholesky(stack)[1]
-    assert failed[:4].all() and not failed[104:].any()
+    # |gg>, the Bell state and the product meet only pivots that are 0 over columns of zeros, and
+    # factor with zero columns; the mixture's last pivot rounds to -5.6e-17 and fails
+    assert failed[:4].tolist() == [False, False, False, True] and not failed[104:].any()
     values = concurrence(DensityMatrix(TWO_QUBITS, stack))
     assert values[failed].tobytes() == eigh_concurrence(stack)[failed].tobytes()
 
@@ -245,7 +247,8 @@ def test_concurrence_keeps_rounding_level_over_the_closed_form_grid():
 def test_concurrence_of_a_weak_drive():
     # the numeric steady state at (10, 1e-9) has C = 2e-18 (10 - 1e-18) / (100 + (1 + 2e-18)^2),
     # 1.9801980198019803e-19 in double precision; the spectral route's clipped
-    # eigenvalues read it with a relative error of 2.2e-7
+    # eigenvalues read it with a relative error of 1.1e-7. The state is exchange-symmetric
+    # bit for bit, and its third pivot is exactly 0 over zeros
     rho = steady_state(build_liouvillian(build_effective_model(DimensionlessParams(10.0, 1e-9)))).rho
     assert_allclose(concurrence(rho), 1.9801980198019803e-19, rtol=1e-12, atol=0)
 

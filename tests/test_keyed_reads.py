@@ -140,7 +140,7 @@ def test_every_read_of_the_full_model(n_max, symmetric):
     assert_identical(real, reference.real_form(liouv))
     k, l, entries, _ = real
     image, sign = lindblad._exchange(liouv.space)
-    adapted = lindblad._to_exchange_basis(k, l, entries[0], image, sign)
+    adapted = lindblad._to_exchange_basis(k, l, entries[0], liouv.space)
     assert_identical(adapted, reference.to_exchange_basis(k, l, entries[0], image, sign))
     k, l, values = adapted
     keep = (k != 0) & (values != 0)
@@ -189,7 +189,7 @@ def test_exchange_basis_of_a_random_pattern(case):
     k, l = k.astype(int), l.astype(int)
     keep = np.unique(k * n + l, return_index=True)[1]  # distinct positions, in row-major order
     k, l, values = k[keep], l[keep], values[keep]
-    assert_identical(lindblad._to_exchange_basis(k, l, values, image, sign),
+    assert_identical(lindblad._to_exchange_basis(k, l, values, space),
                      reference.to_exchange_basis(k, l, values, image, sign))
 
 
@@ -204,7 +204,7 @@ def test_exchange_basis_of_a_full_pattern(dims, fill):
     k, l = np.divmod(np.arange(n * n), n)
     rng = np.random.default_rng(n)
     values = np.full(n * n, -0.0) if fill == "minus_zero" else rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n * n)
-    assert_identical(lindblad._to_exchange_basis(k, l, values, image, sign),
+    assert_identical(lindblad._to_exchange_basis(k, l, values, space),
                      reference.to_exchange_basis(k, l, values, image, sign))
 
 
@@ -237,16 +237,15 @@ def test_the_level_and_whole_solves_do_not_depend_on_the_order_of_the_entries(sy
     if not symmetric:
         m = LindbladModel(m.space, m.hamiltonian, (m.jumps[0], np.sqrt(1.5) * m.jumps[1], m.jumps[2]))
     liouv = build_liouvillian(m)
-    space, d = liouv.space, liouv.space.dim
+    space = liouv.space
     rng = np.random.default_rng(6)
     k, l, entries, largest = real = lindblad._real_form(liouv)
     mixed = shuffled(rng, *real)
-    whole = lindblad._solve_whole(k, l, entries, d)
-    assert all(map(identical, lindblad._solve_whole(*mixed[:3], d), whole))
-    image, sign = lindblad._exchange(space)
-    kb, lb, vb = lindblad._to_exchange_basis(k, l, entries[0], image, sign)
+    whole = lindblad._solve_whole(k, l, entries, space)
+    assert all(map(identical, lindblad._solve_whole(*mixed[:3], space), whole))
+    kb, lb, vb = lindblad._to_exchange_basis(k, l, entries[0], space)
     keep = (kb != 0) & (vb != 0)
-    trace, s = lindblad._adapted_trace(image, sign, d), max(1.0, largest[0])
+    trace, s = lindblad._adapted_trace(space), max(1.0, largest[0])
     order, factors = lindblad._triangularize_by_levels(kb[keep], lb[keep], vb[keep], trace, s)
     mixed_order, mixed_factors = lindblad._triangularize_by_levels(
         *shuffled(rng, kb[keep], lb[keep], vb[keep]), trace, s)
@@ -256,6 +255,7 @@ def test_the_level_and_whole_solves_do_not_depend_on_the_order_of_the_entries(sy
     shuffle_output(monkeypatch, rng, "_to_exchange_basis")
     levels = lindblad._solve_by_levels(*mixed[:2], mixed[2][0], space, largest[0])
     assert all(map(identical, levels, expected))
+    assert all(map(identical, lindblad._solve_whole(*mixed[:3], space), whole))
 
 
 def test_rk4_does_not_depend_on_the_order_of_the_entries(monkeypatch):

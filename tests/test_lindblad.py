@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dense_round_trip import liouvillian_from_dense
+from plain_inverse import plain_whole
 
 from polent import lindblad, qops
 from polent.analytic import closed_form
@@ -408,7 +409,7 @@ def test_the_exchange_basis_splits_the_exchange(dims, even):
     rng = np.random.default_rng(n)
     b = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.1)
     k, l = np.nonzero(b)
-    k, l, values = lindblad._to_exchange_basis(k, l, b[k, l], image, sign)
+    k, l, values = lindblad._to_exchange_basis(k, l, b[k, l], space)
     rotated = np.zeros((n, n))
     rotated[k, l] = values
     assert np.abs(rotated - o.T @ b @ o).max() <= 1e-14
@@ -430,7 +431,7 @@ def test_the_full_model_commutes_with_the_exchange_bit_for_bit(alpha, delta):
 def adapted_pattern(liouv):
     # B' = O^T B O below the trace row, as the level route reads it
     k, l, entries, _ = lindblad._real_form(liouv)
-    k, l, values = lindblad._to_exchange_basis(k, l, entries[0], *lindblad._exchange(liouv.space))
+    k, l, values = lindblad._to_exchange_basis(k, l, entries[0], liouv.space)
     keep = (k != 0) & (values != 0)
     return k[keep], l[keep]
 
@@ -466,7 +467,7 @@ def test_an_exchange_broken_model_takes_the_same_route():
     assert abs(single.gap / dense.gap[0] - 1) <= 1e-9
 
 
-def test_the_level_solve_of_two_exchanged_qutrits_matches_the_whole_inverse():
+def exchanged_qutrits():
     # with two qubits every coordinate of sign -1 is fixed by the swap; two
     # three-level emitters sharing a mode have orbits of sign -1 as well
     rng = np.random.default_rng(9)
@@ -478,7 +479,12 @@ def test_the_level_solve_of_two_exchanged_qutrits_matches_the_whole_inverse():
     a = np.kron(mode, np.eye(9))
     h = np.kron(eye2, np.kron(eye3, h1 + h1.conj().T) + np.kron(h1 + h1.conj().T, eye3))
     h = h + sum(0.7 * s @ a.conj().T + 0.7 * s.conj().T @ a for s in emitters) + 0.4 * (a + a.conj().T)
-    liouv = build_liouvillian(LindbladModel(space, h, (*emitters, 1.5 * a)))
+    return build_liouvillian(LindbladModel(space, h, (*emitters, 1.5 * a)))
+
+
+def test_the_level_solve_of_two_exchanged_qutrits_matches_the_whole_inverse():
+    liouv = exchanged_qutrits()
+    space = liouv.space
     image, sign = lindblad._exchange(space)
     assert ((sign < 0) & (image != np.arange(len(image)))).any()
     k, l, entries, largest = lindblad._real_form(liouv)
@@ -605,10 +611,82 @@ def test_the_level_solve_agrees_with_the_whole_inverse(case, n_max):
     d = liouv.space.dim
     k, l, entries, largest = lindblad._real_form(liouv)
     coords, gap = lindblad._solve_by_levels(k, l, entries[0], liouv.space, largest[0])
-    whole, gaps = lindblad._solve_whole(k, l, entries, d)
+    whole, gaps = lindblad._solve_whole(k, l, entries, liouv.space)
     states = lindblad._from_coordinates(np.stack([coords, whole[0]]), d)
     assert np.abs(states[0] - states[1]).max() <= 5e-14
     assert abs(gap / gaps[0] - 1) <= 1e-13
+
+
+def broken_exchange(m):
+    # qubit 2 decays 1.5 times faster: L no longer commutes with the swap
+    return LindbladModel(m.space, m.hamiltonian, (m.jumps[0], np.sqrt(1.5) * m.jumps[1], m.jumps[2]))
+
+
+def sector_sizes(liouv, split):
+    """The sizes of the sectors _solve_whole inverts, checking that every member's B' has no entry
+    across them when ``split``, and that every member has one otherwise."""
+    k, l, entries, _ = lindblad._real_form(liouv)
+    k, l, values = lindblad._to_exchange_basis(k, l, entries, liouv.space)
+    sectors, _, across = lindblad._plan(lindblad._whole_plan, liouv.space, k, l)
+    assert len(across) and ((values[:, across] == 0).all(axis=1) == split).all()
+    return [len(coords) for coords, *_ in sectors]
+
+
+def sector_reference_agreement(liouv):
+    """The largest state distance and relative gap difference of _solve_whole against the plain-basis
+    whole inverse (tests/plain_inverse.py)."""
+    d = liouv.space.dim
+    k, l, entries, _ = lindblad._real_form(liouv)
+    coords, gaps = lindblad._solve_whole(k, l, entries, liouv.space)
+    plain, plain_gaps = plain_whole(liouv)
+    states = lindblad._from_coordinates(coords, d) - lindblad._from_coordinates(plain, d)
+    return np.abs(states).max(), np.abs(gaps / plain_gaps - 1).max()
+
+
+def test_the_sectors_of_a_reduced_stack_agree_with_the_plain_inverse():
+    # 400 points with a complex drive, a zeta = 0 row and a xi = 0 column: every member splits 10 + 6
+    rng = np.random.default_rng(12)
+    zeta, xi1, xi2 = rng.uniform(0, 10, 400), rng.uniform(0, 4, 400), rng.uniform(-1, 1, 400)
+    zeta[:20], xi1[20:40], xi2[20:40] = 0.0, 0.0, 0.0
+    liouv = build_liouvillian(build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
+    assert sector_sizes(liouv, split=True) == [10, 6]
+    state, gap = sector_reference_agreement(liouv)
+    assert state <= 1e-14 and gap <= 1e-14  # 6.7e-16 and 6.7e-16 measured
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+def test_the_sectors_of_the_full_model_agree_with_the_plain_inverse(n_max):
+    liouv = build_liouvillian(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=n_max)))
+    assert sector_sizes(liouv, split=True) == [10 * (n_max + 1) ** 2, 6 * (n_max + 1) ** 2]
+    state, gap = sector_reference_agreement(liouv)
+    assert state <= 1e-14 and gap <= 1e-14  # at most 1.2e-15 and 8.9e-16 measured
+
+
+def test_an_exchange_broken_model_is_inverted_whole_and_agrees_with_the_plain_inverse():
+    liouv = build_liouvillian(broken_exchange(build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=3))))
+    assert sector_sizes(liouv, split=False) == [160, 96]  # the sectors it would have, had it split
+    state, gap = sector_reference_agreement(liouv)
+    assert state <= 1e-14 and gap <= 1e-14
+
+
+def test_the_sectors_of_two_exchanged_qutrits_agree_with_the_plain_inverse():
+    # orbits of sign -1: their even coordinate is e_k - e_pi(k)
+    liouv = exchanged_qutrits()
+    assert sector_sizes(liouv, split=True) == [45 * 4, 36 * 4]  # (81 +- 9) / 2 of the qutrit pair, times 4
+    state, gap = sector_reference_agreement(liouv)
+    assert state <= 1e-14 and gap <= 1e-14
+
+
+def test_a_stack_of_symmetric_and_broken_members_solves_each_alone():
+    # a member goes by sectors or whole by its own entries, so its bits do not depend on the stack
+    m = build_full_model(PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5, n_max=2))
+    symmetric, broken = build_liouvillian(m), build_liouvillian(broken_exchange(m))
+    stack = liouvillian_from_dense(m.space, np.stack([symmetric.matrix, broken.matrix, symmetric.matrix]))
+    alone = [steady_state(liouvillian_from_dense(m.space, one.matrix[None])) for one in (symmetric, broken)]
+    mixed = steady_state(stack)
+    for i, j in enumerate((0, 1, 0)):
+        assert mixed.rho.matrix[i].tobytes() == alone[j].rho.matrix[0].tobytes()
+        assert mixed.gap[i] == alone[j].gap[0]
 
 
 def test_a_level_result_that_fails_its_checks_raises():

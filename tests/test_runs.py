@@ -51,7 +51,8 @@ def test_validate_reduction_refuses_a_tight_photon_cutoff():
     p = PhysicalParams(1.0, 10.0, 10.0, 0.01, 0.5 + 0j, 1)
     with pytest.raises(runs.TruncationError) as exc:
         runs.validate_reduction(p, 2.0)
-    assert str(exc.value) == "observables moved 6.055e-05 from n_max = 1 to 3; rerun with --nmax 3 or larger"
+    assert str(exc.value) == "observables moved 6.055e-05 from n_max = 1 to 3"
+    assert exc.value.n_max == 3  # the cutoff to try; the command line words the advice
 
 
 def test_validation_report_holds_what_validate_prints(capsys):

@@ -36,9 +36,10 @@ def _rows_add_up(rows: dict) -> None:
 
 def test_a_level_solve_is_timed_by_its_stages(solve_costs):
     before = [dict(vars(holder)) for holder in HOLDERS]
-    liouv = solve_costs._full(6)  # side 784: the level route
+    liouv = solve_costs._full(6)  # side 784: the level route, whose plans are too large to keep
     rows = solve_costs.fastest(lambda: lindblad.steady_state(liouv), repeats=1)
-    assert ["_real_form", "_to_exchange_basis", "_levels", "_eliminate (elimination)",
+    assert ["_real_form_plan (plan)", "_real_form", "_exchange_plan (plan)", "_to_exchange_basis", "_levels",
+            "_eliminate (elimination)",
             "_triangularize_by_levels (elimination)", "_solve_by_levels (Gram recursion)",
             "stationarity_residuals (residual)", "DensityMatrix (check)",
             "steady_state (gap and residual checks)", "in all"] == list(rows)
@@ -57,3 +58,9 @@ def test_the_evolve_and_sweep_tables_add_up(solve_costs):
     assert {"_solve_whole (inverse)", "entanglement (spectrum and gate)", "_concurrence (tau and svd)",
             "_write_csv (CSV rows)"} <= set(sweep)
     _rows_add_up(sweep)
+    # a warm block builds no plan; a cold one builds each of its four
+    plans = {"_assembly_plan (plan)", "_real_form_plan (plan)", "_exchange_plan (plan)", "_whole_plan (plan)"}
+    assert not plans & set(sweep)
+    cold = solve_costs.sweep_times(repeats=1, cold=True)
+    assert plans <= set(cold)
+    _rows_add_up(cold)

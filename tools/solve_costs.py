@@ -16,7 +16,9 @@ Prints six tables, the ladder first:
   and 256, the fastest of 9 runs in each of 5 rounds over the widths;
 - sweep: cli._sweep_rows at ``--solver both`` on block 12 of the default
   81x81 grid (cli.BLOCK_SIZE, 256 points) and its CSV rows by
-  cli._write_csv to os.devnull, the fastest of 9 runs in this one process;
+  cli._write_csv to os.devnull, the fastest of 9 runs in this one process,
+  with the index plans kept (warm) and with lindblad's plan cache emptied
+  before each run (cold), where the plan builders have rows of their own;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
   lifted, its wall time, its time in nominal seconds (the wall time over a
   yardstick's, timed just before and after the run) and its max RSS
@@ -85,7 +87,8 @@ LABELS = {"build_effective_model": "model", "_triangularize_by_levels": "elimina
           "_step_powers": ("set-up, X_j", "anchor level, Y_b"), "_batches": "batch products",
           "_row_traces": "drift", "_held_matrices": "sample matrices", "evolve": "set-up and loop",
           "entanglement": "spectrum and gate", "_concurrence": "tau and svd", "_roots": "factor",
-          "_write_csv": "CSV rows"}
+          "_write_csv": "CSV rows", "_assembly_plan": "plan", "_real_form_plan": "plan",
+          "_exchange_plan": "plan", "_whole_plan": "plan"}
 # the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
 # OpenBLAS 0.3.31): there a nominal second is about a wall second
 YARD_NOMINAL_S = 0.050
@@ -167,7 +170,8 @@ def blocks() -> None:
 TIMED = (
     (lindblad, ("steady_state", "evolve", "build_liouvillian", "stationarity_residuals", "_real_form",
                 "_to_exchange_basis", "_levels", "_solve_by_levels", "_triangularize_by_levels", "_eliminate",
-                "_solve_whole", "_step_powers", "_batches", "_row_traces", "_held_matrices")),
+                "_solve_whole", "_step_powers", "_batches", "_row_traces", "_held_matrices", "_assembly_plan",
+                "_real_form_plan", "_exchange_plan", "_whole_plan")),
     (entangle, ("entanglement", "_concurrence", "_roots")),
     (analytic, ("closed_form",)),
     (model, ("build_effective_model",)),
@@ -224,11 +228,13 @@ class SelfTimes:
                                    else lambda *args, **kwargs: self._span(name, fn, *args, **kwargs))
 
 
-def fastest(call, repeats: int = REPEATS) -> dict[str, float]:
+def fastest(call, repeats: int = REPEATS, cold: bool = False) -> dict[str, float]:
     """Self times by function in the order they first return, and "in all", ms, of the fastest of
-    ``repeats`` timed runs of call(), after one run that warms the caches."""
+    ``repeats`` timed runs of call(), after one run that warms the caches; with ``cold``, each
+    timed run starts from an empty plan cache, emptied outside the timed calls."""
     call()
-    run = min((SelfTimes(call) for _ in range(repeats)), key=lambda run: run.total)
+    timed = (lambda: (lindblad._PLANS.clear(), call())) if cold else call
+    run = min((SelfTimes(timed) for _ in range(repeats)), key=lambda run: run.total)
     rows = {}
     for name, calls in run.calls.items():
         label = LABELS.get(name)
@@ -240,10 +246,12 @@ def fastest(call, repeats: int = REPEATS) -> dict[str, float]:
 
 
 def _table(title: str, columns: dict[str, dict[str, float]]) -> None:
+    """The columns' rows, in the order of the column that has the most; "-" where a column has none."""
     print(title)
     print(f"  {'':44s}" + "".join(f" {head:>10s}" for head in columns))
-    for label in next(iter(columns.values())):
-        print(f"  {label:44s}" + "".join(f" {column[label]:10.3f}" for column in columns.values()))
+    for label in max(columns.values(), key=len):
+        print(f"  {label:44s}" + "".join(f" {column[label]:10.3f}" if label in column else f" {'-':>10s}"
+                                         for column in columns.values()))
 
 
 def stage_times(repeats: int = REPEATS) -> list[dict[str, float]]:
@@ -277,19 +285,21 @@ def evolve_table() -> None:
             for stride, column in zip(EVOLVE_STRIDES, zip(*rounds))})
 
 
-def sweep_times(repeats: int = REPEATS) -> dict[str, float]:
-    """The rows of block SWEEP_BLOCK of the default sweep with its CSV rows, the fastest of ``repeats`` runs."""
+def sweep_times(repeats: int = REPEATS, cold: bool = False) -> dict[str, float]:
+    """The rows of block SWEEP_BLOCK of the default sweep with its CSV rows, the fastest of ``repeats`` runs,
+    each from an empty plan cache with ``cold``."""
     zs, xs = (np.linspace(lo, hi, steps) for lo, hi, steps in cli._grid(cli.DEFAULT_GRID))
     first = SWEEP_BLOCK * cli.BLOCK_SIZE
     z, x1 = (v[first:first + cli.BLOCK_SIZE] for v in (np.repeat(zs, len(xs)), np.tile(xs, len(zs))))
     x2 = np.zeros_like(z)
     return fastest(lambda: cli._write_csv(os.devnull, cli._CSV_HEADER, cli._sweep_rows(z, x1, x2, "both")),
-                   repeats)
+                   repeats, cold)
 
 
 def sweep_table() -> None:
     _table(f"sweep: block {SWEEP_BLOCK} of the default grid, {cli.BLOCK_SIZE} points, at --solver both, by "
-           f"function (fastest of {REPEATS} runs, one process)", {"ms": sweep_times()})
+           f"function, ms (fastest of {REPEATS} runs, one process; cold: no index plan kept)",
+           {"warm": sweep_times(), "cold": sweep_times(cold=True)})
 
 
 def ladder(first: int, last: int, runs: int) -> None:
