@@ -8,11 +8,12 @@ Subcommands
     dynamics  CSV time series of a relaxation run from both qubits in |g>
 
 This module parses options, formats the library's reports (runs.evaluate,
-runs.validate_reduction), writes files and maps failures to exit codes. Any flag
-can instead be given in a config file of flat ``key = value`` lines (keys match
-the long flag names); explicit flags win over file values. Each option has one
-converter, which is its whole check: a flag, a config line and the default all go
-through it, and a bad value exits 2 with one ``error:`` line, whatever its source.
+runs.witness_report, runs.validate_reduction), writes files and maps failures to
+exit codes. Any flag can instead be given in a config file of flat ``key = value``
+lines (keys match the long flag names); explicit flags win over file values. Each
+option has one converter, which is its whole check: a flag, a config line and the
+default all go through it, and a bad value exits 2 with one ``error:`` line,
+whatever its source.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 4 witness requested for a non-entangled state.
 """
@@ -27,12 +28,11 @@ import sys
 
 import numpy as np
 
-from .entangle import (N_MIXED_SAMPLES, N_PURE_SAMPLES, PAULI_LABELS, NotEntangledError, concurrence,
-                       construct_witness, separable_floor)
+from .entangle import PAULI_LABELS, NotEntangledError, concurrence
 from .lindblad import DEFAULT_DT, DegenerateSteadyStateError, IntegrationError, evolve
 from .model import DimensionlessParams, PhysicalParams, build_effective_model
 from .qops import InvalidStateError
-from .runs import SOLVERS, TruncationError, evaluate, ground_state, validate_reduction
+from .runs import SOLVERS, TruncationError, evaluate, ground_state, validate_reduction, witness_report
 
 DEFAULT_GRID = "0:10:81,0:4:81"
 # points per stacked evaluation: memory follows the block, not the grid, and
@@ -137,16 +137,15 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
 
 
 def cmd_witness(zeta: float, xi1: float, xi2: float, out: str | None = None) -> int:
-    rho = evaluate(zeta, xi1, xi2, "numeric").rho
-    wit = construct_witness(rho)
-    c = wit.coefficients
+    report = witness_report(zeta, xi1, xi2)
+    c = report.witness.coefficients
     lines = [
         f"witness report at zeta = {zeta:g}, xi1 = {xi1:g}, xi2 = {xi2:g}",
         "normalization: Frobenius norm ||W||_F = 1 (partial transpose of a unit "
         "eigenvector projector); coefficients are Tr[W (sigma_j x sigma_k)]/4",
-        f"Tr[W rho] = {wit.expectation(rho):.17g}",
-        f"min sampled separable expectation = {separable_floor(wit):.17g} "
-        f"({N_PURE_SAMPLES} pure products + {N_MIXED_SAMPLES} mixtures)",
+        f"Tr[W rho] = {report.expectation:.17g}",
+        f"min sampled separable expectation = {report.separable_floor:.17g} "
+        f"({report.n_pure} pure products + {report.n_mixed} mixtures)",
         "coefficients c[qubit-1 label, qubit-2 label]:",
         "        " + "".join(f"{lab:>12s}" for lab in PAULI_LABELS),
     ]

@@ -1,4 +1,5 @@
-"""Library reports, as frozen dataclasses: evaluate's steady states and validate_reduction's check.
+"""Library reports, as frozen dataclasses: evaluate's steady states, witness_report's witness and
+validate_reduction's check.
 
 The layers are called through their modules (lindblad.steady_state, not a
 copy of the name), so a tracer that rebinds a module's functions sees them.
@@ -99,6 +100,28 @@ def evaluate(zeta, xi1, xi2, solver: str) -> Evaluation:
         diff = exact.matrix - result.rho.matrix
         discrepancy = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(-2, -1)))
     return Evaluation(result.rho, liouv, exact, result.gap, result.residual, discrepancy)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class WitnessReport:
+    """The witness of the numeric steady state at one point, its value there and its sampled separable floor."""
+
+    witness: entangle.Witness
+    expectation: float  # Tr[W rho]
+    separable_floor: float  # the smallest Tr[W sigma] over the sampled separable states
+    n_pure: int  # the pure product states sampled
+    n_mixed: int  # and the mixtures of two
+
+
+def witness_report(zeta: float, xi1: float, xi2: float) -> WitnessReport:
+    """entangle.construct_witness of the numeric steady state at one point, with separable_floor's default samples.
+
+    Raises entangle.NotEntangledError where the state's partial transpose has no negative eigenvalue.
+    """
+    rho = evaluate(zeta, xi1, xi2, "numeric").rho
+    wit = entangle.construct_witness(rho)
+    n_pure, n_mixed = entangle.N_PURE_SAMPLES, entangle.N_MIXED_SAMPLES
+    return WitnessReport(wit, wit.expectation(rho), entangle.separable_floor(wit, n_pure, n_mixed), n_pure, n_mixed)
 
 
 def ground_state() -> DensityMatrix:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from plain_floor import plain_floor
+
 from polent import cli, entangle, qops
 from polent.analytic import closed_form
 from polent.entangle import (
@@ -505,7 +507,8 @@ def test_product_expectations_follow_the_state_vectors():
 
     psi = [np.kron(qubit(*row[2:]), qubit(*row[:2])) for row in u]
     expected = [(v.conj() @ m @ v).real for v in psi]
-    assert_allclose(entangle._product_expectations(pauli_decompose(m), u), expected, atol=1e-13)
+    s, t = entangle._bloch_vectors(u[:, :2]), entangle._bloch_vectors(u[:, 2:])
+    assert_allclose(entangle._product_expectations(pauli_decompose(m), s, t), expected, atol=1e-13)
 
 
 def test_separable_floor_nonnegative_and_reproducible():
@@ -541,9 +544,116 @@ def test_separable_floor_takes_empty_blocks():
     assert separable_floor(w, n_pure=0, n_mixed=0) == np.inf
 
 
-def test_separable_floor_does_not_depend_on_the_block_size(monkeypatch):
+def test_separable_floor_does_not_depend_on_the_block_size(monkeypatch, kept):
     w = constructed_witnesses()[2]
     reference = separable_floor(w, n_pure=2000, n_mixed=300)
     for block in (1, 7, 300, 10**6):
         monkeypatch.setattr(entangle, "FLOOR_BLOCK", block)
         assert separable_floor(w, n_pure=2000, n_mixed=300) == reference
+        assert [key[-1] for key in kept] == [block]  # the set was formed at this block size, not read stale
+        assert len(kept[2000, 300, entangle.SAMPLING_SEED, block]) == -(-2000 // block) + -(-300 // block)
+
+
+@pytest.fixture
+def kept(monkeypatch):
+    """separable_floor's kept set, empty at the start of the test."""
+    monkeypatch.setattr(entangle, "_KEPT", {})
+    return entangle._KEPT
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The number of _bloch_vectors calls so far, one per qubit of a block drawn."""
+    calls = []
+    bloch = entangle._bloch_vectors
+    monkeypatch.setattr(entangle, "_bloch_vectors", lambda u: calls.append(1) or bloch(u))
+    return calls
+
+
+COUNTS = [(entangle.N_PURE_SAMPLES, entangle.N_MIXED_SAMPLES), (0, 0), (0, 500), (500, 0), (1025, 1025),
+          (2000, 300)]
+
+
+@pytest.mark.parametrize("n_pure, n_mixed", COUNTS)
+def test_kept_and_streamed_floors_equal_the_plain_loop(kept, n_pure, n_mixed):
+    # the seed as a SeedSequence draws the same stream, block by block and never kept
+    streamed = np.random.SeedSequence(entangle.SAMPLING_SEED)
+    rng = np.random.default_rng(17)
+    for w in constructed_witnesses()[2:4] + [Witness(rng.normal(size=(4, 4))) for _ in range(3)]:
+        kept.clear()
+        reference = plain_floor(w, n_pure, n_mixed)
+        assert separable_floor(w, n_pure, n_mixed) == reference  # cold
+        assert len(kept) == 1
+        assert separable_floor(w, n_pure, n_mixed) == reference  # warm
+        assert separable_floor(w, n_pure, n_mixed, streamed) == reference
+
+
+def test_a_warm_call_draws_nothing(kept, draws):
+    w = construct_witness(BELL_RHO)
+    cold = separable_floor(w)
+    assert len(draws) == 2 * 10 + 4 * 1  # ten blocks of pure samples, one of mixtures
+    assert separable_floor(w) == cold
+    for v in constructed_witnesses():
+        separable_floor(v)
+    assert len(draws) == 24
+    # another set takes the kept one's place, and the defaults are drawn again
+    separable_floor(w, 500, 0)
+    assert list(kept) == [(500, 0, entangle.SAMPLING_SEED, entangle.FLOOR_BLOCK)]
+    assert separable_floor(w) == cold
+    assert len(draws) == 24 + 2 + 24
+
+
+@pytest.mark.parametrize("seed", [None, np.random.SeedSequence(entangle.SAMPLING_SEED)])
+def test_a_seed_that_is_not_an_integer_is_drawn_on_every_call(kept, draws, seed):
+    w = construct_witness(BELL_RHO)
+    separable_floor(w, 300, 60, seed)
+    first = len(draws)
+    separable_floor(w, 300, 60, seed)
+    assert first == len(draws) - first == 2 * (1 + 2)
+    assert not kept
+
+
+def test_the_kept_arrays_are_read_only_and_their_own(kept):
+    separable_floor(construct_witness(BELL_RHO))
+    arrays = [a for block in kept[entangle.N_PURE_SAMPLES, entangle.N_MIXED_SAMPLES, entangle.SAMPLING_SEED,
+                                  entangle.FLOOR_BLOCK] for a in block]
+    assert all(not a.flags.writeable and a.base is None for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[-1][0] = 0.0
+    # two Bloch vectors a pure sample, a weight and four vectors a mixture
+    assert sum(a.nbytes for a in arrays) == 8 * (8 * 10000 + 17 * 1000) == 776_000
+
+
+@pytest.mark.parametrize("n_pure, n_mixed", [(entangle.N_PURE_SAMPLES + 1, entangle.N_MIXED_SAMPLES),
+                                             (20000, 0), (0, 20000)])
+def test_a_set_larger_than_the_default_is_streamed(kept, draws, n_pure, n_mixed):
+    w = constructed_witnesses()[2]
+    separable_floor(w)
+    default = dict(kept)
+    floor = separable_floor(w, n_pure, n_mixed)
+    assert floor == plain_floor(w, n_pure, n_mixed)
+    assert kept == default  # not kept, and the default set stays
+    before = len(draws)
+    separable_floor(w, n_pure, n_mixed)
+    assert len(draws) > before
+    # one block at a time: the peak is the plain loop's, far below the set's bytes
+    peaks = []
+    for f in (plain_floor, separable_floor):
+        tracemalloc.start()
+        try:
+            f(w, n_pure, n_mixed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0] < 8 * (8 * n_pure + 17 * n_mixed) / 2
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_pure": -5}, "n_pure"), ({"n_pure": 2.5}, "n_pure"), ({"n_pure": 2.0}, "n_pure"),
+    ({"n_mixed": -1}, "n_mixed"), ({"n_mixed": "3"}, "n_mixed"), ({"n_mixed": None}, "n_mixed"),
+])
+def test_separable_floor_refuses_a_count_that_is_not_a_nonnegative_integer(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer, got "):
+        separable_floor(construct_witness(BELL_RHO), **kwargs)
+    # numpy integers are integers
+    assert separable_floor(construct_witness(BELL_RHO), np.int64(5), np.int32(0)) >= -1e-8

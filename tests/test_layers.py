@@ -16,7 +16,7 @@ CLI = Path(polent.__file__).parent / "cli.py"
 PHYSICS = {
     "steady_state", "build_liouvillian", "stationarity_residuals", "closed_form", "build_full_model",
     "map_physical", "partial_trace", "trace_distance", "adiabatic_amplitude", "entanglement",
-    "mode_lowering", "build_effective_model", "evolve", "concurrence",
+    "mode_lowering", "build_effective_model", "evolve", "concurrence", "construct_witness", "separable_floor",
 }
 EXCEPTIONS = {"cmd_dynamics": {"build_effective_model", "evolve", "concurrence"}}
 

@@ -1,9 +1,9 @@
-"""Tests for the library's reports: runs.evaluate and runs.validate_reduction."""
+"""Tests for the library's reports: runs.evaluate, runs.witness_report and runs.validate_reduction."""
 
 import numpy as np
 import pytest
 
-from polent import lindblad, runs
+from polent import entangle, lindblad, runs
 from polent.cli import main
 from polent.model import PhysicalParams, map_physical
 from polent.qops import InvalidStateError
@@ -44,6 +44,25 @@ def test_a_failing_point_of_a_block_is_named():
     with np.errstate(all="ignore"), pytest.raises(InvalidStateError) as exc:
         runs.evaluate(np.array([1.0, 0.0]), np.array([1.0, 1e100]), np.zeros(2), "analytic")
     assert str(exc.value) == "at (zeta, xi1, xi2) = (0, 1e+100, 0): density matrix has non-finite entries"
+
+
+def test_witness_report_holds_what_witness_prints(capsys):
+    report = runs.witness_report(10.0, 2.135, 0.0)
+    rho = runs.evaluate(10.0, 2.135, 0.0, "numeric").rho
+    assert report.witness.coefficients.tobytes() == entangle.construct_witness(rho).coefficients.tobytes()
+    assert report.expectation == report.witness.expectation(rho) < 0
+    assert report.separable_floor == entangle.separable_floor(report.witness)
+    assert (report.n_pure, report.n_mixed) == (10000, 1000)
+    assert main(["witness", "--zeta", "10", "--xi1", "2.135"]) == 0
+    out = capsys.readouterr().out
+    assert f"Tr[W rho] = {report.expectation:.17g}\n" in out
+    assert f"min sampled separable expectation = {report.separable_floor:.17g} (10000 pure products + 1000 " \
+           "mixtures)\n" in out
+
+
+def test_witness_report_refuses_a_state_without_a_negative_partial_transpose():
+    with pytest.raises(entangle.NotEntangledError, match="^partial transpose has no negative eigenvalue"):
+        runs.witness_report(5.0, 0.0, 0.0)
 
 
 def test_validate_reduction_refuses_a_tight_photon_cutoff():

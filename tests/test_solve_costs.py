@@ -64,3 +64,16 @@ def test_the_evolve_and_sweep_tables_add_up(solve_costs):
     cold = solve_costs.sweep_times(repeats=1, cold=True)
     assert plans <= set(cold)
     _rows_add_up(cold)
+
+
+def test_the_witness_table_adds_up(solve_costs):
+    # a warm floor only evaluates the kept samples; a cold one draws them too
+    draws = {"_sample_blocks (draws)", "_bloch_vectors"}
+    evaluation = {"_product_expectations (expectations)", "_block_floor (mixtures and minimum)",
+                  "separable_floor (checks and kept set)"}
+    warm = solve_costs.witness_times(repeats=1)
+    assert set(warm) == evaluation | {"in all"}
+    _rows_add_up(warm)
+    cold = solve_costs.witness_times(repeats=1, cold=True)
+    assert set(cold) == draws | evaluation | {"in all"}
+    _rows_add_up(cold)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Costs of polent's steady-state solve, RK4 run and sweep, as quoted in lindblad.py, cli.py and the README.
 
-Prints six tables, the ladder first:
+Prints seven tables, the ladder first:
 
 - routes: steady_state's two routes on one Liouvillian, the whole inverse
   against levels, best of 9 in this one process, at side 16 (the reduced
@@ -19,12 +19,16 @@ Prints six tables, the ladder first:
   cli._write_csv to os.devnull, the fastest of 9 runs in this one process,
   with the index plans kept (warm) and with lindblad's plan cache emptied
   before each run (cold), where the plan builders have rows of their own;
+- witness: one entangle.separable_floor at its default samples, of the
+  witness at perfbench's seed-1 ridge point, the fastest of 9 runs in this
+  one process, with the sample set kept (warm) and with the kept set
+  emptied before each run (cold), where the draws have rows of their own;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
   lifted, its wall time, its time in nominal seconds (the wall time over a
   yardstick's, timed just before and after the run) and its max RSS
   (getrusage of that child); cli.MAX_NMAX is set from the nominal seconds.
 
-A row of the stages, evolve and sweep tables is the self time of one
+A row of the stages, evolve, sweep and witness tables is the self time of one
 function's calls in one run (SelfTimes), with its stage (LABELS), and the
 rows add up to the run's "in all". Two trees compare only when both run in
 one session, in turn: two copies of one tree, each timed in a session of
@@ -32,8 +36,9 @@ its own, read up to 1.7 times apart on one stage.
 
     python tools/solve_costs.py                     # every table, n_max 16..28
     python tools/solve_costs.py --nmax 20:28 --runs 3 --skip routes,blocks,stages,evolve
-    python tools/solve_costs.py --skip ladder,routes,blocks,stages,sweep  # the evolve table alone
-    python tools/solve_costs.py --skip ladder,routes,blocks,stages,evolve  # the sweep table alone
+    python tools/solve_costs.py --skip ladder,routes,blocks,stages,sweep,witness  # the evolve table alone
+    python tools/solve_costs.py --skip ladder,routes,blocks,stages,evolve,witness  # the sweep table alone
+    python tools/solve_costs.py --skip ladder,routes,blocks,stages,evolve,sweep  # the witness table alone
 
 polent is imported from ``src/`` next to this file. Run it on an otherwise
 idle machine: the tables are times. The tests check that the functions
@@ -79,7 +84,7 @@ RIDGE = (5.210641, 1.107693)  # (zeta, xi1) of perfbench's point workload at see
 EVOLVE_STRIDES = (64, 128, 256)
 EVOLVE_ROUNDS = 5  # the widths take turns, so that a slow stretch of the machine does not favour one
 SWEEP_BLOCK = 12  # the block of the default grid that the sweep table times, points 3072-3327
-# the stage that a timed function's self time is, in the stages, evolve and sweep tables, where its
+# the stage that a timed function's self time is, in the stages, evolve, sweep and witness tables, where its
 # name does not say; _step_powers' two calls in _batches are two stages, one row each
 LABELS = {"build_effective_model": "model", "_triangularize_by_levels": "elimination",
           "_eliminate": "elimination", "_solve_by_levels": "Gram recursion", "_solve_whole": "inverse",
@@ -88,7 +93,9 @@ LABELS = {"build_effective_model": "model", "_triangularize_by_levels": "elimina
           "_row_traces": "drift", "_held_matrices": "sample matrices", "evolve": "set-up and loop",
           "entanglement": "spectrum and gate", "_concurrence": "tau and svd", "_roots": "factor",
           "_write_csv": "CSV rows", "_assembly_plan": "plan", "_real_form_plan": "plan",
-          "_exchange_plan": "plan", "_whole_plan": "plan"}
+          "_exchange_plan": "plan", "_whole_plan": "plan", "_sample_blocks": "draws",
+          "_product_expectations": "expectations", "_block_floor": "mixtures and minimum",
+          "separable_floor": "checks and kept set"}
 # the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
 # OpenBLAS 0.3.31): there a nominal second is about a wall second
 YARD_NOMINAL_S = 0.050
@@ -166,13 +173,14 @@ def blocks() -> None:
         print(f"  {'per level' if width == BLOCKS[-1] else width:>9} {times}")
 
 
-# the functions that the stages, evolve and sweep tables time, by the module or class that defines them
+# the functions that the stages, evolve, sweep and witness tables time, by the module or class that defines them
 TIMED = (
     (lindblad, ("steady_state", "evolve", "build_liouvillian", "stationarity_residuals", "_real_form",
                 "_to_exchange_basis", "_levels", "_solve_by_levels", "_triangularize_by_levels", "_eliminate",
                 "_solve_whole", "_step_powers", "_batches", "_row_traces", "_held_matrices", "_assembly_plan",
                 "_real_form_plan", "_exchange_plan", "_whole_plan")),
-    (entangle, ("entanglement", "_concurrence", "_roots")),
+    (entangle, ("entanglement", "_concurrence", "_roots", "separable_floor", "_sample_blocks", "_bloch_vectors",
+                "_product_expectations", "_block_floor")),
     (analytic, ("closed_form",)),
     (model, ("build_effective_model",)),
     (cli, ("_sweep_rows", "_write_csv")),
@@ -228,12 +236,12 @@ class SelfTimes:
                                    else lambda *args, **kwargs: self._span(name, fn, *args, **kwargs))
 
 
-def fastest(call, repeats: int = REPEATS, cold: bool = False) -> dict[str, float]:
+def fastest(call, repeats: int = REPEATS, forget=None) -> dict[str, float]:
     """Self times by function in the order they first return, and "in all", ms, of the fastest of
-    ``repeats`` timed runs of call(), after one run that warms the caches; with ``cold``, each
-    timed run starts from an empty plan cache, emptied outside the timed calls."""
+    ``repeats`` timed runs of call(), after one run that warms the caches; with ``forget``, each
+    timed run starts with forget(), which empties a cache outside the timed calls."""
     call()
-    timed = (lambda: (lindblad._PLANS.clear(), call())) if cold else call
+    timed = (lambda: (forget(), call())) if forget else call
     run = min((SelfTimes(timed) for _ in range(repeats)), key=lambda run: run.total)
     rows = {}
     for name, calls in run.calls.items():
@@ -293,13 +301,26 @@ def sweep_times(repeats: int = REPEATS, cold: bool = False) -> dict[str, float]:
     z, x1 = (v[first:first + cli.BLOCK_SIZE] for v in (np.repeat(zs, len(xs)), np.tile(xs, len(zs))))
     x2 = np.zeros_like(z)
     return fastest(lambda: cli._write_csv(os.devnull, cli._CSV_HEADER, cli._sweep_rows(z, x1, x2, "both")),
-                   repeats, cold)
+                   repeats, lindblad._PLANS.clear if cold else None)
 
 
 def sweep_table() -> None:
     _table(f"sweep: block {SWEEP_BLOCK} of the default grid, {cli.BLOCK_SIZE} points, at --solver both, by "
            f"function, ms (fastest of {REPEATS} runs, one process; cold: no index plan kept)",
            {"warm": sweep_times(), "cold": sweep_times(cold=True)})
+
+
+def witness_times(repeats: int = REPEATS, cold: bool = False) -> dict[str, float]:
+    """The rows of one separable_floor of the witness at RIDGE, the fastest of ``repeats`` runs, each with no
+    sample set kept with ``cold``."""
+    witness = runs.witness_report(*RIDGE, 0.0).witness
+    return fastest(lambda: entangle.separable_floor(witness), repeats, entangle._KEPT.clear if cold else None)
+
+
+def witness_table() -> None:
+    _table(f"witness: separable_floor at {entangle.N_PURE_SAMPLES} + {entangle.N_MIXED_SAMPLES} samples by "
+           f"function, ms (fastest of {REPEATS} runs, one process; cold: no sample set kept)",
+           {"warm": witness_times(), "cold": witness_times(cold=True)})
 
 
 def ladder(first: int, last: int, runs: int) -> None:
@@ -328,13 +349,14 @@ def main() -> None:
     parser.add_argument("--nmax", default="16:28", help="the ladder's first:last n_max (default 16:28)")
     parser.add_argument("--runs", type=int, default=1, help="fresh interpreters per ladder rung (default 1)")
     parser.add_argument("--skip", default="",
-                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages, evolve, sweep")
+                        help="tables to leave out, comma-separated: ladder, routes, blocks, stages, evolve, sweep, "
+                             "witness")
     args = parser.parse_args()
     skip = set(filter(None, args.skip.split(",")))
     first, last = (int(part) for part in args.nmax.split(":"))
     # the ladder first: a child's max RSS counts the process it was started from
     tables = {"ladder": lambda: ladder(first, last, args.runs), "routes": routes, "blocks": blocks,
-              "stages": stages, "evolve": evolve_table, "sweep": sweep_table}
+              "stages": stages, "evolve": evolve_table, "sweep": sweep_table, "witness": witness_table}
     for name, table in tables.items():
         if name not in skip:
             table()
