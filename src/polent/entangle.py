@@ -40,9 +40,10 @@ N_MIXED_SAMPLES = 1000  # and its mixtures of two of them
 # detectable entanglement; witness construction treats it as separable
 DETECTION_FLOOR = 1e-12
 WITNESS_TOL = 1e-10
-# separable samples drawn and evaluated at a time; a set that is not kept (_samples) holds one block at a time
+# separable samples drawn and evaluated at a time: a set that is drawn as it is evaluated keeps its
+# temporaries near 100 kB; only the default set is kept whole (_samples), 776,000 bytes
 FLOOR_BLOCK = 1024
-_KEPT: dict = {}  # at most one set of seeded samples, (n_pure, n_mixed, seed, FLOOR_BLOCK) -> its blocks
+_DRAWN_ONCE: set = set()  # the block sizes at which the default set was drawn, and not kept, once
 
 
 class NotEntangledError(Exception):
@@ -252,47 +253,68 @@ def _bloch_vectors(u: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(z), radius * np.cos(phi), radius * np.sin(phi), z])
 
 
-def _sample_blocks(n_pure: int, n_mixed: int, seed):
-    """The seeded samples in blocks of FLOOR_BLOCK (read at the call), in the order one default_rng(seed) draws them.
+def _sample_blocks(n_pure: int, n_mixed: int, seed, block: int):
+    """The seeded samples, block at a time, in the order one default_rng(seed) draws them.
 
     The n_pure pure product states come first, 4 uniforms each, as blocks
-    (s, t) of their qubits' Bloch vectors; then the n_mixed mixtures, 9
-    uniforms each, as (p, s1, t1, s2, t2), the first state's weight and both
-    states' vectors. Each array owns its data and is read-only; no block or
-    uniforms are held between blocks.
+    (s, t) of their two qubits' Bloch vectors; then the n_mixed mixtures of
+    two fresh product states, 9 uniforms each, as blocks (p, s1, t1, s2, t2),
+    the first state's weight and both states' vectors. Each array owns its
+    data and is read-only.
     """
     rng = np.random.default_rng(seed)
-    for n, width in ((n_pure, 4), (n_mixed, 9)):
-        for start in range(0, n, FLOOR_BLOCK):
-            yield _block(rng.random((min(FLOOR_BLOCK, n - start), width)))
+    for start in range(0, n_pure, block):
+        yield _pure_block(rng.random((min(block, n_pure - start), 4)))
+    for start in range(0, n_mixed, block):
+        yield _mixture_block(rng.random((min(block, n_mixed - start), 9)))
 
 
-def _block(u: np.ndarray) -> tuple[np.ndarray, ...]:
-    # a mixture's 9 uniforms start with its weight; each pair after that is one qubit's
-    odd = u.shape[1] % 2
-    block = (u[:, 0].copy(),) * odd + tuple(_bloch_vectors(u[:, k:k + 2]) for k in range(odd, u.shape[1], 2))
-    for array in block:
+def _pure_block(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    # (s, t) from each row's 4 uniforms, a pair for each qubit; the uniforms are freed before the block is evaluated
+    return _read_only(_bloch_vectors(u[:, :2]), _bloch_vectors(u[:, 2:]))
+
+
+def _mixture_block(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    # (p, s1, t1, s2, t2) from each row's uniforms: the weight, then a pair for each qubit of each state
+    return _read_only(u[:, 0].copy(), *(_bloch_vectors(u[:, k:k + 2]) for k in (1, 3, 5, 7)))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
         array.setflags(write=False)
-    return block
+    return arrays
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_samples(block: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    # the default set's blocks: 776,000 bytes of Bloch vectors and weights
+    return tuple(_sample_blocks(N_PURE_SAMPLES, N_MIXED_SAMPLES, SAMPLING_SEED, block))
 
 
 def _samples(n_pure: int, n_mixed: int, seed):
-    """_sample_blocks(n_pure, n_mixed, seed), kept when the seed is an integer and the set is no larger than
-    the default set, in place of the one kept before; any other set is drawn block by block as it is read."""
-    if not isinstance(seed, numbers.Integral) or 8 * n_pure + 17 * n_mixed > 8 * N_PURE_SAMPLES + 17 * N_MIXED_SAMPLES:
-        return _sample_blocks(n_pure, n_mixed, seed)  # a pure sample holds 8 floats, a mixture 17
-    key = (n_pure, n_mixed, int(seed), FLOOR_BLOCK)
-    if key not in _KEPT:
-        _KEPT.clear()
-        _KEPT[key] = tuple(_sample_blocks(n_pure, n_mixed, seed))
-    return _KEPT[key]
+    """The blocks of separable_floor's samples at FLOOR_BLOCK, read at the call.
+
+    Only the default set is kept (_kept_samples), and only from its second
+    call at one block size, so a process that evaluates one witness, as
+    ``polent witness`` does, draws block by block and keeps nothing. Any
+    other set is drawn block by block on every call.
+    """
+    # default_rng also takes a SeedSequence or an array of integers, which do not compare as one integer
+    default = isinstance(seed, numbers.Integral) and (n_pure, n_mixed, seed) == (
+        N_PURE_SAMPLES, N_MIXED_SAMPLES, SAMPLING_SEED)
+    if default and FLOOR_BLOCK in _DRAWN_ONCE:
+        return _kept_samples(FLOOR_BLOCK)
+    if default:
+        _DRAWN_ONCE.add(FLOOR_BLOCK)
+    return _sample_blocks(n_pure, n_mixed, seed, FLOOR_BLOCK)
 
 
 def _block_floor(c: np.ndarray, block: tuple[np.ndarray, ...]) -> float:
-    if len(block) == 2:
-        return _product_expectations(c, *block).min()
-    p, s1, t1, s2, t2 = block
-    return (p * _product_expectations(c, s1, t1) + (1.0 - p) * _product_expectations(c, s2, t2)).min()
+    match block:
+        case (s, t):  # pure product states
+            return _product_expectations(c, s, t).min()
+        case (p, s1, t1, s2, t2):  # mixtures of two
+            return (p * _product_expectations(c, s1, t1) + (1.0 - p) * _product_expectations(c, s2, t2)).min()
 
 
 def separable_floor(
@@ -306,11 +328,12 @@ def separable_floor(
     deterministic (_sample_blocks). A product state's expectation is the
     real bilinear form of its two Bloch vectors with the Pauli coefficients
     of W (_product_expectations), evaluated FLOOR_BLOCK samples at a time.
-    The default set's Bloch vectors and weights (776,000 bytes) are formed
-    on the first call and kept (_samples), so a later call only evaluates:
-    about 0.7 ms against 2-4 ms for a call that draws. The floor does not
-    depend on whether the set was kept, nor on the block size. A count that
-    is negative or not an integer raises ValueError.
+    The first call at the default counts and seed draws as it evaluates;
+    the second forms the set's Bloch vectors and weights (776,000 bytes)
+    and keeps them (_samples), so each later call only evaluates: about
+    0.7 ms against 2-4 ms for a call that draws. The floor does not depend
+    on whether the set was kept, nor on the block size. A count that is
+    negative or not an integer raises ValueError.
     """
     for name, n in (("n_pure", n_pure), ("n_mixed", n_mixed)):
         if not isinstance(n, numbers.Integral) or n < 0:

@@ -1,10 +1,10 @@
 """The separable floor drawn anew on every call, for tests only.
 
 entangle.separable_floor evaluates the Bloch vectors of its seeded draws,
-kept from an earlier call where they fit (entangle._samples); plain_floor is
-the loop it replaced, which draws and evaluates FLOOR_BLOCK samples at a
-time on every call, and which the tests check the kept and streamed floors
-against bit for bit.
+kept from an earlier call at the default samples (entangle._samples);
+plain_floor is the loop it replaced, which draws and evaluates FLOOR_BLOCK
+samples at a time on every call, and which the tests check the kept and
+streamed floors against bit for bit.
 """
 
 import numpy as np

@@ -547,18 +547,31 @@ def test_separable_floor_takes_empty_blocks():
 def test_separable_floor_does_not_depend_on_the_block_size(monkeypatch, kept):
     w = constructed_witnesses()[2]
     reference = separable_floor(w, n_pure=2000, n_mixed=300)
+    default = plain_floor(w)
+    evaluated = []  # the blocks that separable_floor evaluated
+    block_floor = entangle._block_floor
+    monkeypatch.setattr(entangle, "_block_floor", lambda c, b: evaluated.append(b) or block_floor(c, b))
     for block in (1, 7, 300, 10**6):
         monkeypatch.setattr(entangle, "FLOOR_BLOCK", block)
         assert separable_floor(w, n_pure=2000, n_mixed=300) == reference
-        assert [key[-1] for key in kept] == [block]  # the set was formed at this block size, not read stale
-        assert len(kept[2000, 300, entangle.SAMPLING_SEED, block]) == -(-2000 // block) + -(-300 // block)
+        if block == 1:
+            continue  # at the defaults, 11,000 blocks of one sample
+        # drawn, then kept, then read: each call evaluates blocks of this size, not a stale set
+        for _ in range(3):
+            evaluated.clear()
+            assert separable_floor(w) == default
+            assert len(evaluated) == -(-entangle.N_PURE_SAMPLES // block) + -(-entangle.N_MIXED_SAMPLES // block)
+            assert len(evaluated[0][0]) == min(block, entangle.N_PURE_SAMPLES)
+        assert evaluated[-1] is kept(block)[-1]
 
 
 @pytest.fixture
 def kept(monkeypatch):
-    """separable_floor's kept set, empty at the start of the test."""
-    monkeypatch.setattr(entangle, "_KEPT", {})
-    return entangle._KEPT
+    """entangle._kept_samples, with no set kept or drawn once at the start of the test."""
+    monkeypatch.setattr(entangle, "_DRAWN_ONCE", set())
+    entangle._kept_samples.cache_clear()
+    yield entangle._kept_samples
+    entangle._kept_samples.cache_clear()
 
 
 @pytest.fixture
@@ -580,43 +593,46 @@ def test_kept_and_streamed_floors_equal_the_plain_loop(kept, n_pure, n_mixed):
     streamed = np.random.SeedSequence(entangle.SAMPLING_SEED)
     rng = np.random.default_rng(17)
     for w in constructed_witnesses()[2:4] + [Witness(rng.normal(size=(4, 4))) for _ in range(3)]:
-        kept.clear()
+        entangle._DRAWN_ONCE.clear()
+        kept.cache_clear()
         reference = plain_floor(w, n_pure, n_mixed)
-        assert separable_floor(w, n_pure, n_mixed) == reference  # cold
-        assert len(kept) == 1
-        assert separable_floor(w, n_pure, n_mixed) == reference  # warm
+        # the first call draws, the second keeps the default set, the third reads it
+        assert [separable_floor(w, n_pure, n_mixed) for _ in range(3)] == [reference] * 3
+        assert kept.cache_info().currsize == ((n_pure, n_mixed) == COUNTS[0])
         assert separable_floor(w, n_pure, n_mixed, streamed) == reference
 
 
 def test_a_warm_call_draws_nothing(kept, draws):
     w = construct_witness(BELL_RHO)
-    cold = separable_floor(w)
+    first = separable_floor(w)
     assert len(draws) == 2 * 10 + 4 * 1  # ten blocks of pure samples, one of mixtures
-    assert separable_floor(w) == cold
+    assert separable_floor(w) == first
+    assert len(draws) == 2 * 24 and kept.cache_info().currsize == 1
     for v in constructed_witnesses():
         separable_floor(v)
-    assert len(draws) == 24
-    # another set takes the kept one's place, and the defaults are drawn again
+    assert separable_floor(w) == first
+    assert len(draws) == 2 * 24
+    # any other set is drawn on every call, and the default set stays kept
     separable_floor(w, 500, 0)
-    assert list(kept) == [(500, 0, entangle.SAMPLING_SEED, entangle.FLOOR_BLOCK)]
-    assert separable_floor(w) == cold
-    assert len(draws) == 24 + 2 + 24
+    separable_floor(w, 500, 0)
+    assert separable_floor(w) == first
+    assert len(draws) == 2 * 24 + 2 * 2
 
 
-@pytest.mark.parametrize("seed", [None, np.random.SeedSequence(entangle.SAMPLING_SEED)])
-def test_a_seed_that_is_not_an_integer_is_drawn_on_every_call(kept, draws, seed):
+@pytest.mark.parametrize("seed", [None, np.random.SeedSequence(entangle.SAMPLING_SEED), entangle.SAMPLING_SEED + 1])
+def test_only_the_default_seed_is_kept(kept, draws, seed):
     w = construct_witness(BELL_RHO)
-    separable_floor(w, 300, 60, seed)
-    first = len(draws)
-    separable_floor(w, 300, 60, seed)
-    assert first == len(draws) - first == 2 * (1 + 2)
-    assert not kept
+    for calls in (1, 2, 3):
+        separable_floor(w, seed=seed)
+        assert len(draws) == 24 * calls
+    assert kept.cache_info().currsize == 0
 
 
 def test_the_kept_arrays_are_read_only_and_their_own(kept):
-    separable_floor(construct_witness(BELL_RHO))
-    arrays = [a for block in kept[entangle.N_PURE_SAMPLES, entangle.N_MIXED_SAMPLES, entangle.SAMPLING_SEED,
-                                  entangle.FLOOR_BLOCK] for a in block]
+    for _ in range(2):
+        separable_floor(construct_witness(BELL_RHO))
+    arrays = [a for block in kept(entangle.FLOOR_BLOCK) for a in block]
+    assert kept.cache_info().hits == 1  # the set that the second call kept
     assert all(not a.flags.writeable and a.base is None for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[-1][0] = 0.0
@@ -624,28 +640,40 @@ def test_the_kept_arrays_are_read_only_and_their_own(kept):
     assert sum(a.nbytes for a in arrays) == 8 * (8 * 10000 + 17 * 1000) == 776_000
 
 
+def _traced(f, *args) -> tuple[int, int]:
+    # the bytes that f(*args) leaves allocated, and its peak
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_first_call_at_the_defaults_keeps_nothing(kept):
+    # a process that evaluates one witness draws block by block, as the plain loop does
+    w = constructed_witnesses()[2]
+    _, plain = _traced(plain_floor, w)
+    held, first = _traced(separable_floor, w)
+    assert first <= 1.1 * plain < 776_000 / 2 and held < 10_000
+    held, _ = _traced(separable_floor, w)
+    assert held > 776_000  # the second call keeps the set
+
+
 @pytest.mark.parametrize("n_pure, n_mixed", [(entangle.N_PURE_SAMPLES + 1, entangle.N_MIXED_SAMPLES),
                                              (20000, 0), (0, 20000)])
-def test_a_set_larger_than_the_default_is_streamed(kept, draws, n_pure, n_mixed):
+def test_a_set_that_is_not_the_default_is_streamed(kept, draws, n_pure, n_mixed):
     w = constructed_witnesses()[2]
-    separable_floor(w)
-    default = dict(kept)
     floor = separable_floor(w, n_pure, n_mixed)
+    drawn = len(draws)
     assert floor == plain_floor(w, n_pure, n_mixed)
-    assert kept == default  # not kept, and the default set stays
     before = len(draws)
-    separable_floor(w, n_pure, n_mixed)
-    assert len(draws) > before
+    assert separable_floor(w, n_pure, n_mixed) == floor
+    assert len(draws) - before == drawn and kept.cache_info().currsize == 0
     # one block at a time: the peak is the plain loop's, far below the set's bytes
-    peaks = []
-    for f in (plain_floor, separable_floor):
-        tracemalloc.start()
-        try:
-            f(w, n_pure, n_mixed)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0] < 8 * (8 * n_pure + 17 * n_mixed) / 2
+    _, plain = _traced(plain_floor, w, n_pure, n_mixed)
+    held, peak = _traced(separable_floor, w, n_pure, n_mixed)
+    assert peak <= 1.1 * plain < 8 * (8 * n_pure + 17 * n_mixed) / 2 and held < 10_000
 
 
 @pytest.mark.parametrize("kwargs, name", [

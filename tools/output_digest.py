@@ -41,7 +41,7 @@ COMMANDS = [
     "steady --zeta 1e200 --xi1 1e100",
     "steady --zeta 10 --xi1 0 --solver numeric",
     "witness --zeta 10 --xi1 2.135",
-    "witness --zeta 5.210641 --xi1 1.107693",  # its floor is read from the set the line above kept
+    "witness --zeta 5.210641 --xi1 1.107693",  # the second witness in the process: its floor is read from the kept set
     "witness --zeta 0 --xi1 0",
     "dynamics",
     "dynamics --zeta 10 --xi1 2.135",

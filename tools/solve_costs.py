@@ -21,8 +21,9 @@ Prints seven tables, the ladder first:
   before each run (cold), where the plan builders have rows of their own;
 - witness: one entangle.separable_floor at its default samples, of the
   witness at perfbench's seed-1 ridge point, the fastest of 9 runs in this
-  one process, with the sample set kept (warm) and with the kept set
-  emptied before each run (cold), where the draws have rows of their own;
+  one process, with the sample set kept (warm) and as the first call of a
+  process (cold: each run starts with nothing kept or drawn before, and
+  draws block by block), where the draws have rows of their own;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
   lifted, its wall time, its time in nominal seconds (the wall time over a
   yardstick's, timed just before and after the run) and its max RSS
@@ -311,15 +312,16 @@ def sweep_table() -> None:
 
 
 def witness_times(repeats: int = REPEATS, cold: bool = False) -> dict[str, float]:
-    """The rows of one separable_floor of the witness at RIDGE, the fastest of ``repeats`` runs, each with no
-    sample set kept with ``cold``."""
+    """The rows of one separable_floor of the witness at RIDGE, the fastest of ``repeats`` runs, each as the
+    first call of a process with ``cold``."""
     witness = runs.witness_report(*RIDGE, 0.0).witness
-    return fastest(lambda: entangle.separable_floor(witness), repeats, entangle._KEPT.clear if cold else None)
+    forget = (lambda: (entangle._DRAWN_ONCE.clear(), entangle._kept_samples.cache_clear())) if cold else None
+    return fastest(lambda: entangle.separable_floor(witness), repeats, forget)
 
 
 def witness_table() -> None:
     _table(f"witness: separable_floor at {entangle.N_PURE_SAMPLES} + {entangle.N_MIXED_SAMPLES} samples by "
-           f"function, ms (fastest of {REPEATS} runs, one process; cold: no sample set kept)",
+           f"function, ms (fastest of {REPEATS} runs, one process; cold: a process's first call)",
            {"warm": witness_times(), "cold": witness_times(cold=True)})
 
 
