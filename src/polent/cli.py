@@ -8,8 +8,8 @@ Subcommands
     dynamics  CSV time series of a relaxation run from both qubits in |g>
 
 This module parses options, formats the library's reports (runs.evaluate,
-runs.witness_report, runs.validate_reduction), writes files and maps failures to
-exit codes. Any flag can instead be given in a config file of flat ``key = value``
+runs.witness_report, runs.validate_reduction, runs.dynamics), writes files and maps
+failures to exit codes. Any flag can instead be given in a config file of flat ``key = value``
 lines (keys match the long flag names); explicit flags win over file values. Each
 option has one converter, which is its whole check: a flag, a config line and the
 default all go through it, and a bad value exits 2 with one ``error:`` line,
@@ -29,10 +29,10 @@ import sys
 import numpy as np
 
 from .entangle import PAULI_LABELS, NotEntangledError, concurrence
-from .lindblad import DEFAULT_DT, DegenerateSteadyStateError, IntegrationError, evolve
-from .model import DimensionlessParams, PhysicalParams, build_effective_model
+from .lindblad import DEFAULT_DT, DegenerateSteadyStateError, IntegrationError
+from .model import PhysicalParams
 from .qops import InvalidStateError
-from .runs import SOLVERS, TruncationError, evaluate, ground_state, validate_reduction, witness_report
+from .runs import SOLVERS, TruncationError, dynamics, evaluate, validate_reduction, witness_report
 
 DEFAULT_GRID = "0:10:81,0:4:81"
 # points per stacked evaluation: memory follows the block, not the grid, and
@@ -125,7 +125,9 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
     if len(runs) > 1:
         import multiprocessing  # here only: importing it costs every fresh interpreter about 4.5 ms
 
-        with multiprocessing.get_context("spawn").Pool(len(runs)) as pool:
+        # each worker runs its rows under main's errstate, which a spawned process does not inherit
+        with multiprocessing.get_context("spawn").Pool(
+                len(runs), functools.partial(np.seterr, **np.geterr())) as pool:
             rows = np.concatenate(pool.starmap(_sweep_rows, runs))
     else:
         rows = _sweep_rows(*runs[0])
@@ -172,7 +174,7 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
         f"n_max {p.n_max} -> {p.n_max + 2}: converged)",
         f"trace distance (reduced qubit pair vs effective model) = {r.reduction_distance:.17g}",
         f"|<a> - adiabatic prediction| = {r.adiabatic_mismatch:.17g}",
-        f"dynamics cross-check at t = {t_final:g} (effective model): "
+        f"dynamics cross-check at t = {r.dynamics_time:g} (effective model): "
         f"trace distance to steady state = {r.dynamics_distance:.3g}",
     ]
     _emit(lines, out)
@@ -181,8 +183,7 @@ def cmd_validate(j: float, delta: float, kappa: float, gamma: float, alpha_re: f
 
 def cmd_dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float,
                  sample_every: int, out: str) -> int:
-    model = build_effective_model(DimensionlessParams(zeta, xi1, xi2))
-    steps, rho, drift = evolve(model, ground_state(), t_final, dt, sample_every)
+    steps, rho, drift = dynamics(zeta, xi1, xi2, t_final, dt, sample_every)
     pops = rho.matrix.diagonal(axis1=-2, axis2=-1).real
     rows = np.column_stack([steps * dt, concurrence(rho), pops, drift[steps]])
     _write_csv(out, ("t", "concurrence", "pop_ee", "pop_ge", "pop_eg", "pop_gg", "trace_drift"), rows)

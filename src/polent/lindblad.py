@@ -54,13 +54,13 @@ DEFAULT_DT = 1e-3
 # evolve's steps per anchor, and anchors per super-anchor (every STRIDE^2 steps). One evolve to
 # t = 50 at dt = 1e-3 from |gg> at (5.210641, 1.107693), sampled every 100 steps, by STRIDE 64 /
 # 128 / 256, ms: the self times of the fastest of 9 runs in each of 5 rounds over the widths, in
-# the fastest of 3 runs of the table, 2 CPUs (tools/solve_costs.py, evolve). The set-up's
-# build_liouvillian, _real_form and _to_exchange_basis 0.47 / 0.50 / 0.50, the X_j 0.07 / 0.11 /
-# 0.16 and the anchor level's Y_b 0.05 / 0.09 / 0.13 (_step_powers), batch products 0.78 / 0.74 /
-# 0.81, drift 0.39 / 0.30 / 0.29, sample matrices 0.23 / 0.20 / 0.21, their check 0.43 / 0.37 /
-# 0.47, evolve's own set-up and loop 0.76 / 0.74 / 0.74, and in all 3.17 / 3.05 / 3.31. Timed call
-# by call in turn, 300 calls each in one process, 128 was faster than 64 in 263 and 300 of 300
-# pairs of two such processes
+# the fastest of 3 runs of the table, 2 CPUs (tools/solve_costs.py, evolve). The L's build,
+# _real_form and _to_exchange_basis 0.47 / 0.50 / 0.50, the X_j 0.07 / 0.11 / 0.16 and the anchor
+# level's Y_b 0.05 / 0.09 / 0.13 (_step_powers), batch products 0.78 / 0.74 / 0.81, drift 0.39 /
+# 0.30 / 0.29, sample matrices 0.23 / 0.20 / 0.21, their check 0.43 / 0.37 / 0.47, evolve's own
+# set-up and loop 0.76 / 0.74 / 0.74, and in all 3.17 / 3.05 / 3.31, less the table's model build
+# (runs.dynamics). Timed call by call in turn, 300 calls each in one process, 128 was faster than
+# 64 in 263 and 300 of 300 pairs of two such processes
 STRIDE = 128
 # steady_state solves one L of at least this side (full model, n_max >= 6) by
 # levels, and a smaller one whole. Whole inverse (by exchange sector) against
@@ -951,9 +951,9 @@ def _batches(increment: np.ndarray, r: np.ndarray, nsteps: int, strides: int):
         start += STRIDE * count
 
 
-def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DEFAULT_DT,
+def evolve(liouv: Liouvillian, rho0: DensityMatrix, t_final: float, dt: float = DEFAULT_DT,
            sample_every: int | None = None) -> tuple[np.ndarray, DensityMatrix, np.ndarray]:
-    """Propagate rho0 with fixed-step fourth-order Runge-Kutta; return (steps, rho, drift).
+    """Propagate rho0 under the Liouvillian with fixed-step fourth-order Runge-Kutta; return (steps, rho, drift).
 
     For the linear equation d vec(rho)/dt = L vec(rho), one RK4 step is
     exactly the matrix P = sum_{k<=4} (dt L)^k / k!. It is formed once, in
@@ -963,9 +963,9 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     falls into the parts of L's pattern, each pair followed both ways
     (_reached), and the state never leaves the parts that rho0's
     coordinates hold: RK4 steps only those, with P's block on them. The
-    reduced model commutes with the qubit swap bit for bit, so from |gg> it
-    steps the 10 exchange-even coordinates of 16, and the 6 odd ones stay 0
-    exactly; a general rho0, or a model that breaks the swap, steps all of
+    reduced model's L commutes with the qubit swap bit for bit, so from |gg>
+    it steps the 10 exchange-even coordinates of 16, and the 6 odd ones stay
+    0 exactly; a general rho0, or an L that breaks the swap, steps all of
     them, by the same code. The spectral radius is still read from all of
     P: a sector the state never enters is unstable at the same dt (at
     (10, 2.135) and dt = 0.14 the odd block has radius 1.27 and the even
@@ -993,7 +993,7 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     at the first failing step. A spectral radius of P above 1 +
     STABILITY_SLACK aborts it before the first step, as the drift shows a
     growing mode only after a growth of ~1e10. The run takes round(t_final
-    / dt) steps, at least one when t_final > 0; a stacked m or rho0, a
+    / dt) steps, at least one when t_final > 0; a stacked L or rho0, a
     non-finite t_final or t_final / dt, a step count too large to allocate,
     dt <= 0 or sample_every < 1 raises ValueError. ``steps`` is 0, k, 2k,
     ... and the last step for k = sample_every (0 and the last step for
@@ -1004,11 +1004,11 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     matrix, steps[exc.index], raises an IntegrationError that names its t,
     its reason and dt.
     """
-    for what, stack in (("model", m.hamiltonian), ("initial state", rho0.matrix)):
-        if stack.ndim > 2:
+    for what, stack, one in (("Liouvillian", liouv.values, 1), ("initial state", rho0.matrix, 2)):
+        if stack.ndim > one:
             raise ValueError(f"evolve takes one {what}, not a stack of {len(stack)}")
-    if rho0.space.dims != m.space.dims:
-        raise ValueError("initial state lives on a different space than the model")
+    if rho0.space.dims != liouv.space.dims:
+        raise ValueError("initial state lives on a different space than the Liouvillian")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not np.isfinite(t_final):
@@ -1018,10 +1018,10 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise ValueError(f"the step count t_final / dt must be finite, got {t_final:g} / {dt:g} = {ratio:g}")
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
-    d = m.space.dim
+    d = liouv.space.dim
     n = d * d
-    k, l, entries, _ = _real_form(build_liouvillian(m))
-    k, l, entries = _to_exchange_basis(k, l, entries[0], m.space)
+    k, l, entries, _ = _real_form(liouv)
+    k, l, entries = _to_exchange_basis(k, l, entries[0], liouv.space)
     a = np.zeros((n, n))
     a[k, l] = dt * entries
     eye = np.eye(n)
@@ -1033,10 +1033,10 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
         raise IntegrationError(f"RK4 step spectral radius {radius:.6g} > 1; reduce dt below {dt:g}")
     owners, _, values = _owners(d)  # r = Re(U^dagger vec rho0), the adjoint of _from_coordinates
     weights = (values.conj() * rho0.matrix.ravel(order="F")[:, None]).real
-    r = _exchange_rotation(np.bincount(owners.ravel(), weights.ravel(), minlength=n), m.space, back=False)
+    r = _exchange_rotation(np.bincount(owners.ravel(), weights.ravel(), minlength=n), liouv.space, back=False)
     held = np.flatnonzero(_reached(a, r != 0))  # the coordinates that ever move
     increment, r = increment[np.ix_(held, held)], r[held]
-    trace = _adapted_trace(m.space)[held]
+    trace = _adapted_trace(liouv.space)[held]
     nsteps = max(1, int(round(ratio))) if t_final > 0 else 0
     every = min(sample_every or nsteps, nsteps) or 1  # np.arange takes no step beyond int64
     try:  # a finite step count can still be more than an array holds
@@ -1068,10 +1068,10 @@ def evolve(m: LindbladModel, rho0: DensityMatrix, t_final: float, dt: float = DE
     states = None  # the last batch, gone before the matrices' temporaries come
     for i in range(0, len(steps), block):
         # _held_matrices copies a block's coordinates before its matrices overwrite them
-        mats[i:i + block] = _held_matrices(coords[i:i + block], held, m.space)
+        mats[i:i + block] = _held_matrices(coords[i:i + block], held, liouv.space)
     mats.setflags(write=False)  # handed over to DensityMatrix, which keeps it uncopied
     try:
-        return steps, DensityMatrix(m.space, mats), drift
+        return steps, DensityMatrix(liouv.space, mats), drift
     except InvalidStateError as exc:  # a stable step can still overshoot a fast transient
         raise IntegrationError(f"state at t = {steps[exc.index] * dt:.6g} is not a density matrix "
                                f"({exc.reason}); reduce dt below {dt:g}") from exc

@@ -1,5 +1,5 @@
 """Library reports, as frozen dataclasses: evaluate's steady states, witness_report's witness and
-validate_reduction's check.
+validate_reduction's check; and dynamics' relaxation run.
 
 The layers are called through their modules (lindblad.steady_state, not a
 copy of the name), so a tracer that rebinds a module's functions sees them.
@@ -81,6 +81,8 @@ def evaluate(zeta, xi1, xi2, solver: str) -> Evaluation:
     """
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    if np.ndim(zeta) or np.ndim(xi1) or np.ndim(xi2):  # as in DimensionlessParams; one point keeps its floats
+        zeta, xi1, xi2 = np.broadcast_arrays(zeta, xi1, xi2)
     try:
         liouv = lindblad.build_liouvillian(model.build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
         exact = discrepancy = None
@@ -129,6 +131,12 @@ def ground_state() -> DensityMatrix:
     return DensityMatrix(TWO_QUBITS, np.diag([0j, 0j, 0j, 1.0]))
 
 
+def dynamics(zeta: float, xi1: float, xi2: float, t_final: float, dt: float, sample_every: int):
+    """lindblad.evolve's (steps, rho, drift) from ground_state() under the reduced model's L at one point."""
+    liouv = lindblad.build_liouvillian(model.build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
+    return lindblad.evolve(liouv, ground_state(), t_final, dt, sample_every)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ValidationReport:
     """The full model at physical rates against the reduced model at the mapped point."""
@@ -139,6 +147,7 @@ class ValidationReport:
     reduction_distance: float  # trace distance of the full model's qubit pair to the reduced state
     adiabatic_mismatch: float  # |<a> - model.adiabatic_amplitude|: the cutoff and the solver only
     dynamics_distance: float  # trace distance of the reduced model's run from |gg> to its steady state
+    dynamics_time: float  # the time that run reached: round(t_final / dt) steps, at least one
     cavity_amplitude: float  # |alpha / (Delta + i kappa)|, the empty cavity's |<a>|
 
 
@@ -155,13 +164,13 @@ def validate_reduction(p: PhysicalParams, t_final: float) -> ValidationReport:
         raise TruncationError(f"observables moved {shift:.3e} from n_max = {p.n_max} to {p.n_max + 2}",
                               p.n_max + 2)
     dp = model.map_physical(p)
-    eff = evaluate(dp.zeta, dp.xi1, dp.xi2, "numeric").rho
-    distance = qops.trace_distance(qubits, eff)
+    ev = evaluate(dp.zeta, dp.xi1, dp.xi2, "numeric")
+    distance = qops.trace_distance(qubits, ev.rho)
     mismatch = abs(amp - model.adiabatic_amplitude(sig1, sig2, p))
-    # the run's samples are rho0 and its last state
-    samples = lindblad.evolve(model.build_effective_model(dp), ground_state(), t_final)[1]
-    return ValidationReport(dp, nbar, shift, distance, mismatch, qops.trace_distance(samples, eff)[-1],
-                            abs(p.alpha / (p.delta + 1j * p.kappa)))
+    # a run under the L that gave the steady state; its samples are rho0 and its last state
+    steps, samples, _ = lindblad.evolve(ev.liouvillian, ground_state(), t_final)
+    return ValidationReport(dp, nbar, shift, distance, mismatch, qops.trace_distance(samples, ev.rho)[-1],
+                            steps[-1] * lindblad.DEFAULT_DT, abs(p.alpha / (p.delta + 1j * p.kappa)))
 
 
 def _marginals(p: PhysicalParams):

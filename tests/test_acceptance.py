@@ -170,7 +170,7 @@ def test_drive_component_symmetry(capsys):
 def test_dynamics_reaches_fixed_point(capsys):
     model = build_effective_model(REFERENCE_POINT)
     target = _exact_rho(REFERENCE_POINT.zeta, REFERENCE_POINT.xi1)
-    _, states, drifts = evolve(model, _ground_pair(), t_final=50.0, dt=1e-3)
+    _, states, drifts = evolve(build_liouvillian(model), _ground_pair(), t_final=50.0, dt=1e-3)
     final = DensityMatrix(states.space, states.matrix[-1])
     td = trace_distance(final, target)
     worst_drift = max(drifts)

@@ -171,12 +171,12 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
 
 
 class _InlineContext:
-    """A multiprocessing context whose pool records its size and runs tasks in-process."""
+    """A multiprocessing context whose pool records its size and runs tasks in-process, with no initializer."""
 
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, size):
+    def Pool(self, size, initializer=None):
         self.sizes.append(size)
         return self
 
@@ -204,6 +204,19 @@ def test_sweep_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert main(["sweep", "--grid", grid, "--workers", "8", "--out", str(paths[1])]) == 0
     assert context.sizes == [3]
+
+
+def test_a_failing_sweep_prints_one_line_with_workers(tmp_path, monkeypatch, capfd):
+    # two spawned workers run their rows under main's errstate: numpy's overflow
+    # warnings stay unprinted there too, and only the failure's line remains
+    argv = ["sweep", "--grid", "0:1e200:3,0:1e100:3", "--solver", "both", "--out", str(tmp_path / "s.csv")]
+    line = "numerical failure: at (zeta, xi1, xi2) = (0, 5.0000000000000001e+99, 0): "
+    assert main(argv + ["--workers", "1"]) == 3
+    alone = capfd.readouterr()
+    assert alone.out == "" and alone.err.startswith(line) and alone.err.count("\n") == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(argv + ["--workers", "2"]) == 3
+    assert capfd.readouterr() == alone
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
@@ -285,6 +298,13 @@ def test_validate_fails_where_the_level_solve_cannot_certify(capsys):
     argv = ["validate", "--delta=-1e4", "--kappa", "1e-3", "--alpha-re", "1e8", "--nmax", "6"]
     assert main(argv + ["--t-final", "2"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_validate_prints_the_time_its_cross_check_reached(capsys):
+    # the run takes round(t_final / dt) steps of dt = 1e-3, at least one
+    for horizon, reached in (("20", "20"), ("2", "2"), ("0.0126", "0.013"), ("1e-300", "0.001")):
+        assert main(["validate", "--t-final", horizon]) == 0
+        assert f"dynamics cross-check at t = {reached} (effective model): " in capsys.readouterr().out
 
 
 def test_validate_usage_errors(capsys):

@@ -271,10 +271,10 @@ def test_rk4_does_not_depend_on_the_order_of_the_entries(monkeypatch):
         return batches(increment, *args)
 
     monkeypatch.setattr(lindblad, "_batches", recorded)
-    runs = [lindblad.evolve(m, rho0, t_final=2.0, dt=1e-2, sample_every=10)]
+    runs = [lindblad.evolve(lindblad.build_liouvillian(m), rho0, t_final=2.0, dt=1e-2, sample_every=10)]
     shuffle_output(monkeypatch, rng, "_real_form")
     shuffle_output(monkeypatch, rng, "_to_exchange_basis")
-    runs.append(lindblad.evolve(m, rho0, t_final=2.0, dt=1e-2, sample_every=10))
+    runs.append(lindblad.evolve(lindblad.build_liouvillian(m), rho0, t_final=2.0, dt=1e-2, sample_every=10))
     assert stepped[0].shape == (16, 16) and identical(stepped[1], stepped[0])
     (steps, rho, drift), (mixed_steps, mixed_rho, mixed_drift) = runs
     assert identical(mixed_steps, steps) and identical(mixed_rho.matrix, rho.matrix)

@@ -53,9 +53,9 @@ def random_model(rng, space):
     return LindbladModel(space, g + g.conj().T, jumps)
 
 
-def evolve_final(*args, **kwargs):
-    """The last state of an evolve run."""
-    _, rho, _ = evolve(*args, **kwargs)
+def evolve_final(m, *args, **kwargs):
+    """The last state of an evolve run under m's Liouvillian."""
+    _, rho, _ = evolve(build_liouvillian(m), *args, **kwargs)
     return DensityMatrix(rho.space, rho.matrix[-1])
 
 
@@ -845,7 +845,7 @@ def test_evolve_relaxes_from_random_states():
 
 def test_evolve_returns_the_drift_of_every_step():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    steps, _, drifts = evolve(m, ground_pair(), t_final=1.0, dt=1e-3)
+    steps, _, drifts = evolve(build_liouvillian(m), ground_pair(), t_final=1.0, dt=1e-3)
     assert len(drifts) == 1 + 1000  # step 0, then every step
     assert max(drifts) <= 1e-8
     assert_allclose(steps[-1] * 1e-3, 1.0, atol=1e-12)
@@ -898,10 +898,10 @@ def test_a_run_across_a_super_stride_is_a_prefix_of_a_longer_one():
     s2 = lindblad.STRIDE**2
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     dt = 2.0**-10
-    steps, rho, drifts = evolve(m, ground_pair(), (2 * s2 + 7) * dt, dt, sample_every=1)
+    steps, rho, drifts = evolve(build_liouvillian(m), ground_pair(), (2 * s2 + 7) * dt, dt, sample_every=1)
     assert steps[-1] == 2 * s2 + 7
     for k in (s2 - 1, s2 + 1):
-        short_steps, short, short_drifts = evolve(m, ground_pair(), k * dt, dt)
+        short_steps, short, short_drifts = evolve(build_liouvillian(m), ground_pair(), k * dt, dt)
         assert short_steps[-1] == k
         assert np.array_equal(short.matrix[-1], rho.matrix[k])
         assert np.array_equal(short_drifts, drifts[:k + 1])
@@ -914,9 +914,9 @@ def test_a_run_of_three_super_strides_does_not_depend_on_the_batch_size(monkeypa
     # S, S and 57 strides. 7 / S of a stride's entries is a check block of 7
     # samples and a batch of one stride
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    reference = evolve(m, ground_pair(), 40.0, 1e-3, sample_every=7)
+    reference = evolve(build_liouvillian(m), ground_pair(), 40.0, 1e-3, sample_every=7)
     monkeypatch.setattr(qops, "CHECK_ELEMENTS", round(batch * lindblad.STRIDE * 16))
-    steps, rho, drift = evolve(m, ground_pair(), 40.0, 1e-3, sample_every=7)
+    steps, rho, drift = evolve(build_liouvillian(m), ground_pair(), 40.0, 1e-3, sample_every=7)
     assert np.array_equal(steps, reference[0])
     assert np.array_equal(rho.matrix, reference[1].matrix)
     assert np.array_equal(drift, reference[2])
@@ -979,9 +979,9 @@ def test_evolve_does_not_depend_on_the_batch_size(monkeypatch, batch):
     # holds 7 samples and a batch one stride, so blocks, batches and
     # super-strides cut the samples at different places
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    reference = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
+    reference = evolve(build_liouvillian(m), ground_pair(), 10.0, 1e-3, sample_every=7)
     monkeypatch.setattr(qops, "CHECK_ELEMENTS", round(batch * lindblad.STRIDE * 16))
-    steps, rho, drift = evolve(m, ground_pair(), 10.0, 1e-3, sample_every=7)
+    steps, rho, drift = evolve(build_liouvillian(m), ground_pair(), 10.0, 1e-3, sample_every=7)
     assert np.array_equal(steps, reference[0])
     assert np.array_equal(rho.matrix, reference[1].matrix)
     assert np.array_equal(drift, reference[2])
@@ -994,7 +994,7 @@ def test_evolve_memory_does_not_grow_with_the_run():
     for nsteps in (50_000, 200_000):
         tracemalloc.start()
         try:
-            evolve(m, ground_pair(), nsteps * 1e-3, 1e-3)
+            evolve(build_liouvillian(m), ground_pair(), nsteps * 1e-3, 1e-3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1010,7 +1010,7 @@ def test_evolve_holds_its_sample_stack_once():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     tracemalloc.start()
     try:
-        rho = evolve(m, ground_pair(), 50.0, 1e-3, sample_every=1)[1]
+        rho = evolve(build_liouvillian(m), ground_pair(), 50.0, 1e-3, sample_every=1)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1025,7 +1025,7 @@ def test_evolve_names_the_first_step_whose_trace_drifts():
     m = LindbladModel(ONE_QUBIT, -1j * 0.9e-7 * np.diag([1.0, 0.0]), ())
     rho0 = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
     with pytest.raises(IntegrationError, match=r"^trace drift 1\.000e-06 at t = 5\.556 exceeds 1e-06; "):
-        evolve(m, rho0, 20.0, 1e-3)
+        evolve(build_liouvillian(m), rho0, 20.0, 1e-3)
 
 
 def test_evolve_keeps_the_stationary_state():
@@ -1043,7 +1043,7 @@ def test_evolve_sample_cadence():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     final = evolve_final(m, ground_pair(), t_final=1.0, dt=1e-3).matrix
     for every in (1, 7, 100, 250):
-        steps, rho, _ = evolve(m, ground_pair(), t_final=1.0, dt=1e-3, sample_every=every)
+        steps, rho, _ = evolve(build_liouvillian(m), ground_pair(), t_final=1.0, dt=1e-3, sample_every=every)
         expected = [0] + sorted(set(range(every, 1001, every)) | {1000})
         assert steps.tolist() == expected
         assert (steps * 1e-3).tolist() == [step * 1e-3 for step in expected]
@@ -1053,9 +1053,9 @@ def test_evolve_sample_cadence():
 
 def test_a_cadence_beyond_the_run_samples_its_ends():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
-    steps, rho, drift = evolve(m, ground_pair(), t_final=1.0, dt=1e-3)
+    steps, rho, drift = evolve(build_liouvillian(m), ground_pair(), t_final=1.0, dt=1e-3)
     for every in (1001, 2**63, 10**30):
-        long_steps, long_rho, long_drift = evolve(m, ground_pair(), 1.0, 1e-3, sample_every=every)
+        long_steps, long_rho, long_drift = evolve(build_liouvillian(m), ground_pair(), 1.0, 1e-3, sample_every=every)
         assert np.array_equal(long_steps, steps) and long_steps.dtype == steps.dtype
         assert np.array_equal(long_rho.matrix, rho.matrix)
         assert np.array_equal(long_drift, drift)
@@ -1066,10 +1066,10 @@ def test_sampling_does_not_perturb_the_run(every):
     # dt = 2^-10 makes k dt / dt exactly k: the k-step run is a prefix of the long one
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     dt = 2.0**-10
-    steps, rho, drifts = evolve(m, ground_pair(), 300 * dt, dt, sample_every=every)
+    steps, rho, drifts = evolve(build_liouvillian(m), ground_pair(), 300 * dt, dt, sample_every=every)
     assert steps[-1] == 300
     for k, mat in zip(steps, rho.matrix):
-        short_steps, short, short_drifts = evolve(m, ground_pair(), k * dt, dt)
+        short_steps, short, short_drifts = evolve(build_liouvillian(m), ground_pair(), k * dt, dt)
         assert short_steps[-1] == k
         assert np.array_equal(mat, short.matrix[-1])
         assert np.array_equal(drifts[:k + 1], short_drifts)
@@ -1083,13 +1083,13 @@ def test_evolve_aborts_at_the_first_bad_step_even_when_unobserved():
     for every in (1, 1000):
         with pytest.raises(IntegrationError,
                            match=r"spectral radius \S+ > 1; reduce dt below 0\.5$") as exc:
-            evolve(m, ground_pair(), t_final=20.0, dt=0.5, sample_every=every)
+            evolve(build_liouvillian(m), ground_pair(), t_final=20.0, dt=0.5, sample_every=every)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     # the stability edge lies between dt = 0.13 and 0.14 (spectral radius 1.27)
-    evolve(m, ground_pair(), t_final=30.0, dt=0.13)
+    evolve(build_liouvillian(m), ground_pair(), t_final=30.0, dt=0.13)
     with pytest.raises(IntegrationError, match=r"spectral radius 1\.27"):
-        evolve(m, ground_pair(), t_final=30.0, dt=0.14)
+        evolve(build_liouvillian(m), ground_pair(), t_final=30.0, dt=0.14)
 
 
 def test_evolve_names_t_and_dt_when_a_state_is_not_a_density_matrix():
@@ -1098,9 +1098,9 @@ def test_evolve_names_t_and_dt_when_a_state_is_not_a_density_matrix():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     message = r"^state at t = 0\.1 is not a density matrix \(negative eigenvalue .*\); reduce dt below 0\.1$"
     with pytest.raises(IntegrationError, match=message):
-        evolve(m, ground_pair(), t_final=0.1, dt=0.1)  # the final state
+        evolve(build_liouvillian(m), ground_pair(), t_final=0.1, dt=0.1)  # the final state
     with pytest.raises(IntegrationError, match=message):
-        evolve(m, ground_pair(), t_final=30.0, dt=0.1, sample_every=1)
+        evolve(build_liouvillian(m), ground_pair(), t_final=30.0, dt=0.1, sample_every=1)
 
 
 def test_evolve_names_the_failing_sample_from_one_check(monkeypatch):
@@ -1117,7 +1117,7 @@ def test_evolve_names_the_failing_sample_from_one_check(monkeypatch):
     monkeypatch.setattr(lindblad, "DensityMatrix", counted)
     message = r"^state at t = 0\.1 is not a density matrix \(negative eigenvalue .*\); reduce dt below 0\.1$"
     with pytest.raises(IntegrationError, match=message) as exc:
-        evolve(m, ground, t_final=30, dt=0.1, sample_every=1)
+        evolve(build_liouvillian(m), ground, t_final=30, dt=0.1, sample_every=1)
     assert len(built) == 1 and len(built[0][1]) == 301
     assert exc.value.__cause__.index == 1  # step 1: t = 0.1
 
@@ -1126,46 +1126,46 @@ def test_evolve_aborts_on_a_nan_trace():
     m = LindbladModel(ONE_QUBIT, np.nan * SIGMA_MINUS, ())
     rho0 = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
     with pytest.raises(IntegrationError, match=r"trace drift nan at t = 0\.1 "):
-        evolve(m, rho0, t_final=1.0, dt=0.1)
+        evolve(build_liouvillian(m), rho0, t_final=1.0, dt=0.1)
 
 
 def test_evolve_aborts_on_unstable_step():
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     with pytest.raises(IntegrationError):
-        evolve(m, ground_pair(), t_final=20.0, dt=0.5)
+        evolve(build_liouvillian(m), ground_pair(), t_final=20.0, dt=0.5)
 
 
 def test_evolve_input_validation():
     m = build_effective_model(DimensionlessParams(1.0, 0.0))
     with pytest.raises(ValueError):
-        evolve(m, ground_pair(), t_final=1.0, dt=0.0)
+        evolve(build_liouvillian(m), ground_pair(), t_final=1.0, dt=0.0)
     one_qubit_state = DensityMatrix(ONE_QUBIT, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
-        evolve(m, one_qubit_state, t_final=1.0)
+        evolve(build_liouvillian(m), one_qubit_state, t_final=1.0)
     # t_final = nan would take no step and inf never end; a cadence below 1 would skip rho0
     for t_final in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="t_final must be finite"):
-            evolve(m, ground_pair(), t_final=t_final)
+            evolve(build_liouvillian(m), ground_pair(), t_final=t_final)
     for every in (0, -5):
         with pytest.raises(ValueError, match="sample_every must be at least 1"):
-            evolve(m, ground_pair(), t_final=0.01, dt=1e-3, sample_every=every)
+            evolve(build_liouvillian(m), ground_pair(), t_final=0.01, dt=1e-3, sample_every=every)
     # a dt so small that t_final / dt overflows has no step count
     for t_final, dt in ((1.0, 1e-320), (1e10, 1e-310)):
         message = f"the step count t_final / dt must be finite, got {t_final:g} / {dt:g} = inf"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            evolve(m, ground_pair(), t_final=t_final, dt=dt)
+            evolve(build_liouvillian(m), ground_pair(), t_final=t_final, dt=dt)
     # 1e300 steps are a finite count, but no array holds their drift
     message = "the step count t_final / dt = 1 / 1e-300 = 1e+300 is too large to allocate ("
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        evolve(m, ground_pair(), t_final=1.0, dt=1e-300)
+        evolve(build_liouvillian(m), ground_pair(), t_final=1.0, dt=1e-300)
 
 
 def test_evolve_refuses_a_stacked_model():
     # it propagates one state under one L; a stack is not integrated member by member
-    stack = build_effective_model(DimensionlessParams([10.0, 5.0, 0.0], 2.135))
-    with pytest.raises(ValueError, match=r"^evolve takes one model, not a stack of 3$"):
+    stack = build_liouvillian(build_effective_model(DimensionlessParams([10.0, 5.0, 0.0], 2.135)))
+    with pytest.raises(ValueError, match=r"^evolve takes one Liouvillian, not a stack of 3$"):
         evolve(stack, ground_pair(), t_final=1.0)
     m = build_effective_model(DimensionlessParams(10.0, 2.135))
     states = DensityMatrix(TWO_QUBITS, np.stack([ground_pair().matrix] * 2))
     with pytest.raises(ValueError, match=r"^evolve takes one initial state, not a stack of 2$"):
-        evolve(m, states, t_final=1.0)
+        evolve(build_liouvillian(m), states, t_final=1.0)

@@ -170,7 +170,7 @@ def test_rk4_keeps_the_trace_to_rounding_at_every_step(zeta, xi1, xi2, fraction,
     dt = fraction / np.linalg.norm(build_liouvillian(model).matrix, 2)
     ground = DensityMatrix(TWO_QUBITS, np.diag([0.0, 0.0, 0.0, 1.0]))
     try:
-        _, _, drifts = evolve(model, ground, nsteps * dt, dt)
+        _, _, drifts = evolve(build_liouvillian(model), ground, nsteps * dt, dt)
     except IntegrationError as exc:  # a coarse step may overshoot positivity, never the trace
         assert "is not a density matrix" in str(exc)
         return  # a failed run returns no drifts

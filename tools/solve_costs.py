@@ -11,9 +11,10 @@ Prints seven tables, the ladder first:
   Householder elimination (lindblad.BLOCK), best of 9 in this one process;
 - stages: one steady_state by levels at sides 784 and 1296, the fastest
   of 9 runs in a process, the fastest of 3 fresh processes;
-- evolve: one evolve to t = 50 at dt = 1e-3 and the CLI's cadence of 100,
-  from |gg> at perfbench's seed-1 ridge point, at lindblad.STRIDE 64, 128
-  and 256, the fastest of 9 runs in each of 5 rounds over the widths;
+- evolve: one runs.dynamics to t = 50 at dt = 1e-3 and the CLI's cadence of
+  100 (the model and its Liouvillian built, then evolve from |gg>) at
+  perfbench's seed-1 ridge point, at lindblad.STRIDE 64, 128 and 256, the
+  fastest of 9 runs in each of 5 rounds over the widths;
 - sweep: cli._sweep_rows at ``--solver both`` on block 12 of the default
   81x81 grid (cli.BLOCK_SIZE, 256 points) and its CSV rows by
   cli._write_csv to os.devnull, the fastest of 9 runs in this one process,
@@ -280,15 +281,14 @@ def stages() -> None:
 
 
 def evolve_times(stride: int, repeats: int = REPEATS) -> dict[str, float]:
-    """The rows of one evolve at RIDGE at lindblad.STRIDE = stride, the fastest of ``repeats`` runs."""
-    model_, rho0 = build_effective_model(DimensionlessParams(*RIDGE)), runs.ground_state()
+    """The rows of one runs.dynamics at RIDGE at lindblad.STRIDE = stride, the fastest of ``repeats`` runs."""
     with _patched(STRIDE=stride):
-        return fastest(lambda: lindblad.evolve(model_, rho0, 50.0, 1e-3, 100), repeats)
+        return fastest(lambda: runs.dynamics(*RIDGE, 0.0, 50.0, 1e-3, 100), repeats)
 
 
 def evolve_table() -> None:
     rounds = [[evolve_times(stride) for stride in EVOLVE_STRIDES] for _ in range(EVOLVE_ROUNDS)]
-    _table(f"evolve: one run to t = 50 at dt = 1e-3 by function and STRIDE, ms (fastest of {REPEATS} runs in "
+    _table(f"evolve: one runs.dynamics to t = 50 at dt = 1e-3 by function and STRIDE, ms (fastest of {REPEATS} runs in "
            f"each of {EVOLVE_ROUNDS} rounds over the widths, one process)",
            {f"STRIDE {stride}": min(column, key=lambda rows: rows["in all"])
             for stride, column in zip(EVOLVE_STRIDES, zip(*rounds))})
