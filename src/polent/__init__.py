@@ -15,7 +15,6 @@ from .entangle import (
     construct_witness,
     entanglement,
     pair_operator,
-    pauli_decompose,
     separable_floor,
 )
 from .lindblad import (
@@ -91,7 +90,6 @@ __all__ = [
     "pair_operator",
     "partial_trace",
     "partial_transpose",
-    "pauli_decompose",
     "separable_floor",
     "stationarity_residuals",
     "steady_state",

@@ -125,10 +125,12 @@ def cmd_sweep(grid: tuple, xi2: float, solver: str, out: str, workers: int = 1) 
     if len(runs) > 1:
         import multiprocessing  # here only: importing it costs every fresh interpreter about 4.5 ms
 
-        # each worker runs its rows under main's errstate, which a spawned process does not inherit
+        # each worker runs its rows under main's errstate, which a spawned process does not inherit; the
+        # parts are read in grid order, so a failure names the first failing point, not the first to fail
         with multiprocessing.get_context("spawn").Pool(
                 len(runs), functools.partial(np.seterr, **np.geterr())) as pool:
-            rows = np.concatenate(pool.starmap(_sweep_rows, runs))
+            results = [pool.apply_async(_sweep_rows, run) for run in runs]
+            rows = np.concatenate([result.get() for result in results])
     else:
         rows = _sweep_rows(*runs[0])
     _write_csv(out, _CSV_HEADER, rows)

@@ -39,11 +39,6 @@ N_MIXED_SAMPLES = 1000  # and its mixtures of two of them
 # a partial-transpose eigenvalue this close to zero is rounding residue, not
 # detectable entanglement; witness construction treats it as separable
 DETECTION_FLOOR = 1e-12
-WITNESS_TOL = 1e-10
-# separable samples drawn and evaluated at a time: a set that is drawn as it is evaluated keeps its
-# temporaries near 100 kB; only the default set is kept whole (_samples), 776,000 bytes
-FLOOR_BLOCK = 1024
-_DRAWN_ONCE: set = set()  # the block sizes at which the default set was drawn, and not kept, once
 
 
 class NotEntangledError(Exception):
@@ -227,17 +222,8 @@ def construct_witness(rho: DensityMatrix) -> Witness:
         raise NotEntangledError(
             f"partial transpose has no negative eigenvalue (lowest {w[0]:.3e})"
         )
-    projector = DensityMatrix(rho.space, np.outer(v[:, 0], v[:, 0].conj()))  # |eta><eta|
-    return Witness(pauli_decompose(partial_transpose(projector, _PT_SIDE)))
-
-
-def pauli_decompose(m: np.ndarray) -> np.ndarray:
-    """Real coefficients c[j, k] = Tr[m (sigma^j tensor sigma^k)] / 4 of a Hermitian 4x4 m."""
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-    if np.linalg.norm(m - m.conj().T) > WITNESS_TOL:
-        raise ValueError("Pauli decomposition requires a Hermitian matrix")
-    return _pauli_coefficients(m)
+    projector = np.outer(v[:, 0], v[:, 0].conj())  # |eta><eta|
+    return Witness(_pauli_coefficients(qops._partial_transpose(projector, TWO_QUBITS.dims, _PT_SIDE)))
 
 
 def _product_expectations(c: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -253,68 +239,23 @@ def _bloch_vectors(u: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(z), radius * np.cos(phi), radius * np.sin(phi), z])
 
 
-def _sample_blocks(n_pure: int, n_mixed: int, seed, block: int):
-    """The seeded samples, block at a time, in the order one default_rng(seed) draws them.
-
-    The n_pure pure product states come first, 4 uniforms each, as blocks
-    (s, t) of their two qubits' Bloch vectors; then the n_mixed mixtures of
-    two fresh product states, 9 uniforms each, as blocks (p, s1, t1, s2, t2),
-    the first state's weight and both states' vectors. Each array owns its
-    data and is read-only.
-    """
+def _draw(n_pure: int, n_mixed: int, seed) -> tuple[np.ndarray, ...]:
+    # in one default_rng(seed)'s order: n_pure product states, 4 uniforms each, as their qubits' Bloch vectors
+    # (s, t); then n_mixed mixtures of two fresh ones, 9 uniforms each, as (p, s1, t1, s2, t2), the first's weight
+    # and the vectors; each array owns its data
     rng = np.random.default_rng(seed)
-    for start in range(0, n_pure, block):
-        yield _pure_block(rng.random((min(block, n_pure - start), 4)))
-    for start in range(0, n_mixed, block):
-        yield _mixture_block(rng.random((min(block, n_mixed - start), 9)))
+    pure, mixed = rng.random((n_pure, 4)), rng.random((n_mixed, 9))
+    return (_bloch_vectors(pure[:, :2]), _bloch_vectors(pure[:, 2:]), mixed[:, 0].copy(),
+            *(_bloch_vectors(mixed[:, k:k + 2]) for k in (1, 3, 5, 7)))
 
 
-def _pure_block(u: np.ndarray) -> tuple[np.ndarray, ...]:
-    # (s, t) from each row's 4 uniforms, a pair for each qubit; the uniforms are freed before the block is evaluated
-    return _read_only(_bloch_vectors(u[:, :2]), _bloch_vectors(u[:, 2:]))
-
-
-def _mixture_block(u: np.ndarray) -> tuple[np.ndarray, ...]:
-    # (p, s1, t1, s2, t2) from each row's uniforms: the weight, then a pair for each qubit of each state
-    return _read_only(u[:, 0].copy(), *(_bloch_vectors(u[:, k:k + 2]) for k in (1, 3, 5, 7)))
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
+@functools.cache
+def _default_samples() -> tuple[np.ndarray, ...]:
+    # the default set, read-only from a process's first call: 776,000 bytes of Bloch vectors and weights
+    samples = _draw(N_PURE_SAMPLES, N_MIXED_SAMPLES, SAMPLING_SEED)
+    for array in samples:
         array.setflags(write=False)
-    return arrays
-
-
-@functools.lru_cache(maxsize=1)
-def _kept_samples(block: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    # the default set's blocks: 776,000 bytes of Bloch vectors and weights
-    return tuple(_sample_blocks(N_PURE_SAMPLES, N_MIXED_SAMPLES, SAMPLING_SEED, block))
-
-
-def _samples(n_pure: int, n_mixed: int, seed):
-    """The blocks of separable_floor's samples at FLOOR_BLOCK, read at the call.
-
-    Only the default set is kept (_kept_samples), and only from its second
-    call at one block size, so a process that evaluates one witness, as
-    ``polent witness`` does, draws block by block and keeps nothing. Any
-    other set is drawn block by block on every call.
-    """
-    # default_rng also takes a SeedSequence or an array of integers, which do not compare as one integer
-    default = isinstance(seed, numbers.Integral) and (n_pure, n_mixed, seed) == (
-        N_PURE_SAMPLES, N_MIXED_SAMPLES, SAMPLING_SEED)
-    if default and FLOOR_BLOCK in _DRAWN_ONCE:
-        return _kept_samples(FLOOR_BLOCK)
-    if default:
-        _DRAWN_ONCE.add(FLOOR_BLOCK)
-    return _sample_blocks(n_pure, n_mixed, seed, FLOOR_BLOCK)
-
-
-def _block_floor(c: np.ndarray, block: tuple[np.ndarray, ...]) -> float:
-    match block:
-        case (s, t):  # pure product states
-            return _product_expectations(c, s, t).min()
-        case (p, s1, t1, s2, t2):  # mixtures of two
-            return (p * _product_expectations(c, s1, t1) + (1.0 - p) * _product_expectations(c, s2, t2)).min()
+    return samples
 
 
 def separable_floor(
@@ -325,19 +266,20 @@ def separable_floor(
     Samples n_pure pure product states (Bloch-uniform on each qubit) plus
     n_mixed random convex pairs of fresh product states, all drawn in order
     from one default_rng(seed), the pure samples first, so the result is
-    deterministic (_sample_blocks). A product state's expectation is the
-    real bilinear form of its two Bloch vectors with the Pauli coefficients
-    of W (_product_expectations), evaluated FLOOR_BLOCK samples at a time.
-    The first call at the default counts and seed draws as it evaluates;
-    the second forms the set's Bloch vectors and weights (776,000 bytes)
-    and keeps them (_samples), so each later call only evaluates: about
-    0.7 ms against 2-4 ms for a call that draws. The floor does not depend
-    on whether the set was kept, nor on the block size. A count that is
-    negative or not an integer raises ValueError.
+    deterministic (_draw). A product state's expectation is the real
+    bilinear form of its two Bloch vectors with the Pauli coefficients of W
+    (_product_expectations). The default counts and seed are drawn at a
+    process's first call and kept, 776,000 bytes, so each later call only
+    evaluates (_default_samples); any other set is drawn on every call and
+    not kept. A count that is negative or not an integer raises ValueError.
     """
     for name, n in (("n_pure", n_pure), ("n_mixed", n_mixed)):
         if not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-    # map holds no block once its floor is taken, so a streamed block is freed before the next is drawn
-    floors = map(functools.partial(_block_floor, w.coefficients), _samples(n_pure, n_mixed, seed))
-    return float(functools.reduce(min, floors, np.inf))
+    # default_rng also takes a SeedSequence or an array of integers, which do not compare as one integer
+    default = isinstance(seed, numbers.Integral) and (n_pure, n_mixed, seed) == (
+        N_PURE_SAMPLES, N_MIXED_SAMPLES, SAMPLING_SEED)
+    s, t, p, s1, t1, s2, t2 = _default_samples() if default else _draw(n_pure, n_mixed, seed)
+    c = w.coefficients
+    mixed = p * _product_expectations(c, s1, t1) + (1.0 - p) * _product_expectations(c, s2, t2)
+    return float(min(_product_expectations(c, s, t).min(initial=np.inf), mixed.min(initial=np.inf)))

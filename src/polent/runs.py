@@ -77,12 +77,15 @@ def evaluate(zeta, xi1, xi2, solver: str) -> Evaluation:
     "analytic" is the closed form, "numeric" the Liouvillian null space,
     "both" the two. A block's Liouvillians are one stacked build, and one
     point has the bits it has in a block. A failure names the first failing
-    point, as it would at that point alone.
+    point, as it would at that point alone. Parameters that broadcast to more
+    than one axis raise ValueError.
     """
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if np.ndim(zeta) or np.ndim(xi1) or np.ndim(xi2):  # as in DimensionlessParams; one point keeps its floats
         zeta, xi1, xi2 = np.broadcast_arrays(zeta, xi1, xi2)
+        if zeta.ndim > 1:
+            raise ValueError(f"evaluate takes one point or a 1-D block, got parameters of shape {zeta.shape}")
     try:
         liouv = lindblad.build_liouvillian(model.build_effective_model(DimensionlessParams(zeta, xi1, xi2)))
         exact = discrepancy = None

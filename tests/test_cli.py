@@ -1,6 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
-import itertools
+import functools
 import multiprocessing
 import os
 import re
@@ -171,10 +171,14 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
 
 
 class _InlineContext:
-    """A multiprocessing context whose pool records its size and runs tasks in-process, with no initializer."""
+    """A multiprocessing context whose pool records its size and runs tasks in-process, with no initializer.
+
+    A task runs when a first result is asked for, with every task still pending, the last first: the later
+    parts of a grid finish before the earlier ones.
+    """
 
     def __init__(self):
-        self.sizes = []
+        self.sizes, self.pending = [], []
 
     def Pool(self, size, initializer=None):
         self.sizes.append(size)
@@ -186,8 +190,26 @@ class _InlineContext:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, func, tasks):
-        return list(itertools.starmap(func, tasks))
+    def apply_async(self, func, args):
+        return _InlineResult(self.pending, functools.partial(func, *args))
+
+
+class _InlineResult:
+    def __init__(self, pending, task):
+        self.pending, self.task, self.outcome = pending, task, None
+        pending.append(self)
+
+    def get(self):
+        while self.pending:
+            result = self.pending.pop()
+            try:
+                result.outcome = result.task(), None
+            except Exception as exc:
+                result.outcome = None, exc
+        value, exc = self.outcome
+        if exc is not None:
+            raise exc
+        return value
 
 
 def test_sweep_workers_are_capped_at_the_cpu_count(tmp_path, monkeypatch):
@@ -217,6 +239,18 @@ def test_a_failing_sweep_prints_one_line_with_workers(tmp_path, monkeypatch, cap
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert main(argv + ["--workers", "2"]) == 3
     assert capfd.readouterr() == alone
+
+
+def test_a_failing_sweep_names_its_first_failing_point_when_a_later_part_fails_first(tmp_path, monkeypatch, capfd):
+    # both parts fail, the later one first; the line is the first failing point's in grid order, as with one worker
+    argv = ["sweep", "--grid", "0:1e200:3,0:1e100:3", "--solver", "both", "--out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--workers", "1"]) == 3
+    alone = capfd.readouterr()
+    context = _InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(argv + ["--workers", "2"]) == 3
+    assert context.sizes == [2] and capfd.readouterr() == alone
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():

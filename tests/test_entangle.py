@@ -20,7 +20,6 @@ from polent.entangle import (
     construct_witness,
     entanglement,
     pair_operator,
-    pauli_decompose,
     separable_floor,
 )
 from polent.lindblad import build_liouvillian, steady_state
@@ -380,10 +379,10 @@ def test_witness_matches_the_transposed_projector():
         eta = np.linalg.eigh(partial_transpose(rho, 1))[1][:, 0]
         w = partial_transpose(DensityMatrix(TWO_QUBITS, np.outer(eta, eta.conj())), 1)
         wit = construct_witness(rho)
-        worst_c = max(worst_c, np.abs(wit.coefficients - pauli_decompose(w)).max())
+        worst_c = max(worst_c, np.abs(wit.coefficients - entangle._pauli_coefficients(w)).max())
         worst_tr = max(worst_tr, abs(wit.expectation(rho) - np.trace(w @ rho.matrix).real))
         worst_n = max(worst_n, abs(wit.expectation(rho) + negativity(rho)))
-    assert worst_c <= 1e-16, worst_c
+    assert worst_c == 0.0, worst_c
     assert worst_tr <= 1e-15, worst_tr
     assert worst_n <= 1e-14, worst_n
 
@@ -442,11 +441,11 @@ def test_witness_coefficient_consistency():
 
 
 def test_pauli_decompose_basis_elements():
-    c = pauli_decompose(np.eye(4, dtype=complex))
+    c = entangle._pauli_coefficients(np.eye(4, dtype=complex))
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert_allclose(c, expected, atol=1e-15)
-    c = pauli_decompose(pair_operator("z", "z"))
+    c = entangle._pauli_coefficients(pair_operator("z", "z"))
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0
     assert_allclose(c, expected, atol=1e-15)
@@ -456,20 +455,13 @@ def test_pauli_decompose_roundtrip():
     rng = np.random.default_rng(77)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g + g.conj().T
-    c = pauli_decompose(m)
+    c = entangle._pauli_coefficients(m)
     rebuilt = sum(
         c[j, k] * pair_operator(PAULI_LABELS[j], PAULI_LABELS[k])
         for j in range(4)
         for k in range(4)
     )
     assert_allclose(rebuilt, m, atol=1e-12)
-
-
-def test_pauli_decompose_validation():
-    with pytest.raises(ValueError):
-        pauli_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        pauli_decompose(np.triu(np.ones((4, 4))))
 
 
 def random_hermitian(rng):
@@ -483,7 +475,7 @@ def test_pauli_decompose_matches_the_trace_loop():
         m = random_hermitian(rng)
         loop = np.array([[np.trace(m @ pair_operator(lj, lk)).real / 4.0 for lk in PAULI_LABELS]
                          for lj in PAULI_LABELS])
-        assert np.abs(pauli_decompose(m) - loop).max() <= 1e-15
+        assert np.abs(entangle._pauli_coefficients(m) - loop).max() <= 1e-15
 
 
 def constructed_witnesses():
@@ -508,7 +500,7 @@ def test_product_expectations_follow_the_state_vectors():
     psi = [np.kron(qubit(*row[2:]), qubit(*row[:2])) for row in u]
     expected = [(v.conj() @ m @ v).real for v in psi]
     s, t = entangle._bloch_vectors(u[:, :2]), entangle._bloch_vectors(u[:, 2:])
-    assert_allclose(entangle._product_expectations(pauli_decompose(m), s, t), expected, atol=1e-13)
+    assert_allclose(entangle._product_expectations(entangle._pauli_coefficients(m), s, t), expected, atol=1e-13)
 
 
 def test_separable_floor_nonnegative_and_reproducible():
@@ -529,7 +521,7 @@ def test_separable_floor_finds_a_negative_product_expectation():
     # z1, z2 gives -(1 + z1)(1 + z2)/4, which reaches -1 at |ee>
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = -1.0
-    w = Witness(pauli_decompose(m))
+    w = Witness(entangle._pauli_coefficients(m))
     assert -1.0 <= separable_floor(w) < -0.9
     assert -1.0 <= separable_floor(w, n_pure=0) < -0.5
 
@@ -544,39 +536,25 @@ def test_separable_floor_takes_empty_blocks():
     assert separable_floor(w, n_pure=0, n_mixed=0) == np.inf
 
 
-def test_separable_floor_does_not_depend_on_the_block_size(monkeypatch, kept):
+def test_separable_floor_does_not_depend_on_the_block_size():
+    # the one-pass floor is the blocked loop's at any block size: a minimum is exact, and each sample's value its own
     w = constructed_witnesses()[2]
-    reference = separable_floor(w, n_pure=2000, n_mixed=300)
-    default = plain_floor(w)
-    evaluated = []  # the blocks that separable_floor evaluated
-    block_floor = entangle._block_floor
-    monkeypatch.setattr(entangle, "_block_floor", lambda c, b: evaluated.append(b) or block_floor(c, b))
-    for block in (1, 7, 300, 10**6):
-        monkeypatch.setattr(entangle, "FLOOR_BLOCK", block)
-        assert separable_floor(w, n_pure=2000, n_mixed=300) == reference
-        if block == 1:
-            continue  # at the defaults, 11,000 blocks of one sample
-        # drawn, then kept, then read: each call evaluates blocks of this size, not a stale set
-        for _ in range(3):
-            evaluated.clear()
-            assert separable_floor(w) == default
-            assert len(evaluated) == -(-entangle.N_PURE_SAMPLES // block) + -(-entangle.N_MIXED_SAMPLES // block)
-            assert len(evaluated[0][0]) == min(block, entangle.N_PURE_SAMPLES)
-        assert evaluated[-1] is kept(block)[-1]
+    for n_pure, n_mixed, blocks in ((2000, 300, (1, 7, 300, 10**6)), (*COUNTS[0], (7, 300, 10**6))):
+        floor = separable_floor(w, n_pure, n_mixed)
+        assert [plain_floor(w, n_pure, n_mixed, block=block) for block in blocks] == [floor] * len(blocks)
 
 
 @pytest.fixture
-def kept(monkeypatch):
-    """entangle._kept_samples, with no set kept or drawn once at the start of the test."""
-    monkeypatch.setattr(entangle, "_DRAWN_ONCE", set())
-    entangle._kept_samples.cache_clear()
-    yield entangle._kept_samples
-    entangle._kept_samples.cache_clear()
+def kept():
+    """entangle._default_samples, with no set kept at the start of the test or after it."""
+    entangle._default_samples.cache_clear()
+    yield entangle._default_samples
+    entangle._default_samples.cache_clear()
 
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The number of _bloch_vectors calls so far, one per qubit of a block drawn."""
+    """The number of _bloch_vectors calls so far: six a draw, two for the pure samples and four for the mixtures."""
     calls = []
     bloch = entangle._bloch_vectors
     monkeypatch.setattr(entangle, "_bloch_vectors", lambda u: calls.append(1) or bloch(u))
@@ -589,34 +567,31 @@ COUNTS = [(entangle.N_PURE_SAMPLES, entangle.N_MIXED_SAMPLES), (0, 0), (0, 500),
 
 @pytest.mark.parametrize("n_pure, n_mixed", COUNTS)
 def test_kept_and_streamed_floors_equal_the_plain_loop(kept, n_pure, n_mixed):
-    # the seed as a SeedSequence draws the same stream, block by block and never kept
-    streamed = np.random.SeedSequence(entangle.SAMPLING_SEED)
+    # the seed as a SeedSequence draws the same stream, anew on every call and never kept
+    seeded = np.random.SeedSequence(entangle.SAMPLING_SEED)
     rng = np.random.default_rng(17)
     for w in constructed_witnesses()[2:4] + [Witness(rng.normal(size=(4, 4))) for _ in range(3)]:
-        entangle._DRAWN_ONCE.clear()
         kept.cache_clear()
         reference = plain_floor(w, n_pure, n_mixed)
-        # the first call draws, the second keeps the default set, the third reads it
-        assert [separable_floor(w, n_pure, n_mixed) for _ in range(3)] == [reference] * 3
+        # the first call draws, and keeps the default set, which the second reads
+        assert [separable_floor(w, n_pure, n_mixed) for _ in range(2)] == [reference] * 2
         assert kept.cache_info().currsize == ((n_pure, n_mixed) == COUNTS[0])
-        assert separable_floor(w, n_pure, n_mixed, streamed) == reference
+        assert separable_floor(w, n_pure, n_mixed, seeded) == reference
 
 
 def test_a_warm_call_draws_nothing(kept, draws):
     w = construct_witness(BELL_RHO)
     first = separable_floor(w)
-    assert len(draws) == 2 * 10 + 4 * 1  # ten blocks of pure samples, one of mixtures
-    assert separable_floor(w) == first
-    assert len(draws) == 2 * 24 and kept.cache_info().currsize == 1
+    assert len(draws) == 6 and kept.cache_info().currsize == 1  # the first call draws the default set, once
     for v in constructed_witnesses():
         separable_floor(v)
     assert separable_floor(w) == first
-    assert len(draws) == 2 * 24
+    assert len(draws) == 6
     # any other set is drawn on every call, and the default set stays kept
     separable_floor(w, 500, 0)
     separable_floor(w, 500, 0)
     assert separable_floor(w) == first
-    assert len(draws) == 2 * 24 + 2 * 2
+    assert len(draws) == 6 + 2 * 6
 
 
 @pytest.mark.parametrize("seed", [None, np.random.SeedSequence(entangle.SAMPLING_SEED), entangle.SAMPLING_SEED + 1])
@@ -624,15 +599,14 @@ def test_only_the_default_seed_is_kept(kept, draws, seed):
     w = construct_witness(BELL_RHO)
     for calls in (1, 2, 3):
         separable_floor(w, seed=seed)
-        assert len(draws) == 24 * calls
+        assert len(draws) == 6 * calls
     assert kept.cache_info().currsize == 0
 
 
 def test_the_kept_arrays_are_read_only_and_their_own(kept):
-    for _ in range(2):
-        separable_floor(construct_witness(BELL_RHO))
-    arrays = [a for block in kept(entangle.FLOOR_BLOCK) for a in block]
-    assert kept.cache_info().hits == 1  # the set that the second call kept
+    separable_floor(construct_witness(BELL_RHO))
+    arrays = kept()
+    assert kept.cache_info().hits == 1  # the set that the first call kept
     assert all(not a.flags.writeable and a.base is None for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[-1][0] = 0.0
@@ -650,30 +624,25 @@ def _traced(f, *args) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def test_a_first_call_at_the_defaults_keeps_nothing(kept):
-    # a process that evaluates one witness draws block by block, as the plain loop does
+def test_a_first_call_at_the_defaults_keeps_the_set(kept):
     w = constructed_witnesses()[2]
-    _, plain = _traced(plain_floor, w)
-    held, first = _traced(separable_floor, w)
-    assert first <= 1.1 * plain < 776_000 / 2 and held < 10_000
     held, _ = _traced(separable_floor, w)
-    assert held > 776_000  # the second call keeps the set
+    assert held > 776_000
+    # a later call only evaluates: it leaves nothing behind and peaks far below the set's bytes
+    held, peak = _traced(separable_floor, w)
+    assert held < 10_000 and peak < 776_000 / 2
 
 
 @pytest.mark.parametrize("n_pure, n_mixed", [(entangle.N_PURE_SAMPLES + 1, entangle.N_MIXED_SAMPLES),
                                              (20000, 0), (0, 20000)])
-def test_a_set_that_is_not_the_default_is_streamed(kept, draws, n_pure, n_mixed):
+def test_a_set_that_is_not_the_default_is_drawn_on_every_call(kept, draws, n_pure, n_mixed):
     w = constructed_witnesses()[2]
-    floor = separable_floor(w, n_pure, n_mixed)
-    drawn = len(draws)
-    assert floor == plain_floor(w, n_pure, n_mixed)
+    reference = plain_floor(w, n_pure, n_mixed)
     before = len(draws)
-    assert separable_floor(w, n_pure, n_mixed) == floor
-    assert len(draws) - before == drawn and kept.cache_info().currsize == 0
-    # one block at a time: the peak is the plain loop's, far below the set's bytes
-    _, plain = _traced(plain_floor, w, n_pure, n_mixed)
-    held, peak = _traced(separable_floor, w, n_pure, n_mixed)
-    assert peak <= 1.1 * plain < 8 * (8 * n_pure + 17 * n_mixed) / 2 and held < 10_000
+    assert [separable_floor(w, n_pure, n_mixed) for _ in range(2)] == [reference] * 2
+    assert len(draws) - before == 2 * 6 and kept.cache_info().currsize == 0
+    held, _ = _traced(separable_floor, w, n_pure, n_mixed)
+    assert held < 10_000  # nothing kept
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -71,6 +71,14 @@ def test_evaluate_broadcasts_its_inputs(solver):
                                                                     "purity") if getattr(point, name) is not None)
 
 
+@pytest.mark.parametrize("solver", runs.SOLVERS)
+def test_evaluate_refuses_parameters_of_more_than_one_axis(solver, monkeypatch):
+    # refused by their broadcast shape before anything is built
+    monkeypatch.setattr(model, "build_effective_model", None)
+    with pytest.raises(ValueError, match=r"^evaluate takes one point or a 1-D block, got parameters of shape \(2, 2\)$"):
+        runs.evaluate(np.array([[1.0], [0.0]]), np.array([1.0, 2.0]), 0.0, solver)
+
+
 @pytest.mark.parametrize("solver, args, failure", [
     ("analytic", (np.array([2.0, 0.0]), np.array([1.0, 1e100]), 0.0), InvalidStateError),
     ("numeric", (np.array([10.0, 1e308]), 1.0, 0.0), DegenerateSteadyStateError),

@@ -23,8 +23,8 @@ Prints seven tables, the ladder first:
 - witness: one entangle.separable_floor at its default samples, of the
   witness at perfbench's seed-1 ridge point, the fastest of 9 runs in this
   one process, with the sample set kept (warm) and as the first call of a
-  process (cold: each run starts with nothing kept or drawn before, and
-  draws block by block), where the draws have rows of their own;
+  process (cold: each run starts with nothing kept, and draws the set in
+  one pass and keeps it), where the draws have rows of their own;
 - ladder: ``validate --nmax N``, one fresh interpreter per run with the cap
   lifted, its wall time, its time in nominal seconds (the wall time over a
   yardstick's, timed just before and after the run) and its max RSS
@@ -95,9 +95,8 @@ LABELS = {"build_effective_model": "model", "_triangularize_by_levels": "elimina
           "_row_traces": "drift", "_held_matrices": "sample matrices", "evolve": "set-up and loop",
           "entanglement": "spectrum and gate", "_concurrence": "tau and svd", "_roots": "factor",
           "_write_csv": "CSV rows", "_assembly_plan": "plan", "_real_form_plan": "plan",
-          "_exchange_plan": "plan", "_whole_plan": "plan", "_sample_blocks": "draws",
-          "_product_expectations": "expectations", "_block_floor": "mixtures and minimum",
-          "separable_floor": "checks and kept set"}
+          "_exchange_plan": "plan", "_whole_plan": "plan", "_draw": "draws", "_product_expectations": "expectations",
+          "separable_floor": "checks, mixtures and minimum"}
 # the yardstick's time on a quiet 2-vCPU x86-64 virtual machine (Python 3.11, numpy 2.4,
 # OpenBLAS 0.3.31): there a nominal second is about a wall second
 YARD_NOMINAL_S = 0.050
@@ -181,8 +180,8 @@ TIMED = (
                 "_to_exchange_basis", "_levels", "_solve_by_levels", "_triangularize_by_levels", "_eliminate",
                 "_solve_whole", "_step_powers", "_batches", "_row_traces", "_held_matrices", "_assembly_plan",
                 "_real_form_plan", "_exchange_plan", "_whole_plan")),
-    (entangle, ("entanglement", "_concurrence", "_roots", "separable_floor", "_sample_blocks", "_bloch_vectors",
-                "_product_expectations", "_block_floor")),
+    (entangle, ("entanglement", "_concurrence", "_roots", "separable_floor", "_draw", "_bloch_vectors",
+                "_product_expectations")),
     (analytic, ("closed_form",)),
     (model, ("build_effective_model",)),
     (cli, ("_sweep_rows", "_write_csv")),
@@ -315,8 +314,8 @@ def witness_times(repeats: int = REPEATS, cold: bool = False) -> dict[str, float
     """The rows of one separable_floor of the witness at RIDGE, the fastest of ``repeats`` runs, each as the
     first call of a process with ``cold``."""
     witness = runs.witness_report(*RIDGE, 0.0).witness
-    forget = (lambda: (entangle._DRAWN_ONCE.clear(), entangle._kept_samples.cache_clear())) if cold else None
-    return fastest(lambda: entangle.separable_floor(witness), repeats, forget)
+    return fastest(lambda: entangle.separable_floor(witness), repeats,
+                   entangle._default_samples.cache_clear if cold else None)
 
 
 def witness_table() -> None:
